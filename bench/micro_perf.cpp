@@ -8,8 +8,8 @@
 // re-derive scheduling points / deadline sets per call, invert supplies by
 // bisection and deep-copy the system per sensitivity probe; the plain
 // variants run the batched analysis engine (AnalysisContext caches +
-// closed-form inverses + parallel_for sweeps). Keep both: the ratio is the
-// number tools/bench_report tracks across PRs.
+// closed-form inverses). Keep both: the ratio is the number
+// tools/bench_report tracks across PRs.
 #include <benchmark/benchmark.h>
 
 #include "core/analysis_engine.hpp"
@@ -274,9 +274,9 @@ void BM_SensitivityReport(benchmark::State& state) {
 }
 BENCHMARK(BM_SensitivityReport);
 
-// --- region sweep: serial loop vs parallel_for runner ---------------------
-// On a single-core host both paths degenerate to the same serial loop; the
-// pair exists so multi-core CI shows the sweep-runner scaling.
+// --- region sweep: hand-written probe loop vs BatchEngine::sample_region --
+// Both are serial; the pair shows the engine's sweep costs no more than
+// the bare probes it is made of.
 
 void BM_SampleRegionSerial(benchmark::State& state) {
   const analysis::BatchEngine engine(paper_sys(), hier::Scheduler::EDF);

@@ -54,15 +54,11 @@ std::size_t thread_count() noexcept;
 ///    small to amortize the handoff run serially inline -- callers never
 ///    need to special-case either.
 ///
-/// This is the sweep runner behind sample_region, max_feasible_period,
-/// sensitivity_report and the bench sweeps.
+/// This is the fleet runner: svc runs one fleet entry per iteration and
+/// core::run_study one trial. The analysis engine's own scans are serial
+/// (one period probe costs far less than a handoff), so a loop body never
+/// nests a second level of parallelism.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// Chunked variant: fn(begin, end) receives half-open index ranges. Useful
-/// when per-iteration dispatch would dominate (very cheap bodies).
-void parallel_for_chunked(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Reorder window for ordered_stream when the caller passes 0: wide enough
 /// to keep every worker busy, small enough that peak buffering stays a

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "common/parallel.hpp"
 #include "hier/min_quantum.hpp"
 #include "rt/priority.hpp"
 
@@ -119,45 +118,55 @@ std::vector<core::RegionSample> BatchEngine::sample_region(
   const auto n = static_cast<std::size_t>(
       std::ceil((opts.p_max - opts.p_min) / opts.grid_step));
   std::vector<core::RegionSample> out(n + 1);
-  par::parallel_for_chunked(n + 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const double p = std::min(
-          opts.p_max, opts.p_min + static_cast<double>(i) * opts.grid_step);
-      out[i] = {p, feasibility_margin(p, opts.use_exact_supply)};
-    }
-  });
+  for (std::size_t i = 0; i <= n; ++i) {
+    const double p = std::min(
+        opts.p_max, opts.p_min + static_cast<double>(i) * opts.grid_step);
+    out[i] = {p, feasibility_margin(p, opts.use_exact_supply)};
+  }
   return out;
 }
 
 double BatchEngine::max_feasible_period(double o_tot,
                                         const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  // Same downward grid scan as the serial implementation -- the first
-  // feasible candidate bounds the answer from below, its predecessor from
-  // above -- but candidates are evaluated a block at a time in parallel.
-  std::vector<double> candidates;
-  for (double p = opts.p_max; p >= opts.p_min; p -= opts.grid_step) {
-    candidates.push_back(p);
-  }
+  // Downward grid scan over the accumulated p -= grid_step candidates: the
+  // first feasible candidate bounds the answer from below, its predecessor
+  // from above.
+  //
+  // Certified skip: a slot (P + d, Q + d) supplies at least what (P, Q)
+  // does, so minQ_k(P) <= minQ_k(P'') + (P - P'') for every used mode k
+  // and P'' < P, and with K used modes
+  //   lhs(P'') <= lhs(P) + (K - 1) (P - P'').
+  // (The first step needs minQ_k(P'') <= P''; when it fails, lhs(P'') < 0
+  // <= o_tot and P'' is infeasible anyway.) So after an infeasible
+  // candidate with finite margin m, every P'' with
+  // P - P'' < (o_tot - m - guard) / (K - 1) is infeasible too -- all of
+  // them when K <= 1 -- and is stepped over without a probe. The guard
+  // covers min_quantum_exact's bisection tolerance (once per mode), the
+  // tolerance-snapped supply evaluation and the rounding of the margin
+  // with three orders of magnitude to spare, so the first feasible
+  // candidate and its predecessor are exactly those of the full scan.
+  const int used_modes = mode_used_[0] + mode_used_[1] + mode_used_[2];
   double feasible = -1.0;
   double infeasible_above = opts.p_max;
-  const std::size_t block = std::max<std::size_t>(16, 4 * par::thread_count());
-  std::vector<double> margins;
-  for (std::size_t b = 0; b < candidates.size() && feasible < 0.0; b += block) {
-    const std::size_t end = std::min(candidates.size(), b + block);
-    margins.assign(end - b, 0.0);
-    par::parallel_for_chunked(end - b, [&](std::size_t cb, std::size_t ce) {
-      for (std::size_t i = cb; i < ce; ++i) {
-        margins[i] =
-            feasibility_margin(candidates[b + i], opts.use_exact_supply);
-      }
-    });
-    for (std::size_t i = 0; i < end - b; ++i) {
-      if (margins[i] >= o_tot) {
-        feasible = candidates[b + i];
-        break;
-      }
-      infeasible_above = candidates[b + i];
+  // Candidates above next_probe are proven infeasible.
+  double next_probe = opts.p_max;
+  for (double p = opts.p_max; p >= opts.p_min; p -= opts.grid_step) {
+    if (p > next_probe) {
+      infeasible_above = p;
+      continue;
+    }
+    const double margin = feasibility_margin(p, opts.use_exact_supply);
+    if (margin >= o_tot) {
+      feasible = p;
+      break;
+    }
+    infeasible_above = p;
+    const double guard = 1e3 * hier::kInverseTolerance * std::max(1.0, p);
+    const double excess = o_tot - margin - guard;
+    if (o_tot >= 0.0 && std::isfinite(margin) && excess > 0.0) {
+      if (used_modes <= 1) break;
+      next_probe = p - excess / (used_modes - 1);
     }
   }
   if (feasible < 0.0) {
@@ -179,14 +188,33 @@ double BatchEngine::max_feasible_period(double o_tot,
 
 namespace {
 
-/// argmax over `values` with the serial scan's strict-> semantics: the
-/// earliest candidate wins ties.
-std::size_t argmax(const std::vector<double>& values) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    if (values[i] > values[best]) best = i;
+/// Strict running argmax of f over the accumulated grid lo, lo + step, ...
+/// <= hi: `best` moves only on a strictly larger value, so the earliest
+/// candidate wins ties.
+template <typename F>
+void raise_max(double lo, double hi, double step, const F& f,
+               core::RegionSample& best) {
+  for (double p = lo; p <= hi; p += step) {
+    const double v = f(p);
+    if (v > best.margin) best = {p, v};
   }
+}
+
+/// argmax of f over the coarse grid p_min, p_min + grid_step, ... <= p_max.
+template <typename F>
+core::RegionSample coarse_max(const core::SearchOptions& opts, const F& f) {
+  core::RegionSample best{opts.p_min, f(opts.p_min)};
+  raise_max(opts.p_min + opts.grid_step, opts.p_max, opts.grid_step, f, best);
   return best;
+}
+
+/// Refines a coarse winner over a fine grid within two coarse steps of it.
+template <typename F>
+void refine_max(const core::SearchOptions& opts, const F& f,
+                core::RegionSample& best) {
+  raise_max(std::max(opts.p_min, best.period - 2.0 * opts.grid_step),
+            std::min(opts.p_max, best.period + 2.0 * opts.grid_step),
+            std::max(opts.tolerance, opts.grid_step * 1e-3), f, best);
 }
 
 }  // namespace
@@ -194,78 +222,28 @@ std::size_t argmax(const std::vector<double>& values) {
 core::OverheadLimit BatchEngine::max_admissible_overhead(
     const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  const auto eval = [&](const std::vector<double>& ps) {
-    std::vector<double> out(ps.size(), 0.0);
-    par::parallel_for_chunked(ps.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        out[i] = feasibility_margin(ps[i], opts.use_exact_supply);
-      }
-    });
-    return out;
+  const auto margin = [&](double p) {
+    return feasibility_margin(p, opts.use_exact_supply);
   };
-  std::vector<double> coarse;
-  for (double p = opts.p_min; p <= opts.p_max; p += opts.grid_step) {
-    coarse.push_back(p);
-  }
-  std::vector<double> margins = eval(coarse);
-  std::size_t best = argmax(margins);
-  double best_p = coarse[best];
-  double best_m = margins[best];
-
-  const double lo = std::max(opts.p_min, best_p - 2.0 * opts.grid_step);
-  const double hi = std::min(opts.p_max, best_p + 2.0 * opts.grid_step);
-  const double step = std::max(opts.tolerance, opts.grid_step * 1e-3);
-  std::vector<double> fine;
-  for (double p = lo; p <= hi; p += step) fine.push_back(p);
-  margins = eval(fine);
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    if (margins[i] > best_m) {
-      best_m = margins[i];
-      best_p = fine[i];
-    }
-  }
-  return {best_p, best_m};
+  core::RegionSample best = coarse_max(opts, margin);
+  refine_max(opts, margin, best);
+  return {best.period, best.margin};
 }
 
 core::SlackOptimum BatchEngine::max_slack_period(
     double o_tot, const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  const auto eval = [&](const std::vector<double>& ps) {
-    std::vector<double> out(ps.size(), 0.0);
-    par::parallel_for_chunked(ps.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        out[i] =
-            (feasibility_margin(ps[i], opts.use_exact_supply) - o_tot) / ps[i];
-      }
-    });
-    return out;
+  const auto slack = [&](double p) {
+    return (feasibility_margin(p, opts.use_exact_supply) - o_tot) / p;
   };
-  std::vector<double> coarse;
-  for (double p = opts.p_min; p <= opts.p_max; p += opts.grid_step) {
-    coarse.push_back(p);
-  }
-  std::vector<double> slack = eval(coarse);
-  std::size_t best_i = argmax(slack);
-  double best_p = coarse[best_i];
-  double best = slack[best_i];
-  if (best < 0.0) {
+  core::RegionSample best = coarse_max(opts, slack);
+  if (best.margin < 0.0) {
     throw InfeasibleError(
         "no feasible period in the search range: slack is negative "
         "everywhere");
   }
-  const double lo = std::max(opts.p_min, best_p - 2.0 * opts.grid_step);
-  const double hi = std::min(opts.p_max, best_p + 2.0 * opts.grid_step);
-  const double step = std::max(opts.tolerance, opts.grid_step * 1e-3);
-  std::vector<double> fine;
-  for (double p = lo; p <= hi; p += step) fine.push_back(p);
-  slack = eval(fine);
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    if (slack[i] > best) {
-      best = slack[i];
-      best_p = fine[i];
-    }
-  }
-  return {best_p, best * best_p, best};
+  refine_max(opts, slack, best);
+  return {best.period, best.margin * best.period, best.margin};
 }
 
 bool BatchEngine::verify(const core::ModeSchedule& schedule,
@@ -415,13 +393,13 @@ std::vector<core::TaskMargin> BatchEngine::sensitivity_report(
   // row: verify once, not once per task.
   const bool base_feasible = verify(schedule);
   std::vector<core::TaskMargin> out = task_rows_;
-  par::parallel_for(out.size(), [&](std::size_t i) {
+  for (core::TaskMargin& row : out) {
     // An empty name would silently select the global (all-tasks) margin;
     // reject it like the one-task front always has.
-    FLEXRT_REQUIRE(!out[i].name.empty(), "task name must be non-empty");
-    out[i].scale_margin =
-        margin_impl(schedule, out[i].name, lambda_max, 1e-4, base_feasible);
-  });
+    FLEXRT_REQUIRE(!row.name.empty(), "task name must be non-empty");
+    row.scale_margin =
+        margin_impl(schedule, row.name, lambda_max, 1e-4, base_feasible);
+  }
   return out;
 }
 

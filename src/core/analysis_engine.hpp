@@ -23,9 +23,10 @@ namespace flexrt::analysis {
 ///
 /// Construction is cheap (task-set snapshots; caches materialize lazily on
 /// first probe) and the engine is immutable afterwards: const engines are
-/// safe to probe from multiple threads, which is what the parallel sweep
-/// methods (sample_region, max_feasible_period, sensitivity_report) do via
-/// par::parallel_for.
+/// safe to probe from multiple threads. Every scan below runs serially on
+/// the calling thread -- one probe costs well under a pool handoff, so
+/// parallelism lives one level up, across the fleet entries of svc and
+/// core::run_study.
 ///
 /// The free functions in core/integration.hpp and core/sensitivity.hpp are
 /// one-shot conveniences that build a throwaway engine; hold a BatchEngine
@@ -78,13 +79,15 @@ class BatchEngine {
   /// lhs(P) = P - sum_k mode_min_quantum(k, P)  (== core::feasibility_margin).
   double feasibility_margin(double period, bool use_exact_supply = false) const;
 
-  /// Figure-4 series over [p_min, p_max]; grid samples run under
-  /// par::parallel_for.
+  /// Figure-4 series over [p_min, p_max].
   std::vector<core::RegionSample> sample_region(
       const core::SearchOptions& opts = {}) const;
 
-  /// sup { P : lhs(P) >= o_tot }; the grid scan evaluates blocks of
-  /// candidate periods in parallel, the refinement bisection is serial.
+  /// sup { P : lhs(P) >= o_tot }: a downward scan of the grid, then a
+  /// bisection between the first feasible candidate and its predecessor.
+  /// Candidates that a supply-dominance bound on minQ proves infeasible
+  /// are stepped over without a probe; the answer is bit-identical to
+  /// probing every candidate (tests/period_search_test.cpp).
   double max_feasible_period(double o_tot,
                              const core::SearchOptions& opts = {}) const;
 
@@ -112,9 +115,8 @@ class BatchEngine {
                            double lambda_max = 16.0,
                            double tolerance = 1e-4) const;
 
-  /// Margins for every task (system iteration order), computed under
-  /// par::parallel_for with the lambda=1 feasibility check hoisted out of
-  /// the per-task loop.
+  /// Margins for every task (system iteration order), with the lambda=1
+  /// feasibility check hoisted out of the per-task loop.
   std::vector<core::TaskMargin> sensitivity_report(
       const core::ModeSchedule& schedule, double lambda_max = 16.0) const;
 

@@ -56,8 +56,10 @@ struct MemoStats {
 class MemoCache {
  public:
   static constexpr std::size_t kShards = 64;
-  static constexpr std::size_t kDefaultCapacityBytes = std::size_t{256}
-                                                       << 20;  // 256 MiB
+  /// Default byte budget (--memo-bytes overrides it): a few thousand
+  /// answers, so a daemon's memory stays flat however many requests it
+  /// serves. A repeated fleet whose answers exceed it no longer hits.
+  static constexpr std::size_t kDefaultCapacityBytes = std::size_t{2} << 20;
 
   MemoCache() = default;
   MemoCache(const MemoCache&) = delete;

@@ -26,19 +26,6 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelFor, ChunkedCoversTheRangeWithoutOverlap) {
-  const std::size_t n = 4321;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for_chunked(n, [&](std::size_t begin, std::size_t end) {
-    ASSERT_LE(begin, end);
-    ASSERT_LE(end, n);
-    for (std::size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
 TEST(ParallelFor, ResultsLandInDisjointSlotsDeterministically) {
   const std::size_t n = 1000;
   std::vector<double> out(n, 0.0);

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/annotations.hpp"
 #include "common/error.hpp"
 #include "common/fs.hpp"
 #include "core/paper_example.hpp"
@@ -100,6 +101,8 @@ void remove_journal(const std::string& path) {
 
 /// Drives run_journaled exactly as `flexrt_design study --output` does:
 /// study_trial rows per entry, the aggregate summary as the epilogue.
+/// `executed` collects the entries that ran, in the order the pool's
+/// workers reached them (run_journaled orders the rows, not the runs).
 JournalStats journaled_study(const std::string& path,
                              const AnalysisService& service,
                              const SolveRequest& req,
@@ -107,13 +110,17 @@ JournalStats journaled_study(const std::string& path,
                              std::vector<std::size_t>* executed = nullptr) {
   Journal journal(path);
   StudyAggregate agg;
+  sys::Mutex executed_mu;
   return run_journaled(
       journal, service.size(), opts, is_trial_row,
       [&](std::string_view row) {
         if (is_trial_row(row)) agg.add(row);
       },
       [&](std::size_t i) {
-        if (executed) executed->push_back(i);
+        if (executed) {
+          sys::MutexLock lock(executed_mu);
+          executed->push_back(i);
+        }
         return service.solve_one(i, req);
       },
       [&](const SolveResult& r) {
@@ -310,6 +317,7 @@ TEST(Journal, ResumeSkipsCompletedEntriesAndCommittedOutputIsANoOp) {
       journaled_study(path, service, req, resume_opts, &executed);
   EXPECT_EQ(stats.replayed, 3u);
   EXPECT_EQ(stats.executed, 6u);
+  std::sort(executed.begin(), executed.end());
   EXPECT_EQ(executed, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
   EXPECT_EQ(read_file(path), ref);
 

@@ -155,7 +155,9 @@ void usage_text(std::ostream& os) {
          "        --no-memo      disable the process-wide answer memo (every\n"
          "        entry recomputes; repeats stop being lookups)\n"
          "        --memo-bytes N cap the answer memo at N bytes (default\n"
-         "        256 MiB; least-recently-used entries evict)\n"
+         "        "
+      << (svc::MemoCache::kDefaultCapacityBytes >> 20)
+      << " MiB; least-recently-used entries evict)\n"
          "journal (study, sweep, fault-sweep; implies --jsonl):\n"
          "        --output FILE  crash-safe journaled run: rows append to\n"
          "                       FILE.partial, FILE appears by atomic rename\n"

@@ -19,9 +19,10 @@
 //                   pool spins up)
 //   --no-memo       disable the process-wide answer memo (svc::MemoCache);
 //                   every request recomputes
-//   --memo-bytes N  cap the answer memo at N bytes (default 256 MiB);
-//                   sessions share the cache, so a fleet solved by one
-//                   client is a lookup for every later client
+//   --memo-bytes N  cap the answer memo at N bytes (default
+//                   svc::MemoCache::kDefaultCapacityBytes); sessions share
+//                   the cache, so a fleet solved by one client is a lookup
+//                   for every later client
 //
 // On start the daemon prints exactly one line to stdout --
 //   flexrtd: listening on unix:PATH   or   flexrtd: listening on tcp:PORT
@@ -58,7 +59,9 @@ void usage_text(std::ostream& os) {
         "  --port N       listen on TCP 127.0.0.1:N (0 = ephemeral)\n"
         "  --threads N    analysis pool width (FLEXRT_THREADS)\n"
         "  --no-memo      disable the process-wide answer memo\n"
-        "  --memo-bytes N cap the answer memo at N bytes (default 256 MiB)\n"
+        "  --memo-bytes N cap the answer memo at N bytes (default "
+     << (svc::MemoCache::kDefaultCapacityBytes >> 20)
+     << " MiB)\n"
         "serves the flexrt_design wire protocol (see tools/README.md);\n"
         "SIGINT/SIGTERM drain in-flight commands and exit 0\n";
 }

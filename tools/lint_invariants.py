@@ -31,6 +31,12 @@ generic bug patterns; this script enforces the invariants that are about
                   atomic .store() statements (POSIX XSH 2.4.3
                   async-signal-safety; see src/common/signals.cpp).
 
+  engine-serial   One level of parallelism: the analysis kernels
+                  (src/rt/, src/hier/) and the BatchEngine
+                  (src/core/analysis_engine.*) may not include
+                  common/parallel.hpp. Their scans run serially; the pool
+                  is for fleet-level loops (svc, core::run_study) only.
+
 Suppress a finding with a justification comment on the same line or the
 line above:  // lint: allow(<rule>) <why>
 
@@ -70,6 +76,9 @@ ALLOW = re.compile(r"//\s*lint:\s*allow\((?P<rule>[a-z-]+)\)")
 
 SIGNAL_HANDLER_DEF = re.compile(r'extern\s+"C"\s+void\s+\w+\s*\(\s*int\b[^)]*\)\s*\{')
 ATOMIC_STORE_STMT = re.compile(r"^\w+\.store\(.+\)$")
+
+SERIAL_ENGINE = re.compile(r"^src/(?:rt/|hier/|core/analysis_engine\.)")
+PARALLEL_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]common/parallel\.hpp[">]')
 
 
 def strip_comments(lines: list[str]) -> list[str]:
@@ -230,8 +239,23 @@ def check_signal_handler(path, raw, code, findings):
                 "safety; see src/common/signals.cpp)")
 
 
+def check_engine_serial(path, raw, code, findings):
+    if not SERIAL_ENGINE.match(rel_key(path)):
+        return
+    for idx, line in enumerate(code):
+        if not PARALLEL_INCLUDE.match(line):
+            continue
+        if allowed(raw, idx, "engine-serial"):
+            continue
+        findings.add(
+            path, idx + 1, "engine-serial",
+            "the analysis kernels and BatchEngine scan serially -- "
+            "parallelize across fleet entries (svc, core::run_study), "
+            "not inside one system's analysis")
+
+
 CHECKS = [check_raw_mutex, check_jsonl_helpers, check_wall_pairing,
-          check_signal_handler]
+          check_signal_handler, check_engine_serial]
 EXTENSIONS = {".cpp", ".hpp", ".cc", ".h"}
 
 
