@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "core/analysis_engine.hpp"
-#include "svc/analysis_service.hpp"
 
 namespace flexrt::core {
 
@@ -16,16 +15,8 @@ const char* to_string(DesignGoal goal) noexcept {
 Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
                     const Overheads& overheads, DesignGoal goal,
                     const SearchOptions& opts) {
-  // One-shot front over the analysis service: a one-entry fleet, one
-  // SolveRequest at the fixed default accuracy (bit-for-bit the direct
-  // engine path below, parity-tested). The service keeps one engine for
-  // the period search and the three quantum queries.
-  const svc::OneShotService s(sys);
-  const svc::SolveResult r =
-      s.service.solve_one(0, {alg, overheads, goal, opts, {}});
-  if (!r.ok()) throw ModelError(r.error);
-  if (!r.feasible) throw InfeasibleError(r.infeasible);
-  return r.design;
+  // One engine serves the period search and the three quantum queries.
+  return solve_design(analysis::BatchEngine(sys, alg), overheads, goal, opts);
 }
 
 Design solve_design(const analysis::BatchEngine& engine,

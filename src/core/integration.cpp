@@ -2,32 +2,15 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-#include "svc/analysis_service.hpp"
+#include "core/analysis_engine.hpp"
 
 namespace flexrt::core {
 
-// The period-side kernels are one-shot fronts over the multi-system
-// analysis service (svc::AnalysisService): each call wraps the system into
-// a throwaway one-entry service and issues the corresponding typed request
-// under the fixed default accuracy policy, which reproduces the direct
-// BatchEngine probes bit for bit (parity-tested). Callers issuing many
-// queries -- or querying many systems -- should hold an AnalysisService
-// (or, per system, its cached BatchEngine) themselves.
-
-namespace {
-
-using svc::OneShotService;
-
-/// Results of answer-less entries carry the failure as a string; the free
-/// functions re-raise it as the ModelError it started as.
-template <typename Result>
-const Result& checked(const Result& r) {
-  if (!r.ok()) throw ModelError(r.error);
-  return r;
-}
-
-}  // namespace
+// One-shot fronts: each call builds a throwaway analysis::BatchEngine at
+// the library-default budgets and asks it once, so the answers are the
+// engine's bit for bit and no process-wide cache is consulted. Callers
+// issuing many queries against one system should hold the engine (or an
+// svc::AnalysisService for a fleet) themselves.
 
 double auto_period_bound(const ModeTaskSystem& sys) {
   double max_deadline = 1.0;
@@ -44,41 +27,36 @@ double auto_period_bound(const ModeTaskSystem& sys) {
 double mode_min_quantum(const ModeTaskSystem& sys, rt::Mode mode,
                         hier::Scheduler alg, double period,
                         bool use_exact_supply) {
-  const OneShotService s(sys);
-  const svc::MinQuantumResult r = checked(
-      s.service.min_quantum_one(0, {alg, period, use_exact_supply, {}}));
-  return r.mode_quantum[static_cast<std::size_t>(mode)];
+  return analysis::BatchEngine(sys, alg).mode_min_quantum(mode, period,
+                                                          use_exact_supply);
 }
 
 double feasibility_margin(const ModeTaskSystem& sys, hier::Scheduler alg,
                           double period, bool use_exact_supply) {
-  const OneShotService s(sys);
-  return checked(
-             s.service.min_quantum_one(0, {alg, period, use_exact_supply, {}}))
-      .margin;
+  return analysis::BatchEngine(sys, alg).feasibility_margin(period,
+                                                            use_exact_supply);
 }
 
 std::vector<RegionSample> sample_region(const ModeTaskSystem& sys,
                                         hier::Scheduler alg,
                                         const SearchOptions& opts) {
-  const OneShotService s(sys);
-  return checked(s.service.region_sweep_one(0, {alg, opts, {}})).samples;
+  return analysis::BatchEngine(sys, alg).sample_region(opts);
 }
 
 double max_feasible_period(const ModeTaskSystem& sys, hier::Scheduler alg,
                            double o_tot, const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_feasible_period(o_tot, opts);
+  return analysis::BatchEngine(sys, alg).max_feasible_period(o_tot, opts);
 }
 
 OverheadLimit max_admissible_overhead(const ModeTaskSystem& sys,
                                       hier::Scheduler alg,
                                       const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_admissible_overhead(opts);
+  return analysis::BatchEngine(sys, alg).max_admissible_overhead(opts);
 }
 
 SlackOptimum max_slack_period(const ModeTaskSystem& sys, hier::Scheduler alg,
                               double o_tot, const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_slack_period(o_tot, opts);
+  return analysis::BatchEngine(sys, alg).max_slack_period(o_tot, opts);
 }
 
 }  // namespace flexrt::core

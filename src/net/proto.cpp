@@ -18,13 +18,6 @@
 
 namespace flexrt::net::proto {
 
-bool parse_triple(const std::string& spec, double& a, double& b, double& c) {
-  std::istringstream in(spec);
-  char c1 = 0, c2 = 0;
-  return static_cast<bool>(in >> a >> c1 >> b >> c2 >> c) && c1 == ',' &&
-         c2 == ',';
-}
-
 double parse_num(const char* flag, const std::string& v) {
   try {
     std::size_t pos = 0;
@@ -55,6 +48,15 @@ std::vector<double> parse_num_list(const char* flag, const std::string& spec) {
     start = comma + 1;
   }
   return out;
+}
+
+std::array<double, 3> parse_triple(const char* flag, const std::string& spec) {
+  const std::vector<double> v = parse_num_list(flag, spec);
+  if (v.size() != 3) {
+    throw ModelError(std::string(flag) + ": expected three numbers a,b,c, " +
+                     "got '" + spec + "'");
+  }
+  return {v[0], v[1], v[2]};
 }
 
 int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i) {
@@ -88,10 +90,9 @@ int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i) {
   }
   if (a == "--overhead") {
     const char* v = next();
-    if (!v ||
-        !parse_triple(v, o.overheads.ft, o.overheads.fs, o.overheads.nf)) {
-      return 2;
-    }
+    if (!v) return 2;
+    const auto [ft, fs, nf] = parse_triple("--overhead", v);
+    o.overheads = {ft, fs, nf};
     return 0;
   }
   if (a == "--adaptive") {
@@ -527,7 +528,7 @@ int Session::cmd_sweep(const std::vector<std::string>& args) {
 int Session::cmd_verify(const std::vector<std::string>& args) {
   CommonOpts o;
   double period = 0.0;
-  double q_ft = 0.0, q_fs = 0.0, q_nf = 0.0;
+  std::array<double, 3> quanta{};
   bool have_quanta = false;
   bool exact_supply = false;
   parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
@@ -537,10 +538,8 @@ int Session::cmd_verify(const std::vector<std::string>& args) {
       return true;
     }
     if (std::strcmp(raw[i], "--quanta") == 0) {
-      if (i + 1 >= argc || !parse_triple(raw[i + 1], q_ft, q_fs, q_nf)) {
-        throw ModelError("--quanta: expected Q_FT,Q_FS,Q_NF");
-      }
-      ++i;
+      if (i + 1 >= argc) throw ModelError("--quanta: expected Q_FT,Q_FS,Q_NF");
+      quanta = parse_triple("--quanta", raw[++i]);
       have_quanta = true;
       return true;
     }
@@ -557,9 +556,9 @@ int Session::cmd_verify(const std::vector<std::string>& args) {
 
   core::ModeSchedule schedule;
   schedule.period = period;
-  schedule.ft = {q_ft, o.overheads.ft};
-  schedule.fs = {q_fs, o.overheads.fs};
-  schedule.nf = {q_nf, o.overheads.nf};
+  schedule.ft = {quanta[0], o.overheads.ft};
+  schedule.fs = {quanta[1], o.overheads.fs};
+  schedule.nf = {quanta[2], o.overheads.nf};
 
   svc::JsonlWriter rows(out_);
   int rc = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
@@ -69,8 +70,10 @@ inline constexpr std::size_t kMaxAddLines = std::size_t{1} << 20;
 double parse_num(const char* flag, const std::string& v);
 std::size_t parse_size(const char* flag, const std::string& v);
 
-/// "a,b,c" -> three doubles; returns false on malformed input.
-bool parse_triple(const std::string& spec, double& a, double& b, double& c);
+/// "a,b,c" -> exactly three strict numbers (parse_num_list); anything
+/// else -- a bad token, trailing junk, two or four values -- throws
+/// naming the flag.
+std::array<double, 3> parse_triple(const char* flag, const std::string& spec);
 
 /// Comma-separated strict numbers ("0,0.01,0.1"); every token must parse
 /// (parse_num), so a malformed list throws naming the flag.

@@ -19,14 +19,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-rt::CanonicalSystem canonicalize(const core::ModeTaskSystem& sys) {
-  rt::CanonicalBuilder b;
-  for (const rt::Mode mode : core::kAllModes) {
-    b.add_group(static_cast<std::uint64_t>(mode), sys.partitions(mode));
-  }
-  return b.finish();
-}
-
 std::size_t resolve_budget(std::size_t points, hier::Scheduler alg) noexcept {
   if (points) return points;
   return alg == hier::Scheduler::FP ? rt::kDefaultFpPointBudget
@@ -128,12 +120,11 @@ double array_move(const std::array<double, 3>& a, const std::array<double, 3>& b
 
 // --- memo keys ------------------------------------------------------------
 //
-// The request half of the memo key. Time-dimensioned parameters hash
-// through CanonicalSystem::time so a request against a rescaled twin
-// system produces the same key; dimensionless knobs hash raw. Every
-// request type leads with a distinct tag, so identical parameter lists of
-// different kinds cannot alias. The deadline is absent by construction:
-// deadline-active requests bypass the memo entirely (degraded answers are
+// The request half of the memo key: every parameter hashes its raw bits,
+// so a key matches only a bit-identical request. Every request type leads
+// with a distinct tag, so identical parameter lists of different kinds
+// cannot alias. The deadline is absent by construction: deadline-active
+// requests bypass the memo entirely (degraded answers are
 // wall-clock-dependent and must never be replayed as definitive).
 
 void hash_policy(rt::HashStream& h, const AccuracyPolicy& pol,
@@ -145,148 +136,66 @@ void hash_policy(rt::HashStream& h, const AccuracyPolicy& pol,
       .u64(pol.max_points);
 }
 
-void hash_search(rt::HashStream& h, const rt::CanonicalSystem& c,
-                 const core::SearchOptions& s) {
-  c.time(h, s.p_min);
-  if (s.p_max > 0.0) {
-    c.time(h, s.p_max);
-  } else {
-    h.f64(s.p_max);  // auto range: scale-free sentinel
-  }
-  c.time(h, s.grid_step);
-  c.time(h, s.tolerance);
-  h.boolean(s.use_exact_supply);
+void hash_search(rt::HashStream& h, const core::SearchOptions& s) {
+  h.f64(s.p_min).f64(s.p_max).f64(s.grid_step).f64(s.tolerance).boolean(
+      s.use_exact_supply);
 }
 
-void hash_overheads(rt::HashStream& h, const rt::CanonicalSystem& c,
-                    const core::Overheads& o) {
-  c.time(h, o.ft);
-  c.time(h, o.fs);
-  c.time(h, o.nf);
+void hash_overheads(rt::HashStream& h, const core::Overheads& o) {
+  h.f64(o.ft).f64(o.fs).f64(o.nf);
 }
 
-void hash_schedule(rt::HashStream& h, const rt::CanonicalSystem& c,
-                   const core::ModeSchedule& s) {
-  c.time(h, s.period);
+void hash_schedule(rt::HashStream& h, const core::ModeSchedule& s) {
+  h.f64(s.period);
   for (const core::Slot* slot : {&s.ft, &s.fs, &s.nf}) {
-    c.time(h, slot->usable);
-    c.time(h, slot->overhead);
+    h.f64(slot->usable).f64(slot->overhead);
   }
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const SolveRequest& r) {
+void hash_request(rt::HashStream& h, const SolveRequest& r) {
   h.u64(1);
   hash_policy(h, r.accuracy, r.alg);
-  hash_overheads(h, c, r.overheads);
+  hash_overheads(h, r.overheads);
   h.u64(static_cast<std::uint64_t>(r.goal));
-  hash_search(h, c, r.search);
+  hash_search(h, r.search);
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const MinQuantumRequest& r) {
+void hash_request(rt::HashStream& h, const MinQuantumRequest& r) {
   h.u64(2);
   hash_policy(h, r.accuracy, r.alg);
-  c.time(h, r.period);
-  h.boolean(r.use_exact_supply);
+  h.f64(r.period).boolean(r.use_exact_supply);
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const RegionSweepRequest& r) {
+void hash_request(rt::HashStream& h, const RegionSweepRequest& r) {
   h.u64(3);
   hash_policy(h, r.accuracy, r.alg);
-  hash_search(h, c, r.search);
+  hash_search(h, r.search);
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const SensitivityRequest& r) {
+void hash_request(rt::HashStream& h, const SensitivityRequest& r) {
   h.u64(4);
   hash_policy(h, r.accuracy, r.alg);
-  hash_schedule(h, c, r.schedule);
+  hash_schedule(h, r.schedule);
   h.str(r.task).boolean(r.include_global).f64(r.lambda_max).f64(r.tolerance);
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const VerifyRequest& r) {
+void hash_request(rt::HashStream& h, const VerifyRequest& r) {
   h.u64(5);
   hash_policy(h, r.accuracy, r.alg);
-  hash_schedule(h, c, r.schedule);
+  hash_schedule(h, r.schedule);
   h.boolean(r.use_exact_supply);
 }
 
-void hash_request(rt::HashStream& h, const rt::CanonicalSystem& c,
-                  const FaultSweepRequest& r) {
+void hash_request(rt::HashStream& h, const FaultSweepRequest& r) {
   h.u64(6);
   hash_policy(h, r.accuracy, r.alg);
   h.u64(r.rates.size());
-  for (const double rate : r.rates) c.inverse_time(h, rate);
-  c.time(h, r.min_separation);
-  hash_overheads(h, c, r.overheads);
+  for (const double rate : r.rates) h.f64(rate);
+  h.f64(r.min_separation);
+  hash_overheads(h, r.overheads);
   h.u64(static_cast<std::uint64_t>(r.goal));
-  hash_search(h, c, r.search);
+  hash_search(h, r.search);
   h.boolean(r.use_exact_supply).boolean(r.with_baselines);
-}
-
-// --- cross-scale rescaling ------------------------------------------------
-//
-// A memo hit whose producer ran at a different canonical time scale maps
-// the stored answer back by multiplying every time-dimensioned field by
-// k = consumer_scale / producer_scale (rates and exposures divide).
-// Same-scale hits -- every identical repeat -- skip this entirely and
-// return the stored payload verbatim, which is what makes warm output
-// bit-identical to cold output.
-
-void rescale_schedule(core::ModeSchedule& s, double k) {
-  s.period *= k;
-  for (core::Slot* slot : {&s.ft, &s.fs, &s.nf}) {
-    slot->usable *= k;
-    slot->overhead *= k;
-  }
-}
-
-void rescale_gap(Provenance& prov, double k) {
-  if (prov.gap) *prov.gap *= k;
-}
-
-void rescale_payload(SolveResult& r, double k) {
-  if (r.feasible) {
-    rescale_schedule(r.design.schedule, k);
-    r.design.min_quantum_ft *= k;
-    r.design.min_quantum_fs *= k;
-    r.design.min_quantum_nf *= k;
-  }
-  rescale_gap(r.prov, k);  // ladder move: a period distance
-}
-
-void rescale_payload(MinQuantumResult& r, double k) {
-  for (double& q : r.mode_quantum) q *= k;
-  r.margin *= k;
-  rescale_gap(r.prov, k);
-}
-
-void rescale_payload(RegionSweepResult& r, double k) {
-  for (core::RegionSample& s : r.samples) {
-    s.period *= k;
-    s.margin *= k;
-  }
-  rescale_gap(r.prov, k);
-}
-
-void rescale_payload(SensitivityResult& r, double k) {
-  for (core::TaskMargin& m : r.margins) m.wcet *= k;
-  // scale_margin, global_margin and the ladder gap are dimensionless.
-}
-
-void rescale_payload(VerifyResult&, double) {}  // verdict only
-
-void rescale_payload(FaultSweepResult& r, double k) {
-  if (r.feasible) rescale_schedule(r.schedule, k);
-  for (FaultRatePoint& p : r.points) {
-    p.rate /= k;
-    p.recovery_gap *= k;  // +inf at rate 0 stays +inf
-    p.nf_exposure /= k;
-  }
-  rescale_gap(r.prov, k);  // design-phase ladder move: a period distance
 }
 
 }  // namespace
@@ -297,7 +206,7 @@ std::size_t AnalysisService::add_system(core::ModeTaskSystem sys,
   e.name = name.empty() ? "system" + std::to_string(entries_.size())
                         : std::move(name);
   e.system = std::move(sys);
-  e.canon = canonicalize(*e.system);
+  e.key = system_key(*e.system);
   entries_.push_back(std::move(e));
   return entries_.size() - 1;
 }
@@ -327,7 +236,7 @@ std::size_t AnalysisService::add_fleet(const core::StudyOptions& study,
     if (!e.system) {
       e.error = "packing failed";
     } else {
-      e.canon = canonicalize(*e.system);
+      e.key = system_key(*e.system);
     }
     entries_.push_back(std::move(e));
   }
@@ -431,22 +340,18 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
   rt::Hash128 key{};
   if (use_memo) {
     rt::HashStream h;
-    h.u64(e.canon.hash.hi).u64(e.canon.hash.lo);
-    hash_request(h, e.canon, req);
+    h.u64(e.key.hi).u64(e.key.lo);
+    hash_request(h, req);
     key = h.digest();
     const par::StopWatch clock;
-    if (std::optional<MemoValue> hit = memo.lookup(key)) {
-      if (Result* payload = std::get_if<Result>(&hit->payload)) {
+    if (std::optional<MemoPayload> hit = memo.lookup(key)) {
+      if (Result* payload = std::get_if<Result>(&*hit)) {
+        // The stored answer verbatim: the key matched bit-identical
+        // inputs, so this is exactly what recomputation would return.
         Result out = std::move(*payload);
         out.system = i;
         out.name = e.name;
         out.trial = e.trial;
-        // Same producer scale -- every identical repeat -- returns the
-        // stored answer verbatim (bit-identical to recomputation); a
-        // rescaled twin maps time-dimensioned fields by the scale ratio.
-        if (e.canon.scale != hit->scale) {
-          rescale_payload(out, e.canon.scale / hit->scale);
-        }
         out.prov.cache_hit = true;
         out.prov.wall_ms = clock.elapsed_ms();
         return out;
@@ -457,15 +362,12 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
   }
   Result out = run_entry<Result>(i, std::forward<Body>(body));
   if (use_memo && out.ok() && !out.prov.degraded) {
-    MemoValue v;
     Result stored = out;
     stored.system = 0;      // identity belongs to the asking entry
     stored.name.clear();
     stored.trial = kNoTrial;
     stored.prov.wall_ms = 0.0;  // transport, not answer
-    v.scale = e.canon.scale;
-    v.payload = std::move(stored);
-    memo.insert(key, std::move(v));
+    memo.insert(key, std::move(stored));
   }
   return out;
 }

@@ -23,8 +23,8 @@
 #include "fault/fault_model.hpp"
 #include "hier/sched_test.hpp"
 #include "part/bin_packing.hpp"
-#include "rt/canonical.hpp"
 #include "rt/deadline_bound.hpp"
+#include "rt/hash.hpp"
 
 namespace flexrt::svc {
 
@@ -52,12 +52,13 @@ namespace flexrt::svc {
 /// per-task FP scheduling-point budget (rt::FpPointOptions) -- so the
 /// ladder is scheduler-agnostic.
 ///
-/// The one-system free functions in core/integration.hpp,
-/// core/sensitivity.hpp and core::solve_design(sys, ...) are thin wrappers
-/// over a throwaway one-entry service. BatchEngine remains the per-system
-/// probe engine underneath; the service adds the fleet, the accuracy
-/// ladder, and an engine cache keyed by (system, scheduler, budget) so a
-/// request menu (e.g. an overhead sweep) reuses each system's caches.
+/// BatchEngine is the per-system probe engine underneath; the service adds
+/// the fleet, the accuracy ladder, the process-wide answer memo
+/// (svc::MemoCache) and an engine cache keyed by (system, scheduler,
+/// budget) so a request menu (e.g. an overhead sweep) reuses each
+/// system's caches. The one-system free functions of core/ (integration,
+/// sensitivity, solve_design(sys, ...)) sit below this layer: they probe
+/// a local BatchEngine and never read the memo.
 
 /// Per-entry wall-time budget of a request. When active, every entry's
 /// accuracy ladder checks the elapsed wall time after each completed rung:
@@ -167,9 +168,9 @@ struct Provenance {
   /// fleet ran on. Never set when retrying is disabled (max_attempts 1).
   bool quarantined = false;
   /// True when this answer came from the process-wide content-addressed
-  /// memo (svc::MemoCache) instead of running the accuracy ladder: some
-  /// canonically identical system was already solved with this request
-  /// anywhere in the process. Rendered only when true, and only next to
+  /// memo (svc::MemoCache) instead of running the accuracy ladder: a
+  /// bit-identical system was already asked this bit-identical request
+  /// somewhere in the process. Rendered only when true, and only next to
   /// wall_ms: like wall_ms it describes this run's transport, not the
   /// answer, and every wall-free byte-identity contract (streamed ==
   /// buffered, journal resume, wire == offline, warm repeat == cold run)
@@ -438,7 +439,8 @@ class AnalysisService {
                           const FaultSweepSink& sink,
                           std::size_t window = 0) const;
 
-  // Single-entry execution (what the core:: wrappers use).
+  // Single-entry execution: one fleet entry, memo-aware, on the calling
+  // thread (what journaled runs and per-entry reports drive).
   SolveResult solve_one(std::size_t i, const SolveRequest& req) const;
   MinQuantumResult min_quantum_one(std::size_t i,
                                    const MinQuantumRequest& req) const;
@@ -480,12 +482,6 @@ class AnalysisService {
   std::shared_ptr<const analysis::BatchEngine> engine_ptr(
       std::size_t i, hier::Scheduler alg, std::size_t max_points = 0) const;
 
-  /// Canonical form of an entry's system (empty hash for answer-less
-  /// entries): the system half of the memo key, computed once at add time.
-  const rt::CanonicalSystem& canonical(std::size_t i) const {
-    return entries_.at(i).canon;
-  }
-
   /// Occupancy and eviction counters of the bounded engine cache.
   struct EngineCacheStats {
     std::size_t entries = 0;
@@ -499,7 +495,7 @@ class AnalysisService {
     std::size_t trial = kNoTrial;
     std::optional<core::ModeTaskSystem> system;
     std::string error;  ///< why `system` is absent
-    rt::CanonicalSystem canon{};  ///< hash/scale of `system` (if present)
+    rt::Hash128 key{};  ///< system_key(*system); empty when absent
   };
 
   /// (entry, scheduler, dlSet budget) -> engine.
@@ -533,7 +529,7 @@ class AnalysisService {
   Result run_entry(std::size_t i, Body&& body) const;
 
   /// Memo-aware wrapper of run_entry: consult the process-wide answer
-  /// cache under the canonical (system, request) key, fall back to `body`
+  /// cache under the exact (system, request) key, fall back to `body`
   /// on a miss, and publish cacheable answers. Defined in the .cpp (all
   /// instantiations live there).
   template <typename Result, typename Request, typename Body>
@@ -557,18 +553,6 @@ class AnalysisService {
   ProbeHook probe_hook_;
   mutable std::array<EngineShard, kEngineShards> engine_shards_;
   mutable std::atomic<std::uint64_t> engine_evictions_{0};
-};
-
-/// One-entry service around a single system: the helper behind the core::
-/// one-shot wrapper functions (integration/sensitivity/solve_design). The
-/// service is non-movable -- it owns a sharded, mutex-striped engine
-/// cache -- hence this two-phase-construction wrapper instead of a
-/// factory returning by value.
-struct OneShotService {
-  explicit OneShotService(const core::ModeTaskSystem& sys) {
-    service.add_system(sys);
-  }
-  AnalysisService service;
 };
 
 }  // namespace flexrt::svc

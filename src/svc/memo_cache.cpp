@@ -36,12 +36,27 @@ constexpr std::size_t kNodeOverhead = 128;
 
 }  // namespace
 
+rt::Hash128 system_key(const core::ModeTaskSystem& sys) {
+  rt::HashStream h;
+  for (const rt::Mode mode : core::kAllModes) {
+    const std::span<const rt::TaskSet> channels = sys.partitions(mode);
+    h.u64(static_cast<std::uint64_t>(mode)).u64(channels.size());
+    for (const rt::TaskSet& channel : channels) {
+      h.u64(channel.size());
+      for (const rt::Task& t : channel) {
+        h.str(t.name).f64(t.wcet).f64(t.period).f64(t.deadline);
+      }
+    }
+  }
+  return h.digest();
+}
+
 std::size_t memo_payload_bytes(const MemoPayload& payload) {
   return std::visit(
       [](const auto& r) { return sizeof(r) + extra_bytes(r); }, payload);
 }
 
-std::optional<MemoValue> MemoCache::lookup(const rt::Hash128& key) {
+std::optional<MemoPayload> MemoCache::lookup(const rt::Hash128& key) {
   Shard& s = shard_for(key);
   sys::MutexLock lock(s.mu);
   const auto it = s.map.find(key);
@@ -54,9 +69,8 @@ std::optional<MemoValue> MemoCache::lookup(const rt::Hash128& key) {
   return it->second->value;
 }
 
-void MemoCache::insert(const rt::Hash128& key, MemoValue value) {
-  const std::size_t bytes =
-      memo_payload_bytes(value.payload) + kNodeOverhead;
+void MemoCache::insert(const rt::Hash128& key, MemoPayload value) {
+  const std::size_t bytes = memo_payload_bytes(value) + kNodeOverhead;
   const std::size_t cap = shard_capacity();
   if (bytes > cap) return;  // oversized: caching would churn the shard
   Shard& s = shard_for(key);

@@ -10,7 +10,7 @@
 #include <variant>
 
 #include "common/annotations.hpp"
-#include "rt/canonical.hpp"
+#include "rt/hash.hpp"
 #include "svc/analysis_service.hpp"
 
 namespace flexrt::svc {
@@ -22,13 +22,11 @@ using MemoPayload =
     std::variant<SolveResult, MinQuantumResult, RegionSweepResult,
                  SensitivityResult, VerifyResult, FaultSweepResult>;
 
-struct MemoValue {
-  MemoPayload payload;
-  /// Producer's canonical time scale (rt::CanonicalSystem::scale): a hit
-  /// from a system with a different scale multiplies the payload's
-  /// time-dimensioned fields by the scale ratio before returning it.
-  double scale = 1.0;
-};
+/// The system half of every memo key: the raw bits of every task (name,
+/// C, T, D) in mode, channel and entry order. Two systems share it only
+/// when they are bit-identical task for task, so a memo hit replays the
+/// answer of a bit-identical question to a deterministic computation.
+rt::Hash128 system_key(const core::ModeTaskSystem& sys);
 
 /// Aggregated cache counters -- what the daemon `status` command renders
 /// as memo_hits/memo_misses/memo_evictions/memo_bytes/memo_entries.
@@ -43,12 +41,16 @@ struct MemoStats {
   bool enabled = true;
 };
 
-/// Process-wide content-addressed answer cache: canonical (system,
-/// request) hash -> (answer, provenance, budget). Lock-striped into
-/// kShards independent shards, each a mutex-guarded LRU map with its own
-/// slice of the byte budget, so concurrent fleet workers contend only
-/// 1/kShards of the time and a long-lived daemon's memory stays bounded
-/// (satellite: unbounded caches grow flexrtd's RSS forever).
+/// Process-wide content-addressed answer cache: (system_key, request
+/// bits) hash -> answer with its provenance. Every input is hashed by its
+/// exact bits, so a hit is a bit-identical question to a deterministic
+/// serial computation and returns exactly what cold compute would. No
+/// reordering, time scaling or near-equal times share an answer.
+///
+/// Lock-striped into kShards independent shards, each a mutex-guarded
+/// LRU map with its own slice of the byte budget, so concurrent fleet
+/// workers contend only 1/kShards of the time and a long-lived daemon's
+/// memory stays bounded.
 ///
 /// One instance serves the whole process (global_memo()): flexrtd
 /// sessions each own a private fleet, but any system ever solved in any
@@ -81,15 +83,15 @@ class MemoCache {
 
   /// Copies the cached value out (the caller owns a private copy: the
   /// cache can evict concurrently) and refreshes its LRU position.
-  std::optional<MemoValue> lookup(const rt::Hash128& key);
+  std::optional<MemoPayload> lookup(const rt::Hash128& key);
 
   /// First writer wins: a key already present keeps its stored value, so
-  /// concurrent producers of the same canonical answer cannot make a
-  /// later reader observe a different (if bit-identical in theory)
-  /// payload object. Entries larger than a whole shard's budget are not
-  /// cached at all -- churning every resident entry out for one oversized
-  /// answer would be a net loss.
-  void insert(const rt::Hash128& key, MemoValue value);
+  /// concurrent producers of the same answer cannot make a later reader
+  /// observe a different (if bit-identical in theory) payload object.
+  /// Entries larger than a whole shard's budget are not cached at all --
+  /// churning every resident entry out for one oversized answer would be
+  /// a net loss.
+  void insert(const rt::Hash128& key, MemoPayload value);
 
   MemoStats stats() const;
 
@@ -100,7 +102,7 @@ class MemoCache {
  private:
   struct Node {
     rt::Hash128 key;
-    MemoValue value;
+    MemoPayload value;
     std::size_t bytes = 0;
   };
   struct KeyHash {

@@ -2,12 +2,13 @@
 // differential harness at the heart of the cache's correctness claim --
 // memoized answers must be *bit-identical* to cold recomputation, across
 // shuffled request orders and both schedulers, in struct fields and in the
-// rendered wall-free JSONL rows -- plus counter accounting, LRU eviction
-// under a tiny byte budget, cross-scale rescaling, first-writer-wins
-// inserts, and the --no-memo kill switch. The same binary reruns in CI
-// under FLEXRT_THREADS in {1, 4, 16}: the memo must be order- and
-// thread-count-indifferent because the pool executes fleet entries in
-// nondeterministic order.
+// rendered wall-free JSONL rows -- a near-miss bank (questions that differ
+// from an earlier one in the last bits, in task order or in time scale
+// must get their own cold answer), plus counter accounting, LRU eviction
+// under a tiny byte budget, first-writer-wins inserts, and the --no-memo
+// kill switch. The same binary reruns in CI under FLEXRT_THREADS in
+// {1, 4, 16}: the memo must be order- and thread-count-indifferent
+// because the pool executes fleet entries in nondeterministic order.
 #include "svc/memo_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -15,10 +16,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
@@ -71,6 +76,28 @@ void fill_fleet(AnalysisService& service, std::size_t trials) {
   service.add_fleet(study, [](std::size_t, Rng& rng) {
     return gen::study_system(rng);
   });
+}
+
+/// The near-miss protocol: from a cleared memo, ask `producer`, then
+/// `consumer`; then ask `consumer` again with the memo off. Returns
+/// {producer answer, consumer answer after it, cold consumer answer}.
+template <typename Producer, typename Consumer>
+auto after_producer(const Producer& producer, const Consumer& consumer) {
+  global_memo().clear();
+  const auto first = producer();
+  const auto warm = consumer();
+  global_memo().set_enabled(false);
+  const auto cold = consumer();
+  global_memo().set_enabled(true);
+  return std::tuple{first, warm, cold};
+}
+
+std::string sweep_rows(const RegionSweepResult& r) {
+  std::string out;
+  for (const core::RegionSample& smp : r.samples) {
+    out += sweep_sample_row(r, Scheduler::EDF, smp).str() + "\n";
+  }
+  return out + sweep_summary_row(r, Scheduler::EDF, false).str();
 }
 
 // --- the differential harness -------------------------------------------
@@ -159,6 +186,128 @@ TEST_F(MemoCacheTest, VerifyIsMemoizedBitIdentically) {
   EXPECT_EQ(global_memo().stats().hits, 1u);
 }
 
+// --- near misses: close to an earlier question is not the same question ---
+//
+// Each case asks a producer question, then a consumer question that is
+// within 1e-9 relative of it, a reorder of it, or a time-scaled twin of
+// it. The consumer must read exactly as a memo-off run: a key that
+// identified the two would replay the producer's answer.
+
+TEST_F(MemoCacheTest, NearMissVerifyGetsTheColdVerdict) {
+  AnalysisService service;
+  service.add_system(core::paper_example(), "paper");
+  const double o = 0.05 / 3;
+  const SolveResult solved = service.solve_one(
+      0, {Scheduler::EDF, {o, o, o}, core::DesignGoal::MinOverheadBandwidth,
+          {}, {}});
+  ASSERT_TRUE(solved.ok() && solved.feasible);
+  const VerifyRequest design{Scheduler::EDF, solved.design.schedule, false,
+                             {}};
+  VerifyRequest near = design;
+  near.schedule.fs.usable = 1.28136290551;  // < 1e-9 below the design's
+  ASSERT_NE(near.schedule.fs.usable, design.schedule.fs.usable);
+  const auto [producer, warm, cold] =
+      after_producer([&] { return service.verify_one(0, design); },
+                     [&] { return service.verify_one(0, near); });
+  EXPECT_TRUE(producer.schedulable);
+  EXPECT_FALSE(cold.schedulable) << "the near miss is outside the region";
+  EXPECT_FALSE(warm.prov.cache_hit);
+  EXPECT_EQ(warm.schedulable, cold.schedulable);
+  const double period = near.schedule.period;
+  EXPECT_EQ(verify_row(warm, Scheduler::EDF, period, false).str(),
+            verify_row(cold, Scheduler::EDF, period, false).str());
+}
+
+TEST_F(MemoCacheTest, AccumulatedPeriodDoesNotAnswerTheExactOne) {
+  AnalysisService service;
+  service.add_system(core::paper_example(), "paper");
+  for (const Scheduler alg : {Scheduler::EDF, Scheduler::FP}) {
+    const auto ask = [&](double period) {
+      return service.min_quantum_one(0, {alg, period, false, {}});
+    };
+    // 0.2 plus eight += 0.1 steps lands on 0.9999999999999999, not 1.0.
+    const auto [producer, warm, cold] = after_producer(
+        [&] {
+          double p = 0.2;
+          MinQuantumResult last = ask(p);
+          for (int k = 0; k < 8; ++k) {
+            p += 0.1;
+            last = ask(p);
+          }
+          return last;
+        },
+        [&] { return ask(1.0); });
+    EXPECT_NE(producer.margin, cold.margin);
+    EXPECT_FALSE(warm.prov.cache_hit);
+    const analysis::BatchEngine engine(core::paper_example(), alg);
+    for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
+      EXPECT_EQ(warm.mode_quantum[m],
+                engine.mode_min_quantum(core::kAllModes[m], 1.0));
+    }
+    EXPECT_EQ(warm.margin, engine.feasibility_margin(1.0));
+    EXPECT_EQ(min_quantum_row(warm, alg, 1.0, false).str(),
+              min_quantum_row(cold, alg, 1.0, false).str());
+  }
+}
+
+TEST_F(MemoCacheTest, WithinChannelReorderGetsTheColdSweep) {
+  // The 4th system the study generator yields from seed 12345; its FS
+  // channel 1 holds t8, t2, t9.
+  Rng rng(12345);
+  std::optional<core::ModeTaskSystem> sys;
+  for (int found = 0; found < 4;) {
+    sys = gen::study_system(rng);
+    if (sys) ++found;
+  }
+  std::vector<rt::TaskSet> fs(sys->partitions(rt::Mode::FS).begin(),
+                              sys->partitions(rt::Mode::FS).end());
+  std::vector<rt::Task> channel(fs.at(1).begin(), fs.at(1).end());
+  const auto named = [&](const char* name) {
+    return std::find_if(channel.begin(), channel.end(),
+                        [&](const rt::Task& t) { return t.name == name; });
+  };
+  ASSERT_NE(named("t2"), channel.end());
+  ASSERT_NE(named("t9"), channel.end());
+  std::iter_swap(named("t2"), named("t9"));
+  fs[1] = rt::TaskSet(std::move(channel));
+  core::ModeTaskSystem reordered = *sys;
+  reordered.set_partitions(rt::Mode::FS, std::move(fs));
+
+  AnalysisService service;
+  service.add_system(*sys, "original");
+  service.add_system(std::move(reordered), "reordered");
+  core::SearchOptions grid;
+  grid.p_min = 0.05;
+  grid.p_max = 3.5;
+  grid.grid_step = 0.05;
+  const RegionSweepRequest req{Scheduler::EDF, grid, {}};
+  const auto [producer, warm, cold] =
+      after_producer([&] { return service.region_sweep_one(0, req); },
+                     [&] { return service.region_sweep_one(1, req); });
+  EXPECT_NE(sweep_rows(producer), sweep_rows(cold))
+      << "the reorder changes the sweep in the last bits";
+  EXPECT_FALSE(warm.prov.cache_hit);
+  EXPECT_EQ(sweep_rows(warm), sweep_rows(cold));
+}
+
+TEST_F(MemoCacheTest, ScaledTwinGetsItsOwnColdAnswer) {
+  AnalysisService service;
+  service.add_system(core::paper_example(), "base");
+  service.add_system(scaled_paper(10.0), "x10");
+  const auto ask = [&](std::size_t entry, double period) {
+    return service.min_quantum_one(entry, {Scheduler::EDF, period, false, {}});
+  };
+  const auto [producer, warm, cold] = after_producer(
+      [&] { return ask(0, 1.0); }, [&] { return ask(1, 10.0); });
+  ASSERT_TRUE(producer.ok() && cold.ok());
+  EXPECT_NE(cold.mode_quantum[0], 10.0 * producer.mode_quantum[0])
+      << "the x10 answer is not the x1 answer times 10";
+  EXPECT_FALSE(warm.prov.cache_hit);
+  EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
+  EXPECT_EQ(min_quantum_row(warm, Scheduler::EDF, 10.0, false).str(),
+            min_quantum_row(cold, Scheduler::EDF, 10.0, false).str());
+}
+
 // --- counters, identity, provenance -------------------------------------
 
 TEST_F(MemoCacheTest, StatsCountMissThenInsertThenHit) {
@@ -193,28 +342,6 @@ TEST_F(MemoCacheTest, HitCarriesTheConsumersIdentityNotTheProducers) {
   EXPECT_FALSE(producer.prov.cache_hit);
   EXPECT_EQ(consumer.mode_quantum, producer.mode_quantum);
   EXPECT_EQ(consumer.margin, producer.margin);
-}
-
-TEST_F(MemoCacheTest, CrossScaleHitRescalesTimeDimensionedFields) {
-  AnalysisService service;
-  service.add_system(core::paper_example(), "base");
-  service.add_system(scaled_paper(2.0), "stretched");
-  const MinQuantumRequest req1{Scheduler::EDF, 1.0, false, {}};
-  const MinQuantumRequest req2{Scheduler::EDF, 2.0, false, {}};
-  const MinQuantumResult base = service.min_quantum_one(0, req1);
-  ASSERT_TRUE(base.ok());
-  const MinQuantumResult twin = service.min_quantum_one(1, req2);
-  ASSERT_TRUE(twin.ok());
-  // The x2 twin at the x2 period is the same canonical question: a hit,
-  // with every time-dimensioned field exactly doubled (x2 is exact in
-  // binary floating point).
-  EXPECT_EQ(global_memo().stats().hits, 1u);
-  EXPECT_TRUE(twin.prov.cache_hit);
-  ASSERT_EQ(twin.mode_quantum.size(), base.mode_quantum.size());
-  for (std::size_t i = 0; i < base.mode_quantum.size(); ++i) {
-    EXPECT_EQ(twin.mode_quantum[i], 2.0 * base.mode_quantum[i]);
-  }
-  EXPECT_EQ(twin.margin, 2.0 * base.margin);
 }
 
 TEST_F(MemoCacheTest, DifferentRequestsDoNotAlias) {
@@ -263,7 +390,7 @@ TEST_F(MemoCacheTest, LruEvictionKeepsTheShardUnderItsByteSlice) {
   payload.margin = 0.25;
   const std::size_t kInserts = 64;
   for (std::uint64_t i = 1; i <= kInserts; ++i) {
-    memo.insert(rt::Hash128{7, i}, {MemoPayload{payload}, 1.0});
+    memo.insert(rt::Hash128{7, i}, MemoPayload{payload});
   }
   const MemoStats st = memo.stats();
   EXPECT_GT(st.evictions, 0u);
@@ -308,11 +435,11 @@ TEST_F(MemoCacheTest, FirstWriterWinsOnDuplicateInsert) {
   first.margin = 1.0;
   MinQuantumResult second;
   second.margin = 2.0;
-  memo.insert(key, {MemoPayload{first}, 1.0});
-  memo.insert(key, {MemoPayload{second}, 1.0});
+  memo.insert(key, MemoPayload{first});
+  memo.insert(key, MemoPayload{second});
   const auto hit = memo.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(std::get<MinQuantumResult>(hit->payload).margin, 1.0);
+  EXPECT_EQ(std::get<MinQuantumResult>(*hit).margin, 1.0);
   EXPECT_EQ(memo.stats().insertions, 1u);
 }
 

@@ -7,12 +7,14 @@
 // their caps and grammar exactly.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/design.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
 #include "io/task_io.hpp"
@@ -362,6 +364,38 @@ TEST(NetProto, StatusMemoCountsASolveAndItsRepeat) {
   svc::global_memo().clear();
 }
 
+// One daemon, two sessions: session A verifies the solved Table 2(b)
+// design, session B a schedule whose q_FS is less than 1e-9 short of it.
+// B's question is not A's, so B must get the cold verdict (unschedulable),
+// not A's answer from the process-wide memo.
+TEST(NetProto, NearMissVerifyInASecondSessionGetsTheColdVerdict) {
+  svc::global_memo().set_enabled(true);
+  svc::global_memo().clear();
+  const double o = 0.05 / 3;
+  const core::Design d = core::solve_design(
+      io::parse_mode_task_system_string(kPaperTasks).system, Scheduler::EDF,
+      {o, o, o}, core::DesignGoal::MinOverheadBandwidth);
+  const auto verify = [&](double q_fs) {
+    char cmd[160];
+    std::snprintf(cmd, sizeof cmd,
+                  "verify --period %.17g --quanta %.17g,%.17g,%.17g\n",
+                  d.schedule.period, d.schedule.ft.usable, q_fs,
+                  d.schedule.nf.usable);
+    return run_script(add_block("paper") + cmd + "quit\n");
+  };
+  const SessionOutput a = verify(d.schedule.fs.usable);
+  EXPECT_EQ(a.rc, 0);
+  EXPECT_NE(data_rows(a.bytes).find("\"schedulable\":true"),
+            std::string::npos);
+
+  const SessionOutput b = verify(1.28136290551);
+  EXPECT_EQ(b.rc, 1);
+  EXPECT_NE(data_rows(b.bytes).find("\"schedulable\":false"),
+            std::string::npos);
+  EXPECT_NE(b.bytes.find("ok rc=1\n"), std::string::npos);
+  svc::global_memo().clear();
+}
+
 TEST(NetProto, StatusRejectsUnknownFlags) {
   const SessionOutput got = run_script("status --bogus\nquit\n");
   const std::vector<WireStatus> st = statuses(got.bytes);
@@ -402,6 +436,22 @@ TEST(NetProto, HostileCommandsErrorWithoutKillingTheSession) {
   EXPECT_FALSE(st[bad.size()].failed);
   EXPECT_NE(data_rows(got.bytes).find("\"kind\":\"solve\""),
             std::string::npos);
+}
+
+// A triple flag's whole token must parse: trailing junk after the third
+// number, or a fourth number, is an error line, not a truncated value.
+TEST(NetProto, TripleFlagsRejectTrailingInput) {
+  for (const std::string cmd :
+       {"solve --overhead 0.01,0.01,0.01oops",
+        "verify --period 3 --quanta 0.5,0.5,0.5,9"}) {
+    const SessionOutput got =
+        run_script(add_block("sys0") + cmd + "\nquit\n");
+    EXPECT_EQ(got.rc, 2) << cmd;
+    const std::vector<WireStatus> st = statuses(got.bytes);
+    ASSERT_EQ(st.size(), 3u) << cmd;  // add, the command, quit
+    EXPECT_TRUE(st[1].failed) << cmd;
+    EXPECT_EQ(data_rows(got.bytes), "") << cmd << ": no rows on error";
+  }
 }
 
 TEST(NetProto, GenFleetRefusesToMixWithAddedSystems) {

@@ -601,6 +601,10 @@ TEST(JournalInterrupt, StopFlagFinishesInFlightEntryAndLeavesResumablePartial) {
     StudyAggregate agg;
     JournalOptions opts;
     opts.stop = &stop;
+    // One entry in flight at a time. With a wider window the memo-hit
+    // entries finish in microseconds, and the other workers can start
+    // every remaining entry before entry 3 raises the flag.
+    opts.window = 1;
     const JournalStats stats = run_journaled(
         journal, service.size(), opts, is_trial_row,
         [&](std::string_view row) {

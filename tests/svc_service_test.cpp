@@ -66,7 +66,7 @@ TEST_F(ServiceOnPaperExample, MinQuantumMatchesEngineBitForBit) {
                   engine.mode_min_quantum(core::kAllModes[m], period));
       }
       EXPECT_EQ(r.margin, engine.feasibility_margin(period));
-      // ... and the core:: wrapper rides the same path.
+      // ... and the core:: one-shot, over its own engine, agrees.
       EXPECT_EQ(r.margin, core::feasibility_margin(sys_, alg, period));
     }
   }

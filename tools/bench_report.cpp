@@ -419,10 +419,11 @@ int main(int argc, char** argv) {
 
   // --- content-addressed answer memo: cold fleet vs a warm repeat --------
   // Cold = first full 256-entry run (analyses execute and their answers are
-  // stored under the canonical content hash). Warm = the identical request
-  // repeated: every entry resolves by memo lookup instead of an adaptive
-  // ladder. Both are sub-millisecond fleet loops, so each is the median of
-  // kMemoRounds rounds, every round from a cleared memo. The wall-free
+  // stored under the exact (system, request) key). Warm = the identical
+  // request repeated: every entry's inputs are bit-identical, so it resolves
+  // by memo lookup instead of an adaptive ladder. Both are sub-millisecond
+  // fleet loops, so each is the median of kMemoRounds rounds, every round
+  // from a cleared memo. The wall-free
   // JSONL renderings of both runs must be byte-identical in every round
   // (cache_hit only ever renders next to wall_ms), which is what
   // bytes_identical certifies.

@@ -77,6 +77,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <csignal>
 #include <cstring>
@@ -560,7 +561,7 @@ int cmd_sweep(const std::vector<std::string>& argv_rest) {
 int cmd_verify(const std::vector<std::string>& argv_rest) {
   CommonOpts common;
   double period = 0.0;
-  double q_ft = 0.0, q_fs = 0.0, q_nf = 0.0;
+  std::array<double, 3> quanta{};
   bool have_quanta = false;
   bool exact_supply = false;
   ArgVec av(argv_rest);
@@ -580,7 +581,8 @@ int cmd_verify(const std::vector<std::string>& argv_rest) {
       period = parse_num("--period", v);
     } else if (a == "--quanta") {
       const char* v = next();
-      if (!v || !parse_triple(v, q_ft, q_fs, q_nf)) return usage();
+      if (!v) return usage();
+      quanta = parse_triple("--quanta", v);
       have_quanta = true;
     } else if (a == "--exact-supply") {
       exact_supply = true;
@@ -595,9 +597,9 @@ int cmd_verify(const std::vector<std::string>& argv_rest) {
 
   core::ModeSchedule schedule;
   schedule.period = period;
-  schedule.ft = {q_ft, common.overheads.ft};
-  schedule.fs = {q_fs, common.overheads.fs};
-  schedule.nf = {q_nf, common.overheads.nf};
+  schedule.ft = {quanta[0], common.overheads.ft};
+  schedule.fs = {quanta[1], common.overheads.fs};
+  schedule.nf = {quanta[2], common.overheads.nf};
 
   svc::AnalysisService service;
   load_fleet(service, common.files);

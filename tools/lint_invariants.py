@@ -37,6 +37,14 @@ generic bug patterns; this script enforces the invariants that are about
                   common/parallel.hpp. Their scans run serially; the pool
                   is for fleet-level loops (svc, core::run_study) only.
 
+  no-upward-include
+                  Layers form no cycles. Nothing under src/common, rt,
+                  hier, core, gen, io, part, fault, baseline, sim or
+                  platform may include svc/ or net/, and src/svc may not
+                  include net/. The core:: one-shots probe a local
+                  BatchEngine, so no library call reads the service's
+                  process-wide memo.
+
 Suppress a finding with a justification comment on the same line or the
 line above:  // lint: allow(<rule>) <why>
 
@@ -79,6 +87,10 @@ ATOMIC_STORE_STMT = re.compile(r"^\w+\.store\(.+\)$")
 
 SERIAL_ENGINE = re.compile(r"^src/(?:rt/|hier/|core/analysis_engine\.)")
 PARALLEL_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]common/parallel\.hpp[">]')
+
+BELOW_SVC = re.compile(
+    r"^src/(?:common|rt|hier|core|gen|io|part|fault|baseline|sim|platform)/")
+LAYER_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"](?P<layer>svc|net)/')
 
 
 def strip_comments(lines: list[str]) -> list[str]:
@@ -254,8 +266,28 @@ def check_engine_serial(path, raw, code, findings):
             "not inside one system's analysis")
 
 
+def check_no_upward_include(path, raw, code, findings):
+    key = rel_key(path)
+    if BELOW_SVC.match(key):
+        banned = {"svc", "net"}
+    elif key.startswith("src/svc/"):
+        banned = {"net"}
+    else:
+        return
+    for idx, line in enumerate(code):
+        m = LAYER_INCLUDE.match(line)
+        if not m or m.group("layer") not in banned:
+            continue
+        if allowed(raw, idx, "no-upward-include"):
+            continue
+        findings.add(
+            path, idx + 1, "no-upward-include",
+            f"{key.split('/')[1]}/ includes {m.group('layer')}/ -- a layer "
+            "may not include the layers above it (layers form no cycles)")
+
+
 CHECKS = [check_raw_mutex, check_jsonl_helpers, check_wall_pairing,
-          check_signal_handler, check_engine_serial]
+          check_signal_handler, check_engine_serial, check_no_upward_include]
 EXTENSIONS = {".cpp", ".hpp", ".cc", ".h"}
 
 
