@@ -116,9 +116,9 @@ int main(int argc, char** argv) {
     Table gen_t({"scheduler", "trials", "feasible", "sum_P_max",
                  "mean_P_max"});
     for (const bool edf : {true, false}) {
-      const std::vector<svc::SolveResult> results = service.solve(
-          {edf ? hier::Scheduler::EDF : hier::Scheduler::FP, ov,
-           core::DesignGoal::MinOverheadBandwidth, opts, {}});
+      const std::vector<svc::SolveResult> results = service.run(svc::SolveRequest{
+          edf ? hier::Scheduler::EDF : hier::Scheduler::FP, ov,
+          core::DesignGoal::MinOverheadBandwidth, opts, {}});
       std::size_t feasible = 0;
       double sum_p = 0.0;
       for (const svc::SolveResult& r : results) {

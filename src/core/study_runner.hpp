@@ -79,28 +79,4 @@ auto run_study(const StudyOptions& opts, Fn&& fn)
   return out;
 }
 
-/// Streaming twin of run_study: rows are handed to `emit(global_index,
-/// row)` in trial order as trials finish, through par::ordered_stream's
-/// bounded reorder buffer (window 0 = library default), instead of being
-/// buffered in a StudySlice. Same determinism contract as run_study -- the
-/// emitted sequence is exactly slice.rows in order -- with peak row memory
-/// O(window) rather than O(shard size), so a shard process can write its
-/// shard file directly however large its trial range is. Returns the
-/// reorder buffer's high-water mark.
-template <typename Fn, typename Emit>
-std::size_t run_study_stream(const StudyOptions& opts, Fn&& fn, Emit&& emit,
-                             std::size_t window = 0) {
-  const auto [begin, end] = shard_range(opts.trials, opts.shard);
-  const std::size_t base = begin;
-  return par::ordered_stream(
-      end - begin, window,
-      [&, base](std::size_t i) {
-        Rng rng = trial_rng(opts.base_seed, base + i);
-        return fn(base + i, rng);
-      },
-      [&, base](std::size_t i, auto&& row) {
-        emit(base + i, std::forward<decltype(row)>(row));
-      });
-}
-
 }  // namespace flexrt::core

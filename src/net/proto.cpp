@@ -1,7 +1,7 @@
 #include "net/proto.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -28,10 +28,10 @@ double parse_num(const char* flag, const std::string& v) {
   throw ModelError(std::string(flag) + ": bad number '" + v + "'");
 }
 
-std::size_t parse_size(const char* flag, const std::string& v) {
+std::size_t parse_size(const char* flag, const std::string& v, int base) {
   try {
     std::size_t pos = 0;
-    const unsigned long long out = std::stoull(v, &pos, 10);
+    const unsigned long long out = std::stoull(v, &pos, base);
     if (pos == v.size()) return static_cast<std::size_t>(out);
   } catch (const std::exception&) {
   }
@@ -57,105 +57,6 @@ std::array<double, 3> parse_triple(const char* flag, const std::string& spec) {
                      "got '" + spec + "'");
   }
   return {v[0], v[1], v[2]};
-}
-
-int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i) {
-  const std::string a = argv[i];
-  const auto next = [&]() -> const char* {
-    return i + 1 < argc ? argv[++i] : nullptr;
-  };
-  if (a == "--alg") {
-    const char* v = next();
-    if (!v) return 2;
-    if (std::strcmp(v, "edf") == 0) {
-      o.alg = hier::Scheduler::EDF;
-    } else if (std::strcmp(v, "rm") == 0) {
-      o.alg = hier::Scheduler::FP;
-    } else {
-      return 2;
-    }
-    return 0;
-  }
-  if (a == "--goal") {
-    const char* v = next();
-    if (!v) return 2;
-    if (std::strcmp(v, "min-overhead") == 0) {
-      o.goal = core::DesignGoal::MinOverheadBandwidth;
-    } else if (std::strcmp(v, "max-slack") == 0) {
-      o.goal = core::DesignGoal::MaxSlackBandwidth;
-    } else {
-      return 2;
-    }
-    return 0;
-  }
-  if (a == "--overhead") {
-    const char* v = next();
-    if (!v) return 2;
-    const auto [ft, fs, nf] = parse_triple("--overhead", v);
-    o.overheads = {ft, fs, nf};
-    return 0;
-  }
-  if (a == "--adaptive") {
-    const char* v = next();
-    if (!v) return 2;
-    o.adaptive_tol = parse_num("--adaptive", v);
-    return 0;
-  }
-  if (a == "--budget") {
-    const char* v = next();
-    if (!v) return 2;
-    o.budget = parse_size("--budget", v);
-    return 0;
-  }
-  if (a == "--budget-cap") {
-    const char* v = next();
-    if (!v) return 2;
-    o.budget_cap = parse_size("--budget-cap", v);
-    return 0;
-  }
-  if (a == "--deadline") {
-    const char* v = next();
-    if (!v) return 2;
-    o.deadline_ms = parse_num("--deadline", v);
-    return 0;
-  }
-  if (a == "--jsonl") {
-    o.jsonl = true;
-    return 0;
-  }
-  if (a == "--csv") {
-    o.csv = true;
-    return 0;
-  }
-  if (a == "--stream") {
-    o.stream = true;
-    return 0;
-  }
-  if (a == "--no-wall") {
-    o.no_wall = true;
-    return 0;
-  }
-  if (a == "--output") {
-    const char* v = next();
-    if (!v || !*v) return 2;
-    o.output = v;
-    return 0;
-  }
-  if (a == "--resume") {
-    o.resume = true;
-    return 0;
-  }
-  if (a == "--retries") {
-    const char* v = next();
-    if (!v) return 2;
-    o.retries = parse_size("--retries", v);
-    return 0;
-  }
-  if (a == "--fsync") {
-    o.fsync = true;
-    return 0;
-  }
-  return -1;
 }
 
 std::vector<std::string> split_tokens(const std::string& line) {
@@ -219,50 +120,412 @@ std::optional<WireStatus> parse_status_line(const std::string& line) {
 
 namespace {
 
-void reject_offline_flags(const CommonOpts& o) {
-  if (o.csv) {
-    throw ModelError("--csv is not supported over the wire (rows are JSONL)");
-  }
-  if (o.journaled() || o.resume || o.retries != 0 || o.fsync) {
-    throw ModelError(
-        "journal flags (--output/--resume/--retries/--fsync) are offline-only");
+/// Study and fault-sweep charge the paper's O_tot = 0.05, split evenly.
+constexpr core::Overheads kStudyOverheads{0.05 / 3, 0.05 / 3, 0.05 / 3};
+
+/// The search grid of generated fleets (study, fault-sweep --trials).
+constexpr core::SearchOptions kGeneratedGrid{.p_max = 10.0, .grid_step = 5e-3};
+
+template <typename>
+struct MemberOf;
+template <typename T, typename C>
+struct MemberOf<T C::*> {
+  using Class = C;
+};
+
+/// What a flag writes: the invocation, its common options, or one of its
+/// typed requests.
+template <auto Field>
+auto& target(Invocation& c) {
+  using C = typename MemberOf<decltype(Field)>::Class;
+  if constexpr (std::is_same_v<C, Invocation>) {
+    return c.*Field;
+  } else if constexpr (std::is_same_v<C, CommonOpts>) {
+    return c.common.*Field;
+  } else {
+    return std::get<C>(c.request).*Field;
   }
 }
 
-/// Shared flag loop of every request command: common flags via
-/// parse_common_flag, command-specific ones via `extra(raw, argc, i)`,
-/// anything else is an error. Bare tokens are rejected too -- wire fleets
-/// are built with `add`/`gen-fleet`, never from positional file paths.
-template <typename Extra>
-void parse_wire_flags(CommonOpts& o, const std::vector<std::string>& args,
-                      const Extra& extra) {
-  ArgVec av(args);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(o, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) throw ModelError("bad or incomplete flag '" + a + "'");
-    if (extra(raw, argc, i)) continue;
-    if (!a.empty() && a[0] == '-') throw ModelError("unknown flag '" + a + "'");
-    throw ModelError("unexpected argument '" + a +
-                     "' (systems are added with `add`, not file paths)");
-  }
-  reject_offline_flags(o);
+template <auto Field, bool Value = true>
+void set(Invocation& c, const char*, const std::string&) {
+  target<Field>(c) = Value;
+}
+template <auto Field>
+void num(Invocation& c, const char* flag, const std::string& v) {
+  target<Field>(c) = parse_num(flag, v);
+}
+template <auto Field>
+void count(Invocation& c, const char* flag, const std::string& v) {
+  target<Field>(c) = parse_size(flag, v);
 }
 
-const auto kNoExtraFlags = [](char**, int, int&) { return false; };
+/// fault::FaultModel's domain: rates and separations are finite and >= 0.
+double fault_param(const char* flag, double v, const std::string& text) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
+    throw ModelError(std::string(flag) + ": expected finite values >= 0, got '" +
+                     text + "'");
+  }
+  return v;
+}
 
-/// One-line sanitizer for `error` status lines: the message must not break
-/// the line-oriented framing.
-std::string one_line(std::string msg) {
-  std::replace(msg.begin(), msg.end(), '\n', ' ');
-  std::replace(msg.begin(), msg.end(), '\r', ' ');
-  return msg;
+using Str = const std::string&;
+
+const std::vector<Flag> kCommonFlags = {
+    {"--alg", Flag::Forward, true,
+     [](Invocation& c, const char*, Str v) {
+       if (v != "edf" && v != "rm") {
+         throw ModelError("--alg: expected edf or rm, got '" + v + "'");
+       }
+       c.common.alg = v == "rm" ? hier::Scheduler::FP : hier::Scheduler::EDF;
+     }},
+    {"--goal", Flag::Forward, true,
+     [](Invocation& c, const char*, Str v) {
+       if (v != "min-overhead" && v != "max-slack") {
+         throw ModelError("--goal: expected min-overhead or max-slack, got '" +
+                          v + "'");
+       }
+       c.common.goal = v == "max-slack" ? core::DesignGoal::MaxSlackBandwidth
+                                        : core::DesignGoal::MinOverheadBandwidth;
+     }},
+    {"--overhead", Flag::Forward, true,
+     [](Invocation& c, const char* flag, Str v) {
+       const auto [ft, fs, nf] = parse_triple(flag, v);
+       c.common.overheads = {ft, fs, nf};
+     }},
+    {"--adaptive", Flag::Forward, true, num<&CommonOpts::adaptive_tol>},
+    {"--budget", Flag::Forward, true, count<&CommonOpts::budget>},
+    {"--budget-cap", Flag::Forward, true, count<&CommonOpts::budget_cap>},
+    {"--deadline", Flag::Forward, true, num<&CommonOpts::deadline_ms>},
+    {"--jsonl", Flag::Forward, false, set<&CommonOpts::jsonl>},
+    {"--stream", Flag::Forward, false, set<&CommonOpts::stream>},
+    {"--no-wall", Flag::Forward, false, set<&CommonOpts::no_wall>},
+    {"--csv", Flag::Offline, false, set<&CommonOpts::csv>},
+    {"--output", Flag::Offline, true,
+     [](Invocation& c, const char*, Str v) {
+       if (v.empty()) throw ModelError("--output: expected a file name");
+       c.common.output = v;
+     }},
+    {"--resume", Flag::Offline, false, set<&CommonOpts::resume>},
+    {"--retries", Flag::Offline, true, count<&CommonOpts::retries>},
+    {"--fsync", Flag::Offline, false, set<&CommonOpts::fsync>},
+    {"--trials", Flag::Fleet, true,
+     [](Invocation& c, const char* flag, Str v) {
+       c.study.trials = parse_size(flag, v);
+     }},
+    {"--seed", Flag::Fleet, true,
+     [](Invocation& c, const char* flag, Str v) {
+       c.study.base_seed = parse_size(flag, v, /*base=*/0);  // 0x5EED too
+     }},
+    {"--shard", Flag::Fleet, true,
+     [](Invocation& c, const char*, Str v) {
+       try {
+         c.study.shard = core::parse_shard(v);
+       } catch (const ModelError&) {
+         throw ModelError("--shard: expected k/N with 1 <= k <= N, got '" + v +
+                          "'");
+       }
+     }},
+};
+
+/// The command table: every analysis command, defined once.
+const Command kCommands[] = {
+    {CommandId::Solve, "solve", "solve", "solve", false, "feasible", false,
+     {{"--sensitivity", Flag::Report, false, set<&Invocation::sensitivity>},
+      {"--response-times", Flag::Report, false,
+       set<&Invocation::response_times>},
+      {"--simulate", Flag::Report, true, num<&Invocation::simulate_horizon>},
+      {"--fault-rate", Flag::Report, true, num<&Invocation::fault_rate>},
+      {"--trace", Flag::Report, true, count<&Invocation::trace>}},
+     svc::SolveRequest{}, {}, nullptr},
+    {CommandId::Minq, "minq", "minq", "min_quantum", false, nullptr, false,
+     {{"--period", Flag::Forward, true, num<&svc::MinQuantumRequest::period>},
+      {"--exact-supply", Flag::Forward, false,
+       set<&svc::MinQuantumRequest::use_exact_supply>}},
+     svc::MinQuantumRequest{.period = 0.0}, {},
+     [](const Invocation& c) {
+       if (!(std::get<svc::MinQuantumRequest>(c.request).period > 0.0)) {
+         throw ModelError("minq needs --period P > 0");
+       }
+     }},
+    {CommandId::Sweep, "sweep", "sweep", "sweep", true, nullptr, true,
+     {{"--p-min", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         target<&svc::RegionSweepRequest::search>(c).p_min = parse_num(flag, v);
+       }},
+      {"--p-max", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         target<&svc::RegionSweepRequest::search>(c).p_max = parse_num(flag, v);
+       }},
+      {"--step", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         target<&svc::RegionSweepRequest::search>(c).grid_step =
+             parse_num(flag, v);
+       }}},
+     svc::RegionSweepRequest{
+         .search = {.p_min = 0.05, .p_max = 3.5, .grid_step = 0.05}},
+     {}, nullptr},
+    {CommandId::Verify, "verify", "verify", "verify", false, "schedulable",
+     false,
+     {{"--period", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         target<&svc::VerifyRequest::schedule>(c).period = parse_num(flag, v);
+       }},
+      {"--quanta", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         const auto [ft, fs, nf] = parse_triple(flag, v);
+         core::ModeSchedule& s = target<&svc::VerifyRequest::schedule>(c);
+         s.ft.usable = ft;
+         s.fs.usable = fs;
+         s.nf.usable = nf;
+       }},
+      {"--exact-supply", Flag::Forward, false,
+       set<&svc::VerifyRequest::use_exact_supply>}},
+     svc::VerifyRequest{}, {},
+     [](const Invocation& c) {
+       if (!(std::get<svc::VerifyRequest>(c.request).schedule.period > 0.0) ||
+           !c.has("--quanta")) {
+         throw ModelError(
+             "verify needs --period P > 0 and --quanta Q_FT,Q_FS,Q_NF");
+       }
+     }},
+    {CommandId::FaultSweep, "fault-sweep", "fault-sweep", "fault_sweep", true,
+     "feasible", true,
+     {{"--rates", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         std::vector<double> rates = parse_num_list(flag, v);
+         for (const double r : rates) fault_param(flag, r, v);
+         target<&svc::FaultSweepRequest::rates>(c) = std::move(rates);
+       }},
+      {"--min-sep", Flag::Forward, true,
+       [](Invocation& c, const char* flag, Str v) {
+         target<&svc::FaultSweepRequest::min_separation>(c) =
+             fault_param(flag, parse_num(flag, v), v);
+       }},
+      {"--no-baselines", Flag::Forward, false,
+       set<&svc::FaultSweepRequest::with_baselines, false>},
+      {"--exact-supply", Flag::Forward, false,
+       set<&svc::FaultSweepRequest::use_exact_supply>}},
+     svc::FaultSweepRequest{.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0}},
+     kStudyOverheads, nullptr},
+    // Always a generated fleet: StudyOptions' 100 trials, seed 0x5EED.
+    {CommandId::Study, "study", "solve --study", "study_trial", true, nullptr,
+     false, {}, svc::SolveRequest{.search = kGeneratedGrid}, kStudyOverheads,
+     nullptr},
+};
+
+/// Fills the request's common fields from the parsed CommonOpts.
+void build_request(Invocation& inv) {
+  const CommonOpts& o = inv.common;
+  std::visit(
+      [&](auto& q) {
+        q.alg = o.alg;
+        q.accuracy = o.accuracy();
+        if constexpr (requires { q.goal; }) {
+          q.overheads = o.overheads;
+          q.goal = o.goal;
+        }
+        if constexpr (requires { q.schedule; }) {  // verify charges --overhead
+          q.schedule.ft.overhead = o.overheads.ft;
+          q.schedule.fs.overhead = o.overheads.fs;
+          q.schedule.nf.overhead = o.overheads.nf;
+        }
+      },
+      inv.request);
+}
+
+const Flag* find_flag(const std::vector<Flag>& flags, const std::string& a) {
+  for (const Flag& f : flags) {
+    if (a == f.name) return &f;
+  }
+  return nullptr;
 }
 
 }  // namespace
+
+bool Invocation::has(std::string_view flag) const {
+  return std::find(given.begin(), given.end(), flag) != given.end();
+}
+
+void Invocation::use_generated(const core::StudyOptions& s) {
+  generated = true;
+  study = s;
+  if (auto* q = std::get_if<svc::FaultSweepRequest>(&request)) {
+    q->search = kGeneratedGrid;
+  }
+}
+
+const Command* find_command(std::string_view name) {
+  for (const Command& c : kCommands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+Invocation parse_command(const std::string& name,
+                         const std::vector<std::string>& args, Front front) {
+  Invocation inv;
+  inv.command = find_command(name);
+  if (!inv.command) throw ModelError("unknown command '" + name + "'");
+  const Command& cmd = *inv.command;
+  inv.request = cmd.request;
+  inv.common.overheads = cmd.overheads;
+  inv.generated = cmd.id == CommandId::Study;
+
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    const Flag* flag = find_flag(kCommonFlags, a);
+    if (!flag) flag = find_flag(cmd.flags, a);
+    if (!flag) {
+      if (a.empty() || a[0] == '-') {
+        throw ModelError(name + ": unknown flag '" + a + "'");
+      }
+      if (front == Front::Wire) {
+        throw ModelError("unexpected argument '" + a +
+                         "' (systems are added with `add`, not file paths)");
+      }
+      inv.common.files.push_back(a);
+      continue;
+    }
+    if (flag->kind == Flag::Fleet && front == Front::Wire) {
+      throw ModelError(a + " belongs to gen-fleet on the wire");
+    }
+    if ((flag->kind == Flag::Offline || flag->kind == Flag::Report) &&
+        front != Front::Offline) {
+      throw ModelError(a + " is offline-only (wire reports are plain JSONL)");
+    }
+    std::string value;
+    if (flag->valued) {
+      if (i + 1 >= args.size()) throw ModelError(a + ": missing value");
+      value = args[++i];
+    }
+    flag->apply(inv, flag->name, value);
+    inv.given.push_back(a);
+    if (flag->kind == Flag::Forward) {
+      inv.wire_args.push_back(a);
+      if (flag->valued) inv.wire_args.push_back(value);
+    }
+  }
+
+  CommonOpts& o = inv.common;
+  if (o.journaled()) {
+    if (!cmd.journal) {
+      throw ModelError(name + ": --output is for study, sweep and fault-sweep");
+    }
+    o.jsonl = true;  // journaled reports are JSONL by construction
+  } else if (o.resume || o.retries != 0 || o.fsync) {
+    throw ModelError("--resume, --retries and --fsync need --output FILE");
+  }
+  for (const Flag& f : cmd.flags) {
+    if (f.kind == Flag::Report && o.jsonl && inv.has(f.name)) {
+      throw ModelError(std::string(f.name) +
+                       " prints into the human report; drop --jsonl");
+    }
+  }
+  // Offline and remote fleets come from task files or from --trials (0
+  // allowed); a wire session binds its own fleet after parsing.
+  if (front != Front::Wire) {
+    if (inv.has("--trials")) inv.generated = true;
+    if (inv.generated && !o.files.empty()) {
+      throw ModelError(name + ": task files and --trials are mutually exclusive");
+    }
+    if (!inv.generated && o.files.empty()) {
+      throw ModelError(name + ": no task files given");
+    }
+    if (inv.generated) inv.use_generated(inv.study);
+  }
+  if (cmd.check) cmd.check(inv);
+  build_request(inv);
+  return inv;
+}
+
+std::vector<std::string> Rows::close(std::vector<std::string> rows) {
+  fold(rows.back());
+  return rows;
+}
+
+std::vector<std::string> Rows::entry(const svc::SolveResult& r) {
+  const auto& q = std::get<svc::SolveRequest>(inv_.request);
+  if (inv_.command->id == CommandId::Study) {
+    return close({svc::study_trial_row(r, q.alg, q.goal)});
+  }
+  if (!r.ok()) throw ModelError(r.error);
+  return close({svc::solve_row(r, q.alg, q.goal, with_wall_).str()});
+}
+
+std::vector<std::string> Rows::entry(const svc::MinQuantumResult& r) {
+  const auto& q = std::get<svc::MinQuantumRequest>(inv_.request);
+  if (!r.ok()) throw ModelError(r.error);
+  return close({svc::min_quantum_row(r, q.alg, q.period, with_wall_).str()});
+}
+
+std::vector<std::string> Rows::entry(const svc::RegionSweepResult& r) {
+  const auto& q = std::get<svc::RegionSweepRequest>(inv_.request);
+  std::vector<std::string> rows;
+  if (r.ok()) {
+    rows.reserve(r.samples.size() + 1);
+    for (const core::RegionSample& s : r.samples) {
+      rows.push_back(svc::sweep_sample_row(r, q.alg, s).str());
+    }
+  }
+  rows.push_back(svc::sweep_summary_row(r, q.alg, with_wall_).str());
+  return close(std::move(rows));
+}
+
+std::vector<std::string> Rows::entry(const svc::VerifyResult& r) {
+  const auto& q = std::get<svc::VerifyRequest>(inv_.request);
+  if (!r.ok()) throw ModelError(r.error);
+  return close({svc::verify_row(r, q.alg, q.schedule.period, with_wall_).str()});
+}
+
+std::vector<std::string> Rows::entry(const svc::FaultSweepResult& r) {
+  const auto& q = std::get<svc::FaultSweepRequest>(inv_.request);
+  std::vector<std::string> rows;
+  // Error entries emit their one summary row only: partially computed
+  // points must not masquerade as sweep output.
+  if (r.ok()) {
+    for (const svc::FaultRatePoint& p : r.points) {
+      rows.push_back(svc::fault_point_row(r, p, q.alg, q.with_baselines).str());
+    }
+  }
+  rows.push_back(svc::fault_sweep_summary_row(r, q.alg).str());
+  return close(std::move(rows));
+}
+
+bool Rows::terminal(std::string_view row) const {
+  return svc::json_string_field(row, "kind").value_or("") ==
+         inv_.command->terminal;
+}
+
+void Rows::fold(std::string_view row) {
+  const Command& c = *inv_.command;
+  if (c.id == CommandId::Study) agg_.add(row);
+  if (c.journal && svc::json_bool_field(row, "quarantined").value_or(false)) {
+    rc_ = 3;
+  } else if ((c.verdict && !svc::json_bool_field(row, c.verdict).value_or(true)) ||
+             (c.error_rows && svc::json_string_field(row, "error"))) {
+    rc_ = std::max(rc_, 1);
+  }
+}
+
+std::optional<std::string> Rows::summary() const {
+  // Shards emit rows only; the merged/unsharded report owns the summary.
+  if (inv_.command->id != CommandId::Study || inv_.study.shard.count != 1) {
+    return std::nullopt;
+  }
+  return agg_.summary_row();
+}
+
+int write_rows(const Invocation& inv, const svc::AnalysisService& service,
+               std::ostream& out, bool with_wall, bool flush_per_row) {
+  Rows rows(inv, with_wall);
+  svc::JsonlWriter writer(out, flush_per_row);
+  for_each_entry(inv, service, [&](const auto& r) {
+    for (const std::string& row : rows.entry(r)) writer.write(row);
+  });
+  if (const std::optional<std::string> s = rows.summary()) writer.write(*s);
+  return rows.rc();
+}
 
 Session::Session(std::ostream& out, std::size_t max_line)
     : out_(out),
@@ -271,22 +534,17 @@ Session::Session(std::ostream& out, std::size_t max_line)
 
 Session::~Session() = default;
 
-std::size_t Session::fleet_size() const noexcept { return service_->size(); }
-
 void Session::ok_line(int rc, const std::string& extras) {
   out_ << "ok rc=" << rc;
   if (!extras.empty()) out_ << ' ' << extras;
   out_ << '\n' << std::flush;
 }
 
-void Session::error_line(const std::string& message) {
-  out_ << "error " << one_line(message) << '\n' << std::flush;
-}
-
-void Session::require_fleet() const {
-  if (service_->size() == 0) {
-    throw ModelError("the fleet is empty -- `add` or `gen-fleet` first");
-  }
+void Session::error_line(std::string message) {
+  // One line: the message must not break the line-oriented framing.
+  std::replace(message.begin(), message.end(), '\n', ' ');
+  std::replace(message.begin(), message.end(), '\r', ' ');
+  out_ << "error " << message << '\n' << std::flush;
 }
 
 int Session::run(std::istream& in) {
@@ -316,9 +574,6 @@ int Session::handle_line(const std::string& line, std::istream& in,
   if (tokens.empty()) return 0;  // blank lines are keep-alive no-ops
   try {
     return dispatch(tokens, in, quit);
-  } catch (const Error& e) {
-    error_line(e.what());
-    return 2;
   } catch (const std::exception& e) {
     error_line(e.what());
     return 2;
@@ -328,7 +583,7 @@ int Session::handle_line(const std::string& line, std::istream& in,
 int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
                       bool& quit) {
   const std::string& cmd = tokens[0];
-  const std::vector<std::string> args(tokens.begin() + 1, tokens.end());
+  std::vector<std::string> args(tokens.begin() + 1, tokens.end());
   if (cmd == "quit") {
     quit = true;
     ok_line(0, "bye");
@@ -336,11 +591,6 @@ int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
   }
   if (cmd == "add") return cmd_add(args, in);
   if (cmd == "gen-fleet") return cmd_gen_fleet(args);
-  if (cmd == "solve") return cmd_solve(args);
-  if (cmd == "minq") return cmd_minq(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "verify") return cmd_verify(args);
-  if (cmd == "fault-sweep") return cmd_fault_sweep(args);
   if (cmd == "status") return cmd_status(args);
   if (cmd == "drop") {
     service_ = std::make_unique<svc::AnalysisService>();
@@ -349,7 +599,7 @@ int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
     ok_line(0, "fleet=0");
     return 0;
   }
-  throw ModelError("unknown command '" + cmd + "'");
+  return cmd_analysis(cmd, std::move(args));
 }
 
 int Session::cmd_add(const std::vector<std::string>& args, std::istream& in) {
@@ -391,14 +641,18 @@ int Session::cmd_gen_fleet(const std::vector<std::string>& args) {
         "gen-fleet needs an empty fleet (`drop` first): generated studies "
         "must not mix with added systems");
   }
-  core::StudyOptions study;  // trials=100, seed=0x5EED -- the study defaults
-  ArgVec av(args);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    if (core::parse_study_flag(study, argc, raw, i)) continue;
-    throw ModelError(std::string("gen-fleet: unknown flag '") + raw[i] + "'");
+  // The command table's fleet flags; trials=100, seed=0x5EED by default.
+  Invocation fleet;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const Flag* flag = find_flag(kCommonFlags, args[i]);
+    if (!flag || flag->kind != Flag::Fleet) {
+      throw ModelError("gen-fleet: unknown flag '" + args[i] + "'");
+    }
+    if (i + 1 >= args.size()) throw ModelError(args[i] + ": missing value");
+    flag->apply(fleet, flag->name, args[i + 1]);
+    ++i;
   }
+  const core::StudyOptions& study = fleet.study;
   service_->add_fleet(
       study, [](std::size_t, Rng& rng) { return gen::study_system(rng); });
   generated_ = true;
@@ -408,224 +662,24 @@ int Session::cmd_gen_fleet(const std::vector<std::string>& args) {
   return 0;
 }
 
-int Session::cmd_solve(const std::vector<std::string>& args) {
-  // --study is discovered before flag parsing so the study defaults
-  // (paper's O_tot = 0.05 split evenly) seed CommonOpts exactly like the
-  // offline `study` subcommand does.
-  const bool study_mode =
-      std::find(args.begin(), args.end(), "--study") != args.end();
-  CommonOpts o;
-  if (study_mode) o.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};
-  parse_wire_flags(o, args, [](char** raw, int, int& i) {
-    return std::strcmp(raw[i], "--study") == 0;
-  });
-  require_fleet();
-
-  svc::JsonlWriter rows(out_);
-  if (study_mode) {
-    if (!generated_) {
-      throw ModelError("solve --study needs a gen-fleet fleet");
-    }
-    core::SearchOptions search;
-    search.grid_step = 5e-3;  // the offline study subcommand's search grid
-    search.p_max = 10.0;
-    const svc::SolveRequest req{o.alg, o.overheads, o.goal, search,
-                                o.accuracy()};
-    svc::StudyAggregate agg;
-    service_->solve(req, [&](const svc::SolveResult& r) {
-      const std::string row = svc::study_trial_row(r, o.alg, o.goal);
-      rows.write(row);
-      agg.add(row);
-    });
-    // Shards emit rows only; the merged/unsharded report owns the summary.
-    if (study_.shard.count == 1) rows.write(agg.summary_row());
-    ok_line(0);
-    return 0;
+int Session::cmd_analysis(const std::string& name,
+                          std::vector<std::string> args) {
+  // The wire spells the study command `solve --study`.
+  if (name == "study") throw ModelError("unknown command 'study'");
+  const bool study = name == "solve" && std::erase(args, "--study") > 0;
+  Invocation inv = parse_command(study ? "study" : name, args, Front::Wire);
+  // A built fleet may be empty (gen-fleet --trials 0, or a shard owning no
+  // trials); only a session that added and generated nothing has none.
+  if (service_->size() == 0 && !generated_) {
+    throw ModelError("the fleet is empty -- `add` or `gen-fleet` first");
   }
-
-  const svc::SolveRequest req{o.alg, o.overheads, o.goal, {}, o.accuracy()};
-  int rc = 0;
-  service_->solve(req, [&](const svc::SolveResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    rows.write(svc::solve_row(r, o.alg, o.goal, /*with_wall=*/false));
-    if (!r.feasible) rc = std::max(rc, 1);
-  });
-  ok_line(rc);
-  return rc;
-}
-
-int Session::cmd_minq(const std::vector<std::string>& args) {
-  CommonOpts o;
-  double period = 0.0;
-  bool exact_supply = false;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--period") == 0) {
-      if (i + 1 >= argc) throw ModelError("--period: missing value");
-      period = parse_num("--period", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  if (period <= 0.0) throw ModelError("minq needs --period P > 0");
-  require_fleet();
-
-  const svc::MinQuantumRequest req{o.alg, period, exact_supply, o.accuracy()};
-  svc::JsonlWriter rows(out_);
-  service_->min_quantum(req, [&](const svc::MinQuantumResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    rows.write(svc::min_quantum_row(r, o.alg, period, /*with_wall=*/false));
-  });
-  ok_line(0);
-  return 0;
-}
-
-int Session::cmd_sweep(const std::vector<std::string>& args) {
-  CommonOpts o;
-  core::SearchOptions search;
-  search.p_min = 0.05;  // the offline sweep subcommand's grid
-  search.p_max = 3.5;
-  search.grid_step = 0.05;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    const auto take = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw ModelError(std::string(flag) + ": missing value");
-      }
-      return raw[++i];
-    };
-    if (std::strcmp(raw[i], "--p-min") == 0) {
-      search.p_min = parse_num("--p-min", take("--p-min"));
-      return true;
-    }
-    if (std::strcmp(raw[i], "--p-max") == 0) {
-      search.p_max = parse_num("--p-max", take("--p-max"));
-      return true;
-    }
-    if (std::strcmp(raw[i], "--step") == 0) {
-      search.grid_step = parse_num("--step", take("--step"));
-      return true;
-    }
-    return false;
-  });
-  require_fleet();
-
-  const svc::RegionSweepRequest req{o.alg, search, o.accuracy()};
-  svc::JsonlWriter rows(out_);
-  service_->region_sweep(req, [&](const svc::RegionSweepResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    for (const core::RegionSample& s : r.samples) {
-      rows.write(svc::sweep_sample_row(r, o.alg, s));
-    }
-    rows.write(svc::sweep_summary_row(r, o.alg, /*with_wall=*/false));
-  });
-  ok_line(0);
-  return 0;
-}
-
-int Session::cmd_verify(const std::vector<std::string>& args) {
-  CommonOpts o;
-  double period = 0.0;
-  std::array<double, 3> quanta{};
-  bool have_quanta = false;
-  bool exact_supply = false;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--period") == 0) {
-      if (i + 1 >= argc) throw ModelError("--period: missing value");
-      period = parse_num("--period", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--quanta") == 0) {
-      if (i + 1 >= argc) throw ModelError("--quanta: expected Q_FT,Q_FS,Q_NF");
-      quanta = parse_triple("--quanta", raw[++i]);
-      have_quanta = true;
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  if (period <= 0.0 || !have_quanta) {
-    throw ModelError("verify needs --period P > 0 and --quanta Q_FT,Q_FS,Q_NF");
-  }
-  require_fleet();
-
-  core::ModeSchedule schedule;
-  schedule.period = period;
-  schedule.ft = {quanta[0], o.overheads.ft};
-  schedule.fs = {quanta[1], o.overheads.fs};
-  schedule.nf = {quanta[2], o.overheads.nf};
-
-  svc::JsonlWriter rows(out_);
-  int rc = 0;
-  service_->verify(
-      svc::VerifyRequest{o.alg, schedule, exact_supply, o.accuracy()},
-      [&](const svc::VerifyResult& r) {
-        if (!r.ok()) throw ModelError(r.error);
-        rows.write(svc::verify_row(r, o.alg, period, /*with_wall=*/false));
-        if (!r.schedulable) rc = 1;
-      });
-  ok_line(rc);
-  return rc;
-}
-
-int Session::cmd_fault_sweep(const std::vector<std::string>& args) {
-  CommonOpts o;
-  o.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
-  svc::FaultSweepRequest req;
-  req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--rates") == 0) {
-      if (i + 1 >= argc) throw ModelError("--rates: missing value");
-      req.rates = parse_num_list("--rates", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--min-sep") == 0) {
-      if (i + 1 >= argc) throw ModelError("--min-sep: missing value");
-      req.min_separation = parse_num("--min-sep", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--no-baselines") == 0) {
-      req.with_baselines = false;
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      req.use_exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  require_fleet();
-
   if (generated_) {
-    req.search.grid_step = 5e-3;  // the generated-fleet search grid
-    req.search.p_max = 10.0;
+    inv.use_generated(study_);
+  } else if (study) {
+    throw ModelError("solve --study needs a gen-fleet fleet");
   }
-  req.alg = o.alg;
-  req.overheads = o.overheads;
-  req.goal = o.goal;
-  req.accuracy = o.accuracy();
-
-  svc::JsonlWriter rows(out_);
-  int rc = 0;
-  service_->fault_sweep(req, [&](const svc::FaultSweepResult& r) {
-    if (!r.ok()) {
-      // Error entries emit their one summary row only: partially computed
-      // points must not masquerade as sweep output.
-      rows.write(svc::fault_sweep_summary_row(r, o.alg));
-      rc = std::max(rc, 1);
-      return;
-    }
-    for (const svc::FaultRatePoint& p : r.points) {
-      rows.write(svc::fault_point_row(r, p, o.alg, req.with_baselines));
-    }
-    if (!r.feasible) rc = std::max(rc, 1);
-    rows.write(svc::fault_sweep_summary_row(r, o.alg));
-  });
+  const int rc = write_rows(inv, *service_, out_, /*with_wall=*/false,
+                            /*flush_per_row=*/false);
   ok_line(rc);
   return rc;
 }

@@ -6,6 +6,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/design.hpp"
@@ -13,18 +15,20 @@
 #include "core/study_runner.hpp"
 #include "hier/sched_test.hpp"
 #include "svc/analysis_service.hpp"
-#include "svc/journal.hpp"
+#include "svc/study_report.hpp"
 
 namespace flexrt::net::proto {
 
-/// The flexrtd wire protocol: a line-oriented command language over any
-/// iostream pair -- a socket in the daemon, stringstreams in the unit
-/// tests. One tested contract serves every front-end (the MAGPIE
-/// cmd_api pattern): the offline flexrt_design subcommands, the resident
-/// daemon, and the `flexrt_design remote` client all parse flags with the
-/// same CommonOpts machinery and render rows with the same svc/rows
-/// renderers, so their reports are byte-identical by construction (and
-/// CI-diffed to stay that way).
+/// The flexrtd wire protocol and the analysis command layer every front
+/// end shares. The six analysis commands -- solve, minq, sweep, verify,
+/// fault-sweep and study -- are defined once, in the command table behind
+/// parse_command: each entry holds the flags the command takes beyond
+/// CommonOpts, its defaults, the typed svc request it builds, the JSONL rows
+/// one fleet entry renders (Rows) and its exit-code rule. The offline
+/// flexrt_design subcommands, the resident daemon's Session and the
+/// `flexrt_design remote` client all parse and render through that table,
+/// so their reports are byte-identical by construction (and CI-diffed to
+/// stay that way).
 ///
 /// Framing (all lines '\n'-terminated, CRLF tolerated):
 ///
@@ -49,12 +53,14 @@ namespace flexrt::net::proto {
 /// Wire rows are always JSONL and always wall-free: remote reports must be
 /// deterministic so clients, tests and CI can byte-diff them against the
 /// offline tool. --jsonl/--stream/--no-wall are therefore accepted as
-/// no-ops; --csv and the journal flags are rejected (they are offline
-/// concerns). Sessions are independent: each owns its fleet, while all of
-/// them share the process-wide par::parallel_for pool. Results stream to
-/// the client in entry order through the same svc ResultSink /
-/// par::ordered_stream path as --stream, so per-client memory stays
-/// bounded by the reorder window, not the fleet size.
+/// no-ops; --csv, the journal flags and solve's human-report flags are
+/// rejected (they are offline concerns). `solve --study` is the wire
+/// spelling of the study command. Sessions are independent: each owns its
+/// fleet, while all of them share the process-wide par::parallel_for pool.
+/// Results stream to the client in entry order through
+/// svc::AnalysisService::run (par::ordered_stream), the one fleet path
+/// every front end uses, so per-client memory stays bounded by the reorder
+/// window, not the fleet size.
 
 /// Hard cap on one wire line. Longer lines are consumed to their newline
 /// (framing survives) but reported truncated, and the command is rejected
@@ -68,7 +74,8 @@ inline constexpr std::size_t kMaxAddLines = std::size_t{1} << 20;
 /// "--budget 64k" or "--adaptive xyz" are input errors (offline exit 2 /
 /// wire `error`), not silently truncated values.
 double parse_num(const char* flag, const std::string& v);
-std::size_t parse_size(const char* flag, const std::string& v);
+/// `base` 0 takes any C base ("0x5EED" seeds).
+std::size_t parse_size(const char* flag, const std::string& v, int base = 10);
 
 /// "a,b,c" -> exactly three strict numbers (parse_num_list); anything
 /// else -- a bad token, trailing junk, two or four values -- throws
@@ -78,18 +85,6 @@ std::array<double, 3> parse_triple(const char* flag, const std::string& spec);
 /// Comma-separated strict numbers ("0,0.01,0.1"); every token must parse
 /// (parse_num), so a malformed list throws naming the flag.
 std::vector<double> parse_num_list(const char* flag, const std::string& spec);
-
-/// Re-exposes tokenized arguments in the argc/argv shape the shared flag
-/// parsers (parse_common_flag, core::parse_study_flag) consume.
-struct ArgVec {
-  explicit ArgVec(const std::vector<std::string>& args) : owned(args) {
-    for (std::string& s : owned) ptrs.push_back(s.data());
-  }
-  int argc() const { return static_cast<int>(ptrs.size()); }
-  char** argv() { return ptrs.data(); }
-  std::vector<std::string> owned;
-  std::vector<char*> ptrs;
-};
 
 /// Flags shared by every analysis request -- one parser for the offline
 /// subcommands, the wire protocol, and the remote client, so the three
@@ -107,7 +102,7 @@ struct CommonOpts {
   double deadline_ms = 0.0;    ///< per-entry wall budget; > 0 activates
   bool jsonl = false;
   bool csv = false;
-  bool stream = false;  ///< stream rows as entries finish (study, sweep)
+  bool stream = false;  ///< flush each JSONL row as it is written
   bool no_wall = false;  ///< omit wall_ms from JSONL rows (deterministic
                          ///< output -- what the wire always does)
   std::string output;   ///< journaled run target file ("" = stdout report)
@@ -129,28 +124,146 @@ struct CommonOpts {
   }
 
   bool journaled() const noexcept { return !output.empty(); }
-
-  /// The journal knobs require --output; true when the combination parses.
-  /// Journaled reports are JSONL by construction, so --output implies
-  /// --jsonl (checked by the caller after parsing, hence non-const).
-  bool finish_journal_flags() {
-    if (!journaled()) return !resume && retries == 0 && !fsync;
-    jsonl = true;
-    return true;
-  }
-
-  svc::JournalOptions journal_options() const {
-    svc::JournalOptions jopts;
-    jopts.resume = resume;
-    jopts.fsync_per_entry = fsync;
-    jopts.retry.max_attempts = retries + 1;
-    return jopts;
-  }
 };
 
-/// Consumes one shared flag at argv[i]; returns -1 when the flag did not
-/// match, 0 on success, 2 on a malformed value.
-int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i);
+// --- the analysis command table --------------------------------------------
+
+enum class CommandId { Solve, Minq, Sweep, Verify, FaultSweep, Study };
+
+/// Where a command line comes from. Offline: file operands, fleet flags and
+/// the offline-only output flags. Remote: files and fleet flags (which
+/// `remote` turns into `add`/`gen-fleet`), but nothing offline-only. Wire:
+/// flags only -- the session owns the fleet.
+enum class Front { Offline, Remote, Wire };
+
+/// The typed request of a parsed command (study builds a SolveRequest).
+using Request = std::variant<svc::SolveRequest, svc::MinQuantumRequest,
+                             svc::RegionSweepRequest, svc::VerifyRequest,
+                             svc::FaultSweepRequest>;
+
+struct Invocation;
+
+/// One command-line flag: where it may appear and what it sets.
+struct Flag {
+  enum Kind {
+    Forward,  ///< request flag: every front; `remote` forwards it
+    Fleet,    ///< --trials/--seed/--shard: offline and remote (gen-fleet)
+    Offline,  ///< output and journal flags: offline only
+    Report,   ///< solve's human-report flags: offline, not with --jsonl
+  };
+  const char* name;
+  Kind kind;
+  bool valued;
+  void (*apply)(Invocation& inv, const char* name, const std::string& value);
+};
+
+/// One analysis command, defined once for every front end.
+struct Command {
+  CommandId id;
+  const char* name;      ///< offline and `remote` subcommand
+  const char* wire;      ///< the wire command line that runs it
+  const char* terminal;  ///< kind of the row that closes each entry
+  bool journal;          ///< takes --output/--resume/--retries/--fsync
+  /// Exit-code rule, read off each terminal row: `verdict` false exits 1,
+  /// and so does an error row when `error_rows` (a failed solve, minq or
+  /// verify entry stops the command instead; study rows are data). A
+  /// quarantined row of a journaled run exits 3.
+  const char* verdict;  ///< "feasible", "schedulable", or nullptr
+  bool error_rows;
+  std::vector<Flag> flags;     ///< beyond the common ones
+  Request request;             ///< the request's defaults
+  core::Overheads overheads;   ///< the --overhead default
+  void (*check)(const Invocation& inv);  ///< required flags, or nullptr
+};
+
+/// One parsed analysis command line.
+struct Invocation {
+  const Command* command = nullptr;
+  CommonOpts common;
+  core::StudyOptions study;  ///< the generated fleet (when generated)
+  bool generated = false;    ///< the fleet is a generated trial study
+  Request request;
+  std::vector<std::string> given;      ///< every flag seen, in order
+  std::vector<std::string> wire_args;  ///< the Forward flags, with values
+  // solve's human report (offline, non-JSONL)
+  bool sensitivity = false;
+  bool response_times = false;
+  double simulate_horizon = 0.0;
+  double fault_rate = 0.0;
+  std::size_t trace = 0;
+
+  bool has(std::string_view flag) const;  ///< `flag` was given
+
+  /// Binds a generated fleet: its study options, and (fault-sweep) the
+  /// study search grid. The Session calls it for gen-fleet fleets;
+  /// parse_command for offline --trials.
+  void use_generated(const core::StudyOptions& s);
+};
+
+/// The table entry named `name` (offline/remote spelling); nullptr when
+/// `name` is not an analysis command.
+const Command* find_command(std::string_view name);
+
+/// Parses `name args...` through the command table. Throws ModelError
+/// naming the command or flag it rejects: an unknown command or flag, a
+/// malformed or missing value, a flag the front does not take, or a
+/// missing required flag or fleet.
+Invocation parse_command(const std::string& name,
+                         const std::vector<std::string>& args, Front front);
+
+/// Renders a command's fleet entries as JSONL rows and folds the exit code
+/// they imply: the one row and rc path of every output -- the wire, offline
+/// stdout and the journal, and underneath the human printers. Entries must
+/// arrive in entry order.
+class Rows {
+ public:
+  Rows(const Invocation& inv, bool with_wall)
+      : inv_(inv), with_wall_(with_wall) {}
+
+  /// One entry's rows, terminal row last; folded into rc() (and, for
+  /// study, the summary aggregate). A failed solve, minq or verify entry
+  /// throws ModelError: those commands stop (exit 2, wire `error`). A
+  /// failed sweep, fault-sweep or study entry renders its error row.
+  std::vector<std::string> entry(const svc::SolveResult& r);
+  std::vector<std::string> entry(const svc::MinQuantumResult& r);
+  std::vector<std::string> entry(const svc::RegionSweepResult& r);
+  std::vector<std::string> entry(const svc::VerifyResult& r);
+  std::vector<std::string> entry(const svc::FaultSweepResult& r);
+
+  /// True when `row` closes an entry (the command's terminal kind).
+  bool terminal(std::string_view row) const;
+  /// Folds one terminal row into rc() -- a fresh one, or one a resumed
+  /// journal replays -- by the command's exit-code rule.
+  void fold(std::string_view row);
+  /// The row after the last entry: an unsharded study's summary.
+  std::optional<std::string> summary() const;
+  /// The study_trial rows folded so far (study only).
+  const svc::StudyAggregate& aggregate() const noexcept { return agg_; }
+  int rc() const noexcept { return rc_; }
+
+ private:
+  std::vector<std::string> close(std::vector<std::string> rows);
+
+  const Invocation& inv_;
+  bool with_wall_;
+  int rc_ = 0;
+  svc::StudyAggregate agg_;
+};
+
+/// Runs the invocation's request over the fleet, handing each result to
+/// `fn` in entry order (svc::AnalysisService::run).
+template <typename Fn>
+svc::StreamStats for_each_entry(const Invocation& inv,
+                                const svc::AnalysisService& service, Fn&& fn) {
+  return std::visit([&](const auto& req) { return service.run(req, fn); },
+                    inv.request);
+}
+
+/// Runs the invocation and writes its JSONL rows (plus an unsharded study's
+/// summary) to `out`; returns the command's exit code. The wire and offline
+/// --jsonl output both run through here.
+int write_rows(const Invocation& inv, const svc::AnalysisService& service,
+               std::ostream& out, bool with_wall, bool flush_per_row);
 
 /// Splits a command line into whitespace-separated tokens.
 std::vector<std::string> split_tokens(const std::string& line);
@@ -193,23 +306,16 @@ class Session {
   /// quit command. Never throws: failures become `error` status lines.
   int handle_line(const std::string& line, std::istream& in, bool& quit);
 
-  std::size_t fleet_size() const noexcept;
-
  private:
   int dispatch(const std::vector<std::string>& tokens, std::istream& in,
                bool& quit);
   int cmd_add(const std::vector<std::string>& args, std::istream& in);
   int cmd_gen_fleet(const std::vector<std::string>& args);
-  int cmd_solve(const std::vector<std::string>& args);
-  int cmd_minq(const std::vector<std::string>& args);
-  int cmd_sweep(const std::vector<std::string>& args);
-  int cmd_verify(const std::vector<std::string>& args);
-  int cmd_fault_sweep(const std::vector<std::string>& args);
+  int cmd_analysis(const std::string& name, std::vector<std::string> args);
   int cmd_status(const std::vector<std::string>& args);
 
-  void require_fleet() const;
   void ok_line(int rc, const std::string& extras = {});
-  void error_line(const std::string& message);
+  void error_line(std::string message);
 
   std::ostream& out_;
   std::size_t max_line_;

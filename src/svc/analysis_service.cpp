@@ -647,106 +647,4 @@ FaultSweepResult AnalysisService::fault_sweep_one(
   });
 }
 
-std::vector<SolveResult> AnalysisService::solve(const SolveRequest& req) const {
-  std::vector<SolveResult> out(size());
-  par::parallel_for(size(), [&](std::size_t i) { out[i] = solve_one(i, req); });
-  return out;
-}
-
-std::vector<MinQuantumResult> AnalysisService::min_quantum(
-    const MinQuantumRequest& req) const {
-  std::vector<MinQuantumResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = min_quantum_one(i, req); });
-  return out;
-}
-
-std::vector<RegionSweepResult> AnalysisService::region_sweep(
-    const RegionSweepRequest& req) const {
-  std::vector<RegionSweepResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = region_sweep_one(i, req); });
-  return out;
-}
-
-std::vector<SensitivityResult> AnalysisService::sensitivity(
-    const SensitivityRequest& req) const {
-  std::vector<SensitivityResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = sensitivity_one(i, req); });
-  return out;
-}
-
-std::vector<VerifyResult> AnalysisService::verify(
-    const VerifyRequest& req) const {
-  std::vector<VerifyResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = verify_one(i, req); });
-  return out;
-}
-
-std::vector<FaultSweepResult> AnalysisService::fault_sweep(
-    const FaultSweepRequest& req) const {
-  std::vector<FaultSweepResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = fault_sweep_one(i, req); });
-  return out;
-}
-
-template <typename One, typename Sink>
-StreamStats AnalysisService::stream_entries(const One& one, const Sink& sink,
-                                            std::size_t window) const {
-  StreamStats stats;
-  stats.window = window ? window : par::default_stream_window();
-  stats.max_buffered = par::ordered_stream(
-      size(), stats.window, [&](std::size_t i) { return one(i); },
-      [&](std::size_t, auto&& result) {
-        sink(result);
-        ++stats.emitted;
-      });
-  return stats;
-}
-
-StreamStats AnalysisService::solve(const SolveRequest& req,
-                                   const SolveSink& sink,
-                                   std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return solve_one(i, req); }, sink,
-                        window);
-}
-
-StreamStats AnalysisService::min_quantum(const MinQuantumRequest& req,
-                                         const MinQuantumSink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return min_quantum_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::region_sweep(const RegionSweepRequest& req,
-                                          const RegionSweepSink& sink,
-                                          std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return region_sweep_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::sensitivity(const SensitivityRequest& req,
-                                         const SensitivitySink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return sensitivity_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::verify(const VerifyRequest& req,
-                                    const VerifySink& sink,
-                                    std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return verify_one(i, req); }, sink,
-                        window);
-}
-
-StreamStats AnalysisService::fault_sweep(const FaultSweepRequest& req,
-                                         const FaultSweepSink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return fault_sweep_one(i, req); },
-                        sink, window);
-}
-
 }  // namespace flexrt::svc

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
@@ -35,8 +36,10 @@ namespace flexrt::svc {
 /// An AnalysisService holds a fleet of mode-task systems -- added directly,
 /// parsed from files, or generated as a sharded trial study -- and executes
 /// *typed requests* (SolveRequest, MinQuantumRequest, RegionSweepRequest,
-/// SensitivityRequest, VerifyRequest) against every system on the shared
-/// par::parallel_for pool. Results are typed structs that carry the answer
+/// SensitivityRequest, VerifyRequest, FaultSweepRequest) against every
+/// system on the shared par::parallel_for pool, through one execution path
+/// (run: ordered streaming into a sink; its collecting overload returns the
+/// vector). Results are typed structs that carry the answer
 /// plus *provenance*: whether the deadline-set analysis was exact, the
 /// dlSet point budget behind the answer, how many accuracy rounds ran, the
 /// measured over-approximation gap, and wall time.
@@ -338,10 +341,10 @@ struct FaultSweepResult : ResultBase {
   std::vector<FaultRatePoint> points;  ///< one per requested rate, in order
 };
 
-// --- streaming ------------------------------------------------------------
+// --- fleet runs -----------------------------------------------------------
 
-/// What a streaming fleet request reports back: every row was delivered to
-/// the sink (in entry order), so the stats describe the transport, not the
+/// What a fleet run reports back: every result was delivered to the sink
+/// (in entry order), so the stats describe the transport, not the
 /// answers. `max_buffered <= window` is the bounded-memory guarantee the
 /// stream_fleet bench row tracks against the fleet size.
 struct StreamStats {
@@ -349,17 +352,6 @@ struct StreamStats {
   std::size_t window = 0;        ///< reorder window in force
   std::size_t max_buffered = 0;  ///< reorder-buffer high-water mark
 };
-
-/// Per-request result sinks. Called once per fleet entry, in entry order,
-/// from whichever worker completed the stream head -- one call at a time
-/// (the reassembly buffer serializes emission), so a sink writing a single
-/// ostream needs no locking of its own.
-using SolveSink = std::function<void(const SolveResult&)>;
-using MinQuantumSink = std::function<void(const MinQuantumResult&)>;
-using RegionSweepSink = std::function<void(const RegionSweepResult&)>;
-using SensitivitySink = std::function<void(const SensitivityResult&)>;
-using VerifySink = std::function<void(const VerifyResult&)>;
-using FaultSweepSink = std::function<void(const FaultSweepResult&)>;
 
 // --- the service ----------------------------------------------------------
 
@@ -404,43 +396,41 @@ class AnalysisService {
   }
   const core::ModeTaskSystem& system(std::size_t i) const;
 
-  // Fleet-wide execution: one result per entry, entry order, computed
-  // across the par::parallel_for pool.
-  std::vector<SolveResult> solve(const SolveRequest& req) const;
-  std::vector<MinQuantumResult> min_quantum(const MinQuantumRequest& req) const;
-  std::vector<RegionSweepResult> region_sweep(
-      const RegionSweepRequest& req) const;
-  std::vector<SensitivityResult> sensitivity(
-      const SensitivityRequest& req) const;
-  std::vector<VerifyResult> verify(const VerifyRequest& req) const;
-  std::vector<FaultSweepResult> fault_sweep(const FaultSweepRequest& req) const;
+  // Fleet-wide execution, one path for every request type: run_one(i, req)
+  // for each entry across the par::parallel_for pool, each result handed to
+  // `sink` as soon as it and every earlier entry have finished -- entry
+  // order, through a bounded reorder buffer (par::ordered_stream; window 0
+  // = the library default, a small multiple of the thread count). Peak
+  // result memory is O(window), not O(fleet): the enabler for
+  // 10^5+-trial studies. The sink is called one result at a time, from
+  // whichever worker completed the stream head, so a sink writing a single
+  // ostream needs no locking of its own.
+  template <typename Request, typename Sink>
+  StreamStats run(const Request& req, Sink&& sink,
+                  std::size_t window = 0) const {
+    StreamStats stats;
+    stats.window = window ? window : par::default_stream_window();
+    stats.max_buffered = par::ordered_stream(
+        size(), stats.window, [&](std::size_t i) { return run_one(i, req); },
+        [&](std::size_t, auto&& result) {
+          sink(std::move(result));
+          ++stats.emitted;
+        });
+    return stats;
+  }
 
-  // Streaming execution: identical per-entry computation, but each result
-  // goes to `sink` as soon as its ladder finishes, reassembled into entry
-  // order through a bounded reorder buffer (window 0 = the library default,
-  // a small multiple of the thread count). The emitted sequence is exactly
-  // the buffered vector above -- streamed output is byte-identical to the
-  // buffered path -- while peak result memory is O(window), not O(fleet):
-  // the enabler for 10^5+-trial studies.
-  StreamStats solve(const SolveRequest& req, const SolveSink& sink,
-                    std::size_t window = 0) const;
-  StreamStats min_quantum(const MinQuantumRequest& req,
-                          const MinQuantumSink& sink,
-                          std::size_t window = 0) const;
-  StreamStats region_sweep(const RegionSweepRequest& req,
-                           const RegionSweepSink& sink,
-                           std::size_t window = 0) const;
-  StreamStats sensitivity(const SensitivityRequest& req,
-                          const SensitivitySink& sink,
-                          std::size_t window = 0) const;
-  StreamStats verify(const VerifyRequest& req, const VerifySink& sink,
-                     std::size_t window = 0) const;
-  StreamStats fault_sweep(const FaultSweepRequest& req,
-                          const FaultSweepSink& sink,
-                          std::size_t window = 0) const;
+  /// Every entry's result, in entry order: run() collecting through its
+  /// sink.
+  template <typename Request>
+  auto run(const Request& req) const {
+    std::vector<decltype(run_one(0, req))> out;
+    out.reserve(size());
+    run(req, [&](auto&& r) { out.push_back(std::move(r)); });
+    return out;
+  }
 
   // Single-entry execution: one fleet entry, memo-aware, on the calling
-  // thread (what journaled runs and per-entry reports drive).
+  // thread (what run(), journaled runs and per-entry reports drive).
   SolveResult solve_one(std::size_t i, const SolveRequest& req) const;
   MinQuantumResult min_quantum_one(std::size_t i,
                                    const MinQuantumRequest& req) const;
@@ -451,6 +441,29 @@ class AnalysisService {
   VerifyResult verify_one(std::size_t i, const VerifyRequest& req) const;
   FaultSweepResult fault_sweep_one(std::size_t i,
                                    const FaultSweepRequest& req) const;
+
+  /// The *_one of a request type, chosen by overload: what run() and
+  /// generic per-entry drivers (journaled runs) call.
+  SolveResult run_one(std::size_t i, const SolveRequest& req) const {
+    return solve_one(i, req);
+  }
+  MinQuantumResult run_one(std::size_t i, const MinQuantumRequest& req) const {
+    return min_quantum_one(i, req);
+  }
+  RegionSweepResult run_one(std::size_t i,
+                            const RegionSweepRequest& req) const {
+    return region_sweep_one(i, req);
+  }
+  SensitivityResult run_one(std::size_t i,
+                            const SensitivityRequest& req) const {
+    return sensitivity_one(i, req);
+  }
+  VerifyResult run_one(std::size_t i, const VerifyRequest& req) const {
+    return verify_one(i, req);
+  }
+  FaultSweepResult run_one(std::size_t i, const FaultSweepRequest& req) const {
+    return fault_sweep_one(i, req);
+  }
 
   /// Deterministic fault-injection hook for executor hardening tests: when
   /// set, called at the *start of every accuracy round* of every entry's
@@ -542,12 +555,6 @@ class AnalysisService {
       if (probe_hook_) probe_hook_(i, round);
     };
   }
-
-  /// Shared streaming transport: runs `one(i)` per entry on the pool and
-  /// feeds the ordered reassembly buffer (par::ordered_stream).
-  template <typename One, typename Sink>
-  StreamStats stream_entries(const One& one, const Sink& sink,
-                             std::size_t window) const;
 
   std::vector<Entry> entries_;
   ProbeHook probe_hook_;

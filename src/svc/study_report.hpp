@@ -43,6 +43,10 @@ class StudyAggregate {
   std::string summary_row() const;
 
   std::size_t trials() const noexcept { return trials_; }
+  std::size_t packed() const noexcept { return packed_; }
+  std::size_t feasible() const noexcept { return feasible_; }
+  double sum_period() const noexcept { return sum_period_; }
+  double sum_slack_bw() const noexcept { return sum_slack_bw_; }
 
  private:
   std::size_t trials_ = 0;

@@ -167,7 +167,7 @@ TEST(NetProto, SolveRowsMatchDirectSvcRender) {
                               core::DesignGoal::MinOverheadBandwidth,
                               {},
                               svc::AccuracyPolicy::fixed(0)};
-  service.solve(req, [&](const svc::SolveResult& r) {
+  service.run(req, [&](const svc::SolveResult& r) {
     ASSERT_TRUE(r.ok());
     out.write(svc::solve_row(r, req.alg, req.goal, /*with_wall=*/false));
   });
@@ -194,23 +194,23 @@ TEST(NetProto, MinqAndVerifyRowsMatchDirectSvcRender) {
   std::ostringstream os;
   svc::JsonlWriter out(os);
   const svc::AccuracyPolicy accuracy = svc::AccuracyPolicy::fixed(0);
-  service.min_quantum({Scheduler::EDF, 1.0, false, accuracy},
-                      [&](const svc::MinQuantumResult& r) {
-                        ASSERT_TRUE(r.ok());
-                        out.write(svc::min_quantum_row(r, Scheduler::EDF, 1.0,
-                                                       /*with_wall=*/false));
-                      });
+  service.run(svc::MinQuantumRequest{Scheduler::EDF, 1.0, false, accuracy},
+              [&](const svc::MinQuantumResult& r) {
+                ASSERT_TRUE(r.ok());
+                out.write(svc::min_quantum_row(r, Scheduler::EDF, 1.0,
+                                               /*with_wall=*/false));
+              });
   core::ModeSchedule schedule;
   schedule.period = 1.0;
   schedule.ft = {0.25, 0.0};
   schedule.fs = {0.3, 0.0};
   schedule.nf = {0.25, 0.0};
-  service.verify({Scheduler::EDF, schedule, false, accuracy},
-                 [&](const svc::VerifyResult& r) {
-                   ASSERT_TRUE(r.ok());
-                   out.write(svc::verify_row(r, Scheduler::EDF, 1.0,
-                                             /*with_wall=*/false));
-                 });
+  service.run(svc::VerifyRequest{Scheduler::EDF, schedule, false, accuracy},
+              [&](const svc::VerifyResult& r) {
+                ASSERT_TRUE(r.ok());
+                out.write(svc::verify_row(r, Scheduler::EDF, 1.0,
+                                          /*with_wall=*/false));
+              });
 
   EXPECT_EQ(data_rows(got.bytes), os.str());
 }
@@ -228,8 +228,9 @@ TEST(NetProto, SweepRowsMatchDirectSvcRender) {
   search.p_min = 0.5;
   search.p_max = 1.0;
   search.grid_step = 0.25;
-  service.region_sweep(
-      {Scheduler::EDF, search, svc::AccuracyPolicy::fixed(0)},
+  service.run(
+      svc::RegionSweepRequest{Scheduler::EDF, search,
+                              svc::AccuracyPolicy::fixed(0)},
       [&](const svc::RegionSweepResult& r) {
         ASSERT_TRUE(r.ok());
         for (const core::RegionSample& s : r.samples) {
@@ -267,7 +268,7 @@ TEST(NetProto, GenFleetStudyMatchesOfflineStudyReport) {
   std::ostringstream os;
   svc::JsonlWriter out(os);
   svc::StudyAggregate agg;
-  service.solve(req, [&](const svc::SolveResult& r) {
+  service.run(req, [&](const svc::SolveResult& r) {
     const std::string row = svc::study_trial_row(r, req.alg, req.goal);
     out.write(row);
     agg.add(row);
@@ -300,6 +301,54 @@ TEST(NetProto, ShardedStudyEmitsRowsOnlyAndShardsPartitionTheFleet) {
     }
   }
   EXPECT_EQ(sharded, whole_trials);
+}
+
+// A generated fleet is whatever gen-fleet built, empty included: a shard
+// that owns no trial streams nothing and succeeds, and a 0-trial study
+// reports the offline `study --trials 0 --jsonl` summary.
+TEST(NetProto, EmptyGeneratedFleetsRunLikeTheOfflineStudy) {
+  for (const char* cmd : {"solve --study", "fault-sweep"}) {
+    const SessionOutput shard = run_script(
+        std::string("gen-fleet --trials 1 --shard 2/2\n") + cmd + "\nquit\n");
+    EXPECT_EQ(shard.rc, 0) << cmd;
+    EXPECT_EQ(data_rows(shard.bytes), "") << cmd;
+    EXPECT_NE(shard.bytes.find("\nok rc=0\nok rc=0 bye\n"), std::string::npos)
+        << cmd << ": " << shard.bytes;
+  }
+
+  const SessionOutput none =
+      run_script("gen-fleet --trials 0\nsolve --study\nquit\n");
+  EXPECT_EQ(none.rc, 0);
+  EXPECT_EQ(data_rows(none.bytes), svc::StudyAggregate{}.summary_row() + "\n");
+  EXPECT_NE(none.bytes.find("\"trials\":0"), std::string::npos);
+
+  // `drop` forgets the built fleet: the empty-fleet error is back.
+  const SessionOutput dropped =
+      run_script("gen-fleet --trials 0\ndrop\nsolve --study\nquit\n");
+  EXPECT_EQ(dropped.rc, 2);
+}
+
+// A failed sweep entry renders its error summary row and exits 1 on the
+// wire, exactly as offline stdout and the journal do.
+TEST(NetProto, FailedSweepEntryIsAnErrorRowWithRcOne) {
+  const SessionOutput got =
+      run_script(add_block("sys0") + "sweep --step 0\nquit\n");
+  EXPECT_EQ(got.rc, 1);
+
+  svc::AnalysisService service;
+  add_paper_system(service, "sys0");
+  core::SearchOptions search;
+  search.p_min = 0.05;
+  search.p_max = 3.5;
+  search.grid_step = 0.0;
+  const svc::RegionSweepResult r = service.region_sweep_one(
+      0, {Scheduler::EDF, search, svc::AccuracyPolicy::fixed(0)});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(data_rows(got.bytes),
+            svc::sweep_summary_row(r, Scheduler::EDF, /*with_wall=*/false)
+                    .str() +
+                "\n");
+  EXPECT_NE(got.bytes.find("}\nok rc=1\n"), std::string::npos) << got.bytes;
 }
 
 // --- wire-only surface ----------------------------------------------------
@@ -409,33 +458,57 @@ TEST(NetProto, StatusRejectsUnknownFlags) {
 TEST(NetProto, HostileCommandsErrorWithoutKillingTheSession) {
   const std::vector<std::string> bad = {
       "frobnicate",                  // unknown command
+      "study",                       // the wire spells it `solve --study`
       "solve",                       // empty fleet
       "solve --budget xyz",          // malformed value
       "solve --wat",                 // unknown flag
       "solve tasks.txt",             // bare token: no file paths on the wire
       "solve --csv",                 // offline-only output format
+      "solve --simulate 10",         // offline-only human-report flag
+      "solve --trials 3",            // fleet flags belong to gen-fleet
       "sweep --output f.jsonl",      // offline-only journal flag
       "solve --study",               // study needs a generated fleet
       "minq --period 0",             // domain validation
       "verify --period 1",           // missing --quanta
       "gen-fleet --shard 0/2",       // malformed shard spec (1-based)
   };
+  // fault::FaultModel's domain: rates and separations are finite and >= 0.
+  // Sent with a fleet in place, so the error is the flag's own.
+  const std::vector<std::string> bad_with_fleet = {
+      "fault-sweep --rates -1",   "fault-sweep --rates nan",
+      "fault-sweep --rates 0,inf", "fault-sweep --min-sep -1",
+      "fault-sweep --min-sep nan",
+  };
   std::string script;
   for (const std::string& cmd : bad) script += cmd + "\n";
-  script += add_block("sys0") + "solve\nquit\n";
+  script += add_block("sys0");
+  for (const std::string& cmd : bad_with_fleet) script += cmd + "\n";
+  script += "solve\nquit\n";
 
   const SessionOutput got = run_script(script);
   EXPECT_EQ(got.rc, 2) << "errors dominate the session rc";
   const std::vector<WireStatus> st = statuses(got.bytes);
-  ASSERT_EQ(st.size(), bad.size() + 3);  // errors + add + solve + quit
+  // errors + add + errors + solve + quit
+  ASSERT_EQ(st.size(), bad.size() + bad_with_fleet.size() + 3);
   for (std::size_t i = 0; i < bad.size(); ++i) {
     EXPECT_TRUE(st[i].failed) << "'" << bad[i] << "' must fail";
     EXPECT_FALSE(st[i].message.empty());
   }
-  // The session survived it all: the trailing solve still streams rows.
-  EXPECT_FALSE(st[bad.size()].failed);
-  EXPECT_NE(data_rows(got.bytes).find("\"kind\":\"solve\""),
-            std::string::npos);
+  EXPECT_FALSE(st[bad.size()].failed) << "add";
+  for (std::size_t i = 0; i < bad_with_fleet.size(); ++i) {
+    const WireStatus& s = st[bad.size() + 1 + i];
+    EXPECT_TRUE(s.failed) << "'" << bad_with_fleet[i] << "' must fail";
+    const std::string flag =
+        bad_with_fleet[i].substr(12, bad_with_fleet[i].find(' ', 12) - 12);
+    EXPECT_NE(s.message.find(flag), std::string::npos)
+        << s.message << " must name " << flag;
+  }
+  // The session survived it all: the trailing solve still streams rows,
+  // and no fault-sweep row slipped out.
+  EXPECT_FALSE(st[st.size() - 2].failed);
+  const std::string rows = data_rows(got.bytes);
+  EXPECT_NE(rows.find("\"kind\":\"solve\""), std::string::npos);
+  EXPECT_EQ(rows.find("fault_"), std::string::npos);
 }
 
 // A triple flag's whole token must parse: trailing junk after the third

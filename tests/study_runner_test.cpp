@@ -105,40 +105,6 @@ TEST(RunStudy, AssembledShardsMatchTheUnshardedRun) {
   }
 }
 
-TEST(RunStudyStream, EmitsTheSliceRowsInTrialOrder) {
-  // The streaming twin must hand out exactly run_study's rows, keyed by
-  // global trial id, in trial order -- per shard, so a shard process can
-  // write its shard file without buffering the slice.
-  const auto trial = [](std::size_t i, Rng& rng) {
-    return static_cast<double>(i) + rng.uniform01();
-  };
-  StudyOptions whole;
-  whole.trials = 23;
-  whole.base_seed = 0xFEED;
-  const auto reference = run_study(whole, trial);
-
-  for (const std::size_t shards : {1u, 3u}) {
-    for (std::size_t k = 0; k < shards; ++k) {
-      StudyOptions part = whole;
-      part.shard = {k, shards};
-      const auto [begin, end] = shard_range(whole.trials, part.shard);
-      std::vector<std::size_t> seen;
-      const std::size_t peak = run_study_stream(
-          part, trial,
-          [&](std::size_t global, double row) {
-            EXPECT_DOUBLE_EQ(row, reference.rows[global]);
-            seen.push_back(global);
-          },
-          /*window=*/4);
-      ASSERT_EQ(seen.size(), end - begin);
-      for (std::size_t i = 0; i < seen.size(); ++i) {
-        EXPECT_EQ(seen[i], begin + i);  // trial order, global ids
-      }
-      EXPECT_LE(peak, 4u);
-    }
-  }
-}
-
 TEST(RunStudy, PassesGlobalTrialIndices) {
   StudyOptions opts;
   opts.trials = 10;

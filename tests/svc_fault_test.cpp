@@ -233,8 +233,9 @@ TEST_F(FaultSweepOnPaperExample, InfeasibleNominalDesignSweepsNothing) {
 // --- fleet + streaming -----------------------------------------------------
 
 TEST(FaultSweepFleet, StreamedResultsEqualBufferedResultsWithErrorRows) {
-  // A generated fleet with an unpackable entry mid-stream: the buffered and
-  // streamed paths must agree row for row, and the unpackable entry must
+  // A generated fleet with an unpackable entry mid-stream: the streamed run
+  // must agree row for row with a serial fault_sweep_one loop over the
+  // fleet (code the pool never touches), and the unpackable entry must
   // surface as an error row in both, never a lost ticket.
   core::StudyOptions study;
   study.trials = 7;
@@ -251,9 +252,12 @@ TEST(FaultSweepFleet, StreamedResultsEqualBufferedResultsWithErrorRows) {
   req.overheads = {0.02, 0.02, 0.02};
   req.goal = core::DesignGoal::MaxSlackBandwidth;
 
-  const std::vector<FaultSweepResult> want = service.fault_sweep(req);
+  std::vector<FaultSweepResult> want;
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    want.push_back(service.fault_sweep_one(i, req));
+  }
   std::vector<FaultSweepResult> got;
-  const StreamStats stats = service.fault_sweep(
+  const StreamStats stats = service.run(
       req, [&](const FaultSweepResult& r) { got.push_back(r); });
 
   EXPECT_EQ(stats.emitted, want.size());

@@ -4,7 +4,7 @@
 // best completed rung's conservative answer (degraded=true, gap=null, value
 // bit-for-bit equal to the fixed-policy probe at that budget), and a
 // streamed run under injection emits every entry exactly once, in order,
-// byte-identical to the buffered run.
+// byte-identical to a serial solve_one loop over the fleet.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -52,7 +52,7 @@ TEST_F(InjectedFleet, ThrowingProbeBecomesAnErrorRowOnlyForItsEntry) {
   service_.set_probe_hook([](std::size_t entry, std::size_t) {
     if (entry == 2) throw std::runtime_error("injected probe failure");
   });
-  const std::vector<SolveResult> rs = service_.solve(solve_request());
+  const std::vector<SolveResult> rs = service_.run(solve_request());
   ASSERT_EQ(rs.size(), 5u);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_EQ(rs[i].system, i);  // no lost or duplicated entry
@@ -72,7 +72,7 @@ TEST_F(InjectedFleet, NonStandardExceptionsAreCaughtAsUnknown) {
   service_.set_probe_hook([](std::size_t entry, std::size_t) {
     if (entry == 4) throw 42;
   });
-  const std::vector<SolveResult> rs = service_.solve(solve_request());
+  const std::vector<SolveResult> rs = service_.run(solve_request());
   ASSERT_EQ(rs.size(), 5u);
   EXPECT_EQ(rs[4].error, "unknown exception");
   for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(rs[i].ok());
@@ -81,33 +81,35 @@ TEST_F(InjectedFleet, NonStandardExceptionsAreCaughtAsUnknown) {
 TEST_F(InjectedFleet, ClearingTheHookRestoresNormalExecution) {
   service_.set_probe_hook(
       [](std::size_t, std::size_t) { throw std::runtime_error("always"); });
-  for (const SolveResult& r : service_.solve(solve_request())) {
+  for (const SolveResult& r : service_.run(solve_request())) {
     EXPECT_EQ(r.error, "always");
   }
   service_.set_probe_hook(nullptr);
-  for (const SolveResult& r : service_.solve(solve_request())) {
+  for (const SolveResult& r : service_.run(solve_request())) {
     EXPECT_TRUE(r.ok()) << r.error;
   }
 }
 
 TEST_F(InjectedFleet, StreamedRunUnderInjectionMatchesBufferedByteForByte) {
   // The ordered gate must neither lose nor duplicate the failing entry: the
-  // streamed sequence renders to exactly the buffered bytes, error row
-  // included, in entry order.
+  // streamed sequence renders to exactly the bytes of a serial solve_one
+  // loop (code the pool never touches), error row included, in entry
+  // order.
   const SolveRequest req = solve_request();
   service_.set_probe_hook([](std::size_t entry, std::size_t) {
     if (entry == 1) throw std::runtime_error("injected probe failure");
   });
 
   std::vector<std::string> buffered;
-  for (const SolveResult& r : service_.solve(req)) {
-    buffered.push_back(study_trial_row(r, req.alg, req.goal));
+  for (std::size_t i = 0; i < service_.size(); ++i) {
+    buffered.push_back(study_trial_row(service_.solve_one(i, req), req.alg,
+                                       req.goal));
   }
 
   std::vector<std::string> streamed;
   std::vector<std::size_t> order;
   const StreamStats stats =
-      service_.solve(req, [&](const SolveResult& r) {
+      service_.run(req, [&](const SolveResult& r) {
         order.push_back(r.system);
         streamed.push_back(study_trial_row(r, req.alg, req.goal));
       });

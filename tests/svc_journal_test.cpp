@@ -138,7 +138,7 @@ std::string streamed_reference(const AnalysisService& service,
   std::ostringstream os;
   JsonlWriter out(os);
   StudyAggregate agg;
-  service.solve(req, [&](const SolveResult& r) {
+  service.run(req, [&](const SolveResult& r) {
     const std::string row = study_trial_row(r, req.alg, req.goal);
     out.write(row);
     agg.add(row);

@@ -377,7 +377,7 @@ TEST(ServiceFleet, GeneratedFleetIsShardLayoutIndependent) {
                          core::DesignGoal::MinOverheadBandwidth,
                          opts,
                          {}};
-  const std::vector<SolveResult> want = reference.solve(req);
+  const std::vector<SolveResult> want = reference.run(req);
   ASSERT_EQ(want.size(), 7u);
 
   std::vector<double> assembled(whole.trials, -2.0);
@@ -386,7 +386,7 @@ TEST(ServiceFleet, GeneratedFleetIsShardLayoutIndependent) {
     core::StudyOptions shard = whole;
     shard.shard = {k, 2};
     part.add_fleet(shard, factory);
-    for (const SolveResult& r : part.solve(req)) {
+    for (const SolveResult& r : part.run(req)) {
       ASSERT_NE(r.trial, kNoTrial);
       assembled[r.trial] =
           r.ok() && r.feasible ? r.design.schedule.period : -1.0;
@@ -413,8 +413,8 @@ TEST(ServiceFleet, PackFailureBecomesAnswerlessEntry) {
   EXPECT_TRUE(service.has_system(0));
   EXPECT_FALSE(service.has_system(1));
   const std::vector<SolveResult> rs =
-      service.solve({Scheduler::EDF, {}, core::DesignGoal::MinOverheadBandwidth,
-                     {}, {}});
+      service.run(SolveRequest{Scheduler::EDF, {},
+                               core::DesignGoal::MinOverheadBandwidth, {}, {}});
   EXPECT_TRUE(rs[0].ok());
   EXPECT_FALSE(rs[1].ok());
   EXPECT_EQ(rs[1].error, "packing failed");

@@ -1,7 +1,8 @@
-// Streaming fleet execution: the sink sees exactly the buffered result
-// sequence (entry order), the JSONL transport is byte-identical across
-// buffered / streamed / merged-shard-stream paths, peak buffering respects
-// the reorder window, and a shard file truncated by a mid-stream kill is
+// Streaming fleet execution: the sink sees exactly the result sequence of
+// a serial *_one loop over the fleet (entry order; the reference never
+// touches the pool), the JSONL transport is byte-identical across serial /
+// streamed / merged-shard-stream paths, peak buffering respects the
+// reorder window, and a shard file truncated by a mid-stream kill is
 // rejected by the merge helpers deterministically.
 #include <gtest/gtest.h>
 
@@ -57,7 +58,7 @@ std::string streamed_report(const AnalysisService& service,
   std::ostringstream os;
   JsonlWriter out(os);
   StudyAggregate agg;
-  const StreamStats stats = service.solve(req, [&](const SolveResult& r) {
+  const StreamStats stats = service.run(req, [&](const SolveResult& r) {
     const std::string row =
         study_trial_row(r, req.alg, core::DesignGoal::MinOverheadBandwidth);
     out.write(row);
@@ -72,11 +73,14 @@ TEST(SvcStream, SinkSeesTheBufferedSequenceExactly) {
   AnalysisService service;
   service.add_fleet(whole_study(), test_factory());
   const SolveRequest req = solve_request();
-  const std::vector<SolveResult> want = service.solve(req);
+  std::vector<SolveResult> want;
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    want.push_back(service.solve_one(i, req));
+  }
 
   std::vector<SolveResult> got;
   const StreamStats stats =
-      service.solve(req, [&](const SolveResult& r) { got.push_back(r); });
+      service.run(req, [&](const SolveResult& r) { got.push_back(r); });
   EXPECT_EQ(stats.emitted, want.size());
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -98,52 +102,47 @@ TEST(SvcStream, SinkSeesTheBufferedSequenceExactly) {
 TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
   AnalysisService service;
   service.add_fleet(whole_study(), test_factory());
-  const auto expect_ordered = [](const StreamStats& stats,
-                                 const std::vector<std::size_t>& order,
-                                 std::size_t n) {
-    EXPECT_EQ(stats.emitted, n);
-    ASSERT_EQ(order.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(order[i], i);
+  // Each request type streams every entry once, in entry order, matching
+  // a serial run_one loop over the fleet (same entry, name and error).
+  const auto expect_ordered = [&](const auto& req) {
+    std::vector<decltype(service.run_one(0, req))> want;
+    for (std::size_t i = 0; i < service.size(); ++i) {
+      want.push_back(service.run_one(i, req));
+    }
+    std::size_t next = 0;
+    const StreamStats stats = service.run(req, [&](const auto& r) {
+      ASSERT_LT(next, want.size());
+      EXPECT_EQ(r.system, next);
+      EXPECT_EQ(r.name, want[next].name);
+      EXPECT_EQ(r.error, want[next].error);
+      ++next;
+    });
+    EXPECT_EQ(stats.emitted, service.size());
+    EXPECT_EQ(next, service.size());
   };
-  std::vector<std::size_t> order;
 
-  order.clear();
-  expect_ordered(service.min_quantum(
-                     {Scheduler::EDF, 1.0, false, {}},
-                     [&](const MinQuantumResult& r) { order.push_back(r.system); }),
-                 order, service.size());
+  expect_ordered(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}});
 
-  order.clear();
   core::SearchOptions opts;
   opts.p_min = 0.5;
   opts.p_max = 1.5;
   opts.grid_step = 0.5;
-  expect_ordered(
-      service.region_sweep(
-          {Scheduler::EDF, opts, {}},
-          [&](const RegionSweepResult& r) { order.push_back(r.system); }),
-      order, service.size());
+  expect_ordered(RegionSweepRequest{Scheduler::EDF, opts, {}});
 
   const core::Design d =
       core::solve_design(core::paper_example(), Scheduler::EDF, {0.0, 0.0, 0.0},
                          core::DesignGoal::MaxSlackBandwidth);
-
-  order.clear();
   SensitivityRequest sreq;
   sreq.alg = Scheduler::EDF;
   sreq.schedule = d.schedule;
   sreq.include_global = false;
-  expect_ordered(service.sensitivity(sreq,
-                                     [&](const SensitivityResult& r) {
-                                       order.push_back(r.system);
-                                     }),
-                 order, service.size());
+  expect_ordered(sreq);
 
-  order.clear();
-  expect_ordered(
-      service.verify({Scheduler::EDF, d.schedule, false, {}},
-                     [&](const VerifyResult& r) { order.push_back(r.system); }),
-      order, service.size());
+  expect_ordered(VerifyRequest{Scheduler::EDF, d.schedule, false, {}});
+
+  FaultSweepRequest freq;
+  freq.rates = {0.0, 0.1};
+  expect_ordered(freq);
 }
 
 TEST(SvcStream, StreamedBytesEqualBufferedBytes) {
@@ -151,13 +150,14 @@ TEST(SvcStream, StreamedBytesEqualBufferedBytes) {
   service.add_fleet(whole_study(), test_factory());
   const SolveRequest req = solve_request();
 
-  // Buffered report: the pre-streaming study path (rows from the result
-  // vector, summary from the aggregate).
+  // Serial report: rows from a solve_one loop over the fleet (no pool, no
+  // reorder buffer), summary from the aggregate.
   std::ostringstream buffered;
   {
     JsonlWriter out(buffered);
     StudyAggregate agg;
-    for (const SolveResult& r : service.solve(req)) {
+    for (std::size_t i = 0; i < service.size(); ++i) {
+      const SolveResult r = service.solve_one(i, req);
       const std::string row =
           study_trial_row(r, req.alg, core::DesignGoal::MinOverheadBandwidth);
       out.write(row);
@@ -208,8 +208,8 @@ TEST(SvcStream, PeakBufferingIsBoundedByTheWindow) {
   });
   for (const std::size_t window : {1u, 3u, 16u}) {
     std::size_t emitted = 0;
-    const StreamStats stats = service.min_quantum(
-        {Scheduler::EDF, 1.0, false, {}},
+    const StreamStats stats = service.run(
+        MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
         [&](const MinQuantumResult&) { ++emitted; }, window);
     EXPECT_EQ(emitted, 64u);
     EXPECT_EQ(stats.window, window);

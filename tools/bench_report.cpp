@@ -271,10 +271,11 @@ int main(int argc, char** argv) {
   }
 
   // --- streaming fleet execution: peak result buffering vs fleet size -----
-  // The service's streaming variant reassembles results through a bounded
-  // reorder window, so peak buffered rows is O(window) while the buffered
-  // path holds the whole fleet. Rows (not ns) are the headline here: this
-  // is the memory bound that makes 10^5+-trial studies feasible.
+  // The service's one fleet path reassembles results through a bounded
+  // reorder window, so peak buffered rows is O(window), while the
+  // reference -- a serial min_quantum_one loop collecting a vector -- holds
+  // the whole fleet. Rows (not ns) are the headline here: this is the
+  // memory bound that makes 10^5+-trial studies feasible.
   std::size_t fleet_entries = 0, fleet_window = 0, fleet_peak = 0;
   double fleet_buffered_ms = 0.0, fleet_streamed_ms = 0.0;
   {
@@ -285,12 +286,15 @@ int main(int argc, char** argv) {
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     fleet_entries = service.size();
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.min_quantum(req);  // warm the engine cache for both paths
+    (void)service.run(req);  // warm the engine cache for both paths
     const auto t0 = Clock::now();
-    const auto buffered = service.min_quantum(req);
+    std::vector<svc::MinQuantumResult> buffered;
+    for (std::size_t i = 0; i < service.size(); ++i) {
+      buffered.push_back(service.min_quantum_one(i, req));
+    }
     const auto t1 = Clock::now();
     double sink_acc = 0.0;
-    const svc::StreamStats stats = service.min_quantum(
+    const svc::StreamStats stats = service.run(
         req, [&](const svc::MinQuantumResult& r) { sink_acc += r.margin; });
     const auto t2 = Clock::now();
     g_sink = sink_acc + buffered.back().margin;
@@ -315,7 +319,7 @@ int main(int argc, char** argv) {
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     journal_entries = service.size();
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.min_quantum(req);  // warm the engine cache
+    (void)service.run(req);  // warm the engine cache
     const std::string path = out_path + ".journal_bench.jsonl";
     const auto timed_run = [&](bool fsync_per_entry) {
       svc::Journal journal(path);
@@ -458,9 +462,9 @@ int main(int argc, char** argv) {
       memo_entries = service.size();
       svc::global_memo().clear();
       const auto t0 = Clock::now();
-      const auto cold = service.min_quantum(req);
+      const auto cold = service.run(req);
       const auto t1 = Clock::now();
-      const auto warm = service.min_quantum(req);
+      const auto warm = service.run(req);
       const auto t2 = Clock::now();
       cold_rounds.push_back(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -528,7 +532,8 @@ int main(int argc, char** argv) {
                 r.legacy_ns / r.engine_ns);
   }
   std::printf(
-      "stream_fleet                 %zu entries: buffered %zu rows, streamed "
+      "stream_fleet                 %zu entries: serial buffered %zu rows, "
+      "streamed "
       "peak %zu rows (window %zu); %.1f ms vs %.1f ms\n",
       fleet_entries, fleet_entries, fleet_peak, fleet_window,
       fleet_buffered_ms, fleet_streamed_ms);

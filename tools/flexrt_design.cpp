@@ -1,58 +1,59 @@
 // flexrt_design -- command-line front of the multi-system analysis service.
 //
-// The tool is subcommand-shaped around svc::AnalysisService: every
+// The tool is subcommand-shaped around svc::AnalysisService: every analysis
 // subcommand loads (or generates) a *fleet* of systems, issues one typed
 // request across it, and reports answers together with their provenance
-// (dl_exact, budget, probes, gap, wall_ms). With --jsonl the report is
-// machine-readable JSON-lines (schema in tools/README.md), which is what
-// makes sharded study outputs mergeable.
+// (dl_exact, budget, probes, gap, wall_ms). The six analysis subcommands --
+// solve, minq, sweep, verify, fault-sweep and study -- are the command
+// table of net/proto: their flags, defaults, requests, JSONL rows and exit
+// codes are defined there once, shared with the flexrtd wire protocol and
+// the `remote` client. This file adds what is offline-only: the fleet from
+// task files or --trials, and the three outputs an entry's rows go to --
+// JSONL on stdout (--jsonl, schema in tools/README.md), the crash-safe
+// journal (--output), or the human/CSV printers.
 //
 // Usage:
-//   flexrt_design solve  <taskfile>... [--alg edf|rm]
-//                        [--goal min-overhead|max-slack]
-//                        [--overhead O_FT,O_FS,O_NF] [--adaptive TOL]
-//                        [--budget N] [--budget-cap N] [--jsonl] [--csv]
-//                        [--sensitivity] [--response-times]
-//                        [--simulate HORIZON] [--fault-rate R] [--trace N]
-//   flexrt_design sweep  <taskfile>... [--alg edf|rm] [--p-min P] [--p-max P]
-//                        [--step dP] [--adaptive TOL] [--budget N]
-//                        [--jsonl] [--csv] [--stream]
-//   flexrt_design verify <taskfile>... --period P --quanta Q_FT,Q_FS,Q_NF
-//                        [--overhead O_FT,O_FS,O_NF] [--alg edf|rm]
-//                        [--exact-supply] [--adaptive TOL] [--budget N]
-//                        [--jsonl]
-//   flexrt_design study  [--trials N] [--seed S] [--shard k/N]
-//                        [--alg edf|rm] [--goal g] [--overhead a,b,c]
-//                        [--adaptive TOL] [--budget N] [--jsonl] [--csv]
-//                        [--stream]
-//   flexrt_design fault-sweep <taskfile>... | --trials N [--seed S]
-//                        [--shard k/N] [--rates R1,R2,...] [--min-sep S]
-//                        [--no-baselines] [--exact-supply] [--alg edf|rm]
-//                        [--goal g] [--overhead a,b,c] [--adaptive TOL]
-//                        [--budget N] [--jsonl] [--csv] [--stream]
-//   flexrt_design merge  <report.jsonl>...
+//   flexrt_design solve  <fleet> [--goal min-overhead|max-slack]
+//                        [--overhead O_FT,O_FS,O_NF] [--sensitivity]
+//                        [--response-times] [--simulate HORIZON]
+//                        [--fault-rate R] [--trace N]
+//   flexrt_design minq   <fleet> --period P [--exact-supply]
+//   flexrt_design sweep  <fleet> [--p-min P] [--p-max P] [--step dP]
+//   flexrt_design verify <fleet> --period P --quanta Q_FT,Q_FS,Q_NF
+//                        [--overhead O_FT,O_FS,O_NF] [--exact-supply]
+//   flexrt_design study  [--trials N] [--seed S] [--shard k/N] [--goal g]
+//                        [--overhead a,b,c]
+//   flexrt_design fault-sweep <fleet> [--rates R1,R2,...] [--min-sep S]
+//                        [--no-baselines] [--exact-supply] [--goal g]
+//                        [--overhead a,b,c]
+//   flexrt_design merge  <report.jsonl>... [--output FILE]
 //   flexrt_design remote <addr> <subcommand> [args...]
 //   flexrt_design help | --help
 //
-// Every analysis subcommand also takes --deadline MS: a per-entry wall-time
-// budget; an adaptive ladder that runs out of time degrades gracefully to
-// the last completed rung's conservative answer (provenance degraded=true,
-// gap=null) instead of erroring or running on. --no-wall drops the
-// nondeterministic wall_ms provenance field from JSONL rows, making reports
-// byte-reproducible (and byte-comparable to `remote` output, which is
-// always wall-free).
+// <fleet> is one or more task files, or a generated study: --trials N
+// [--seed S] [--shard k/N] (study's fleet is always generated, 100 trials
+// by default). Every analysis subcommand also takes --alg edf|rm, the
+// accuracy knobs --adaptive TOL, --budget N, --budget-cap N and --deadline
+// MS (a per-entry wall-time budget; an adaptive ladder that runs out of
+// time degrades gracefully to the last completed rung's conservative
+// answer), and the output flags --jsonl, --csv, --stream and --no-wall
+// (drop the nondeterministic wall_ms from JSONL rows, making reports
+// byte-reproducible and byte-comparable to `remote` output, which is
+// always wall-free). solve's report flags print into the human report and
+// are rejected with --jsonl. A malformed or misplaced flag prints
+// "error: <message naming the flag>" and exits 2.
 //
 // remote: run a subcommand on a flexrtd daemon (tools/flexrtd.cpp) instead
 // of in-process -- task files are uploaded with the wire `add` command,
-// generated studies are decomposed into `gen-fleet` + `solve --study`, and
-// the daemon's JSONL rows stream to stdout byte-identical to the offline
-// subcommand with --jsonl --no-wall (CI diffs them). <addr> is a unix
-// socket path, host:port, or port.
+// generated fleets become `gen-fleet`, and the daemon's JSONL rows stream
+// to stdout byte-identical to the offline subcommand with --jsonl
+// --no-wall (CI diffs them). <addr> is a unix socket path, host:port, or
+// port.
 //
-// --stream (study, sweep, fault-sweep): emit each entry's rows as soon as
-// its analysis finishes, through the service's ordered reassembly buffer --
-// the output is byte-identical to the buffered path while peak memory stays
-// bounded by the reorder window instead of the fleet size.
+// Every run streams its entries through the service's ordered reassembly
+// buffer, so rows leave in entry order while peak memory stays bounded by
+// the reorder window instead of the fleet size; --stream additionally
+// flushes each JSONL row as it is written.
 //
 // --output FILE (study, sweep, fault-sweep; implies --jsonl): crash-safe
 // journaled run through svc::run_journaled. Rows append to FILE.partial
@@ -77,10 +78,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -88,11 +87,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/fs.hpp"
 #include "common/signals.hpp"
 #include "common/table.hpp"
 #include "core/design.hpp"
-#include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
 #include "hier/response_time.hpp"
 #include "io/task_io.hpp"
@@ -104,53 +101,45 @@
 #include "svc/journal.hpp"
 #include "svc/jsonl.hpp"
 #include "svc/memo_cache.hpp"
-#include "svc/rows.hpp"
 #include "svc/study_report.hpp"
 
 using namespace flexrt;
 
 namespace {
 
-// Flag parsing and JSONL row rendering are shared with the wire protocol
-// (net/proto, svc/rows): the offline subcommands, the flexrtd daemon and
-// `remote` cannot drift apart because they run the same code.
-using net::proto::ArgVec;
-using net::proto::CommonOpts;
-using net::proto::parse_common_flag;
-using net::proto::parse_num;
-using net::proto::parse_num_list;
-using net::proto::parse_size;
-using net::proto::parse_triple;
+// The analysis commands are net/proto's command table: the offline
+// subcommands, the flexrtd daemon and `remote` cannot drift apart because
+// they parse and render through the same code.
+namespace proto = net::proto;
+using proto::CommonOpts;
 
 void usage_text(std::ostream& os) {
   os << "usage: flexrt_design <subcommand> ...\n"
-         "  solve  <taskfile>... [--alg edf|rm] [--goal min-overhead|max-slack]\n"
-         "         [--overhead O_FT,O_FS,O_NF] [--adaptive TOL] [--budget N]\n"
-         "         [--budget-cap N] [--jsonl] [--csv] [--sensitivity]\n"
-         "         [--response-times] [--simulate HORIZON] [--fault-rate R]\n"
-         "         [--trace N]\n"
-         "  sweep  <taskfile>... [--alg edf|rm] [--p-min P] [--p-max P]\n"
-         "         [--step dP] [--adaptive TOL] [--budget N] [--jsonl] [--csv]\n"
-         "         [--stream]\n"
-         "  verify <taskfile>... --period P --quanta Q_FT,Q_FS,Q_NF\n"
-         "         [--overhead O_FT,O_FS,O_NF] [--alg edf|rm] [--exact-supply]\n"
-         "         [--adaptive TOL] [--budget N] [--jsonl]\n"
-         "  study  [--trials N] [--seed S] [--shard k/N] [--alg edf|rm]\n"
-         "         [--goal g] [--overhead a,b,c] [--adaptive TOL] [--budget N]\n"
-         "         [--jsonl] [--csv] [--stream]\n"
-         "  fault-sweep <taskfile>... | --trials N [--seed S] [--shard k/N]\n"
-         "         [--rates R1,R2,...] [--min-sep S] [--no-baselines]\n"
-         "         [--exact-supply] [--alg edf|rm] [--goal g]\n"
-         "         [--overhead a,b,c] [--adaptive TOL] [--budget N] [--jsonl]\n"
-         "         [--csv] [--stream]\n"
+         "  solve  <fleet> [--goal min-overhead|max-slack]\n"
+         "         [--overhead O_FT,O_FS,O_NF] [--sensitivity] [--response-times]\n"
+         "         [--simulate HORIZON] [--fault-rate R] [--trace N]\n"
+         "         (the report flags print into the human report: not with\n"
+         "         --jsonl)\n"
+         "  minq   <fleet> --period P [--exact-supply]\n"
+         "  sweep  <fleet> [--p-min P] [--p-max P] [--step dP]\n"
+         "  verify <fleet> --period P --quanta Q_FT,Q_FS,Q_NF\n"
+         "         [--overhead O_FT,O_FS,O_NF] [--exact-supply]\n"
+         "  study  [--trials N] [--seed S] [--shard k/N] [--goal g]\n"
+         "         [--overhead a,b,c]\n"
+         "  fault-sweep <fleet> [--rates R1,R2,...] [--min-sep S]\n"
+         "         [--no-baselines] [--exact-supply] [--goal g]\n"
+         "         [--overhead a,b,c]\n"
          "  merge  <report.jsonl>... [--output FILE]\n"
-         "  remote <addr> solve|sweep|verify|minq|fault-sweep|study|status\n"
+         "  remote <addr> solve|minq|sweep|verify|fault-sweep|study|status\n"
          "         [args...]   run on a flexrtd daemon (addr = socket path,\n"
          "         host:port, or port); rows stream back byte-identical to\n"
          "         the offline subcommand with --jsonl --no-wall\n"
          "  help | --help      print this text to stdout and exit 0\n"
-         "common: --deadline MS  per-entry wall budget (adaptive ladders\n"
+         "fleet: <taskfile>... or --trials N [--seed S] [--shard k/N]\n"
+         "common: --alg edf|rm   --adaptive TOL   --budget N   --budget-cap N\n"
+         "        --deadline MS  per-entry wall budget (adaptive ladders\n"
          "        degrade to the last finished rung when it expires)\n"
+         "        --jsonl  --csv  --stream (flush each JSONL row)\n"
          "        --no-wall      omit wall_ms from JSONL rows (deterministic,\n"
          "        byte-comparable reports)\n"
          "        --no-memo      disable the process-wide answer memo (every\n"
@@ -170,7 +159,9 @@ void usage_text(std::ostream& os) {
          "        --fsync        fsync the journal after every entry\n"
          "SIGINT/SIGTERM during a journaled run: the in-flight entry\n"
          "finishes and is journaled, the .partial is fsynced, exit 4;\n"
-         "finish later with --resume\n";
+         "finish later with --resume\n"
+         "a malformed or misplaced flag prints \"error: <message naming the\n"
+         "flag>\" and exits 2\n";
 }
 
 int usage() {
@@ -181,66 +172,6 @@ int usage() {
 int cmd_help() {
   usage_text(std::cout);
   return 0;
-}
-
-/// Exit code contributed by one journal row (rendered or replayed): 3 for
-/// a quarantined entry, 1 for an error row, else 0 -- max-combined across
-/// the run so quarantine outranks plain errors. Study rows are exempt from
-/// the error bump: an unpackable trial is study data (exit 0, matching the
-/// buffered study path), not a failure.
-int journal_row_rc(std::string_view row, bool errors_are_failures) {
-  if (svc::json_bool_field(row, "quarantined").value_or(false)) return 3;
-  if (!errors_are_failures) return 0;
-  if (svc::json_string_field(row, "error")) return 1;
-  if (!svc::json_bool_field(row, "feasible").value_or(true)) return 1;
-  return 0;
-}
-
-/// One journaled run's closing status line -- stderr, so the report file
-/// owns stdout-equivalent bytes and scripts can still parse the journal.
-void journal_note(const svc::JournalStats& stats, const std::string& path) {
-  std::cerr << "journal: " << path << ": " << stats.entries << " entries ("
-            << stats.replayed << " replayed, " << stats.executed
-            << " executed, " << stats.retried << " retried, "
-            << stats.quarantined << " quarantined)"
-            << (stats.already_complete ? " -- already complete" : "") << "\n";
-}
-
-/// Journal knobs plus the cooperative stop flag: every journaled run is
-/// signal-aware -- SIGINT/SIGTERM finishes the in-flight entry, fsyncs the
-/// .partial journal, and exits 4 (see finish_journaled).
-svc::JournalOptions signal_aware_journal_options(const CommonOpts& common) {
-  sys::install_stop_signals();
-  svc::JournalOptions jopts = common.journal_options();
-  jopts.stop = &sys::stop_requested();
-  return jopts;
-}
-
-/// Closing note + exit code of a journaled run: the run's own rc, or the
-/// documented interrupt code 4 when a stop signal cut it short (completed
-/// entries are durable; --resume finishes the run byte-identically).
-int finish_journaled(const svc::JournalStats& stats, const std::string& path,
-                     int rc) {
-  journal_note(stats, path);
-  if (!stats.interrupted) return rc;
-  const int sig = sys::stop_signal();
-  std::cerr << "journal: interrupted by "
-            << (sig == SIGTERM  ? "SIGTERM"
-                : sig == SIGINT ? "SIGINT"
-                                : "stop request")
-            << " -- completed entries are durable in " << path
-            << ".partial; finish with --resume\n";
-  return 4;
-}
-
-/// Loads every file as one fleet entry (parse + channel packing).
-void load_fleet(svc::AnalysisService& service,
-                const std::vector<std::string>& files) {
-  for (const std::string& file : files) {
-    std::ifstream in(file);
-    if (!in) throw ModelError("cannot open " + file);
-    service.add_system(io::parse_mode_task_system(in).system, file);
-  }
 }
 
 std::string provenance_note(const svc::Provenance& p) {
@@ -258,503 +189,72 @@ std::string provenance_note(const svc::Provenance& p) {
   return os.str();
 }
 
-// Study row rendering and aggregation live in svc/study_report.hpp so the
-// streaming byte-identity tests drive the exact code the tool runs.
+// --- the human/CSV report ---------------------------------------------------
 
-// --- solve ----------------------------------------------------------------
+/// The offline human/CSV report, one printer per command. Rows and exit
+/// codes come from the command table (proto::Rows); the report adds only
+/// solve's simulated deadline misses (rc() 1).
+class HumanReport {
+ public:
+  HumanReport(const proto::Invocation& inv, const svc::AnalysisService& service)
+      : inv_(inv), common_(inv.common), service_(service) {}
 
-struct SolveOpts {
-  CommonOpts common;
-  double simulate_horizon = 0.0;
-  double fault_rate = 0.0;
-  std::size_t trace = 0;
-  bool sensitivity = false;
-  bool response_times = false;
-};
-
-int print_solve_human(const svc::AnalysisService& service, std::size_t i,
-                      const svc::SolveResult& r, const SolveOpts& args) {
-  const core::ModeTaskSystem& sys = service.system(i);
-  std::cout << r.name << ": " << sys.num_tasks() << " tasks (FT "
-            << sys.mode_tasks(rt::Mode::FT).size() << ", FS "
-            << sys.mode_tasks(rt::Mode::FS).size() << ", NF "
-            << sys.mode_tasks(rt::Mode::NF).size() << ")\n";
-  if (!r.feasible) {
-    std::cout << "infeasible: " << r.infeasible << "\n";
-    return 1;
-  }
-  const core::Design& d = r.design;
-  std::cout << "design (" << to_string(args.common.alg) << ", "
-            << to_string(args.common.goal) << "): " << d.schedule << "\n"
-            << "accuracy: " << provenance_note(r.prov) << "\n";
-
-  Table t({"mode", "quantum", "overhead", "alloc_bw", "required_bw"});
-  for (const rt::Mode mode : core::kAllModes) {
-    t.row()
-        .cell(rt::to_string(mode))
-        .cell(d.schedule.slot(mode).usable, 4)
-        .cell(d.schedule.slot(mode).overhead, 4)
-        .cell(d.schedule.allocated_bandwidth(mode), 4)
-        .cell(sys.required_bandwidth(mode), 4);
-  }
-  args.common.csv ? t.print_csv(std::cout) : t.print(std::cout);
-
-  if (args.sensitivity) {
-    std::cout << "\nsensitivity (max WCET scale keeping the design "
-                 "feasible, cap 16x):\n";
-    svc::SensitivityRequest req;
-    req.alg = args.common.alg;
-    req.schedule = d.schedule;
-    req.accuracy = args.common.accuracy();
-    const svc::SensitivityResult s = service.sensitivity_one(i, req);
-    Table st({"task", "mode", "wcet", "scale_margin"});
-    for (const core::TaskMargin& m : s.margins) {
-      st.row()
-          .cell(m.name)
-          .cell(rt::to_string(m.mode))
-          .cell(m.wcet, 3)
-          .cell(m.scale_margin, 3);
-    }
-    args.common.csv ? st.print_csv(std::cout) : st.print(std::cout);
-    std::cout << "global simultaneous scale margin: "
-              << format_fixed(s.global_margin, 3) << "\n";
+  void print(const svc::SolveResult& r) {
+    if (inv_.command->id == proto::CommandId::Study) return;  // finish()
+    if (r.system) std::cout << "\n";
+    print_solve(r);
   }
 
-  if (args.response_times) {
-    if (args.common.alg != hier::Scheduler::FP) {
-      std::cout << "\n(response-time bounds are available for FP only; "
-                   "rerun with --alg rm)\n";
-    } else {
-      std::cout << "\nworst-case response-time bounds (exact slot supply):\n";
-      Table rtb({"task", "mode", "deadline", "response_bound"});
-      for (const rt::Mode mode : core::kAllModes) {
-        for (const rt::TaskSet& raw : sys.partitions(mode)) {
-          if (raw.empty()) continue;
-          const rt::TaskSet ordered = rt::sort_deadline_monotonic(raw);
-          const auto bounds =
-              hier::fp_response_times(ordered, d.schedule.exact_supply(mode));
-          for (std::size_t k = 0; k < ordered.size(); ++k) {
-            rtb.row()
-                .cell(ordered[k].name)
-                .cell(rt::to_string(mode))
-                .cell(ordered[k].deadline, 3);
-            if (bounds[k]) {
-              rtb.cell(*bounds[k], 3);
-            } else {
-              rtb.cell("miss");
-            }
-          }
-        }
-      }
-      args.common.csv ? rtb.print_csv(std::cout) : rtb.print(std::cout);
-    }
+  void print(const svc::MinQuantumResult& r) {
+    std::cout << r.name << ": P = "
+              << std::get<svc::MinQuantumRequest>(inv_.request).period
+              << ": minQ FT " << format_fixed(r.mode_quantum[0], 4) << ", FS "
+              << format_fixed(r.mode_quantum[1], 4) << ", NF "
+              << format_fixed(r.mode_quantum[2], 4) << ", margin "
+              << format_fixed(r.margin, 4) << " (" << provenance_note(r.prov)
+              << ")\n";
   }
 
-  if (args.simulate_horizon > 0.0) {
-    sim::SimOptions opt;
-    opt.horizon = args.simulate_horizon;
-    opt.scheduler = args.common.alg;
-    opt.faults = {args.fault_rate, 2.0};
-    opt.trace_capacity = args.trace;
-    sim::Simulator simulator(sys, d.schedule, opt);
-    const sim::SimResult res = simulator.run();
-    std::cout << "\nsimulated " << args.simulate_horizon << " units: "
-              << res.total_misses() << " misses, " << res.faults.injected
-              << " faults (" << res.faults.masked << " masked, "
-              << res.faults.silenced << " silenced, " << res.faults.corrupting
-              << " corrupting)\n";
-    if (args.trace > 0) {
-      std::cout << "--- trace ---\n";
-      simulator.trace().print(std::cout);
-    }
-    if (res.total_misses() > 0) return 1;
-  }
-  return 0;
-}
-
-int cmd_solve(const std::vector<std::string>& argv_rest) {
-  SolveOpts args;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int common = parse_common_flag(args.common, argc, raw, i);
-    if (common == 0) continue;
-    if (common == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--simulate") {
-      const char* v = next();
-      if (!v) return usage();
-      args.simulate_horizon = parse_num("--simulate", v);
-    } else if (a == "--fault-rate") {
-      const char* v = next();
-      if (!v) return usage();
-      args.fault_rate = parse_num("--fault-rate", v);
-    } else if (a == "--trace") {
-      const char* v = next();
-      if (!v) return usage();
-      args.trace = parse_size("--trace", v);
-    } else if (a == "--sensitivity") {
-      args.sensitivity = true;
-    } else if (a == "--response-times") {
-      args.response_times = true;
-    } else if (!a.empty() && a[0] != '-') {
-      args.common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (args.common.files.empty()) return usage();
-  // solve has no journal path: one-shot fleets report to stdout.
-  if (args.common.journaled() || !args.common.finish_journal_flags()) {
-    return usage();
-  }
-
-  svc::AnalysisService service;
-  load_fleet(service, args.common.files);
-  svc::SolveRequest req{args.common.alg, args.common.overheads,
-                        args.common.goal, {}, args.common.accuracy()};
-  const std::vector<svc::SolveResult> results = service.solve(req);
-
-  int rc = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const svc::SolveResult& r = results[i];
-    if (!r.ok()) throw ModelError(r.error);
-    if (args.common.jsonl) {
-      std::cout << svc::solve_row(r, args.common.alg, args.common.goal,
-                                  /*with_wall=*/!args.common.no_wall)
-                       .str()
-                << "\n";
-      if (!r.feasible) rc = std::max(rc, 1);
-    } else {
-      if (i) std::cout << "\n";
-      rc = std::max(rc, print_solve_human(service, i, r, args));
-    }
-  }
-  return rc;
-}
-
-// --- sweep ----------------------------------------------------------------
-
-/// One entry's complete journal block: sample rows (ok entries only) then
-/// the terminal sweep row, wall-free (resume byte-identity needs
-/// deterministic rows). Error/quarantined entries journal as a lone
-/// terminal error row -- the fleet carries on.
-std::string sweep_block(const svc::RegionSweepResult& r, hier::Scheduler alg) {
-  std::string out;
-  if (r.ok()) {
-    for (const core::RegionSample& s : r.samples) {
-      out += svc::sweep_sample_row(r, alg, s).str();
-      out += '\n';
-    }
-  }
-  out += svc::sweep_summary_row(r, alg, /*with_wall=*/false).str();
-  out += '\n';
-  return out;
-}
-
-int cmd_sweep(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  core::SearchOptions search;
-  search.p_min = 0.05;
-  search.p_max = 3.5;
-  search.grid_step = 0.05;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--p-min") {
-      const char* v = next();
-      if (!v) return usage();
-      search.p_min = parse_num("--p-min", v);
-    } else if (a == "--p-max") {
-      const char* v = next();
-      if (!v) return usage();
-      search.p_max = parse_num("--p-max", v);
-    } else if (a == "--step") {
-      const char* v = next();
-      if (!v) return usage();
-      search.grid_step = parse_num("--step", v);
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() || !common.finish_journal_flags()) return usage();
-
-  svc::AnalysisService service;
-  load_fleet(service, common.files);
-  const svc::RegionSweepRequest req{common.alg, search, common.accuracy()};
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "sweep";
-    };
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/true));
-        },
-        [&](std::size_t i) { return service.region_sweep_one(i, req); },
-        [&](const svc::RegionSweepResult& r) {
-          if (r.prov.quarantined) {
-            rc = std::max(rc, 3);
-          } else if (!r.ok()) {
-            rc = std::max(rc, 1);
-          }
-          return sweep_block(r, common.alg);
-        });
-    return finish_journaled(stats, common.output, rc);
-  }
-
-  // Streamed runs flush whole rows so a killed sweep leaves at most one
-  // partial final line; buffered runs keep normal ostream buffering.
-  svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-  const auto print_result = [&](const svc::RegionSweepResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    if (common.jsonl) {
-      for (const core::RegionSample& s : r.samples) {
-        out.write(svc::sweep_sample_row(r, common.alg, s));
-      }
-      out.write(svc::sweep_summary_row(r, common.alg,
-                                       /*with_wall=*/!common.no_wall));
-    } else {
-      std::cout << r.name << ": lhs(P) over [" << search.p_min << ", "
-                << search.p_max << "], " << to_string(common.alg) << " ("
-                << provenance_note(r.prov) << ")\n";
-      Table t({"P", "margin"});
-      for (const core::RegionSample& s : r.samples) {
-        t.row().cell(s.period, 3).cell(s.margin, 4);
-      }
-      common.csv ? t.print_csv(std::cout) : t.print(std::cout);
-    }
-  };
-
-  if (common.stream) {
-    // Each entry's rows go out as its sweep finishes; the reassembly
-    // buffer keeps the file order identical to the buffered path.
-    service.region_sweep(req, print_result);
-    return 0;
-  }
-  for (const svc::RegionSweepResult& r : service.region_sweep(req)) {
-    print_result(r);
-  }
-  return 0;
-}
-
-// --- verify ---------------------------------------------------------------
-
-int cmd_verify(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  double period = 0.0;
-  std::array<double, 3> quanta{};
-  bool have_quanta = false;
-  bool exact_supply = false;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--period") {
-      const char* v = next();
-      if (!v) return usage();
-      period = parse_num("--period", v);
-    } else if (a == "--quanta") {
-      const char* v = next();
-      if (!v) return usage();
-      quanta = parse_triple("--quanta", v);
-      have_quanta = true;
-    } else if (a == "--exact-supply") {
-      exact_supply = true;
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() || period <= 0.0 || !have_quanta) return usage();
-  if (common.journaled() || !common.finish_journal_flags()) return usage();
-
-  core::ModeSchedule schedule;
-  schedule.period = period;
-  schedule.ft = {quanta[0], common.overheads.ft};
-  schedule.fs = {quanta[1], common.overheads.fs};
-  schedule.nf = {quanta[2], common.overheads.nf};
-
-  svc::AnalysisService service;
-  load_fleet(service, common.files);
-  const std::vector<svc::VerifyResult> results =
-      service.verify({common.alg, schedule, exact_supply, common.accuracy()});
-
-  int rc = 0;
-  for (const svc::VerifyResult& r : results) {
-    if (!r.ok()) throw ModelError(r.error);
-    if (common.jsonl) {
-      std::cout << svc::verify_row(r, common.alg, period,
-                                   /*with_wall=*/!common.no_wall)
-                       .str()
-                << "\n";
-    } else {
-      std::cout << r.name << ": "
-                << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
-                << provenance_note(r.prov) << ")\n";
-    }
-    if (!r.schedulable) rc = 1;
-  }
-  return rc;
-}
-
-// --- fault-sweep ----------------------------------------------------------
-
-std::string fault_sweep_block(const svc::FaultSweepResult& r,
-                              hier::Scheduler alg, bool with_baselines) {
-  std::string out;
-  if (r.ok()) {
-    for (const svc::FaultRatePoint& p : r.points) {
-      out += svc::fault_point_row(r, p, alg, with_baselines).str();
-      out += '\n';
-    }
-  }
-  out += svc::fault_sweep_summary_row(r, alg).str();
-  out += '\n';
-  return out;
-}
-
-int cmd_fault_sweep(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  common.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
-  core::StudyOptions study;
-  study.trials = 0;  // 0 = no generated fleet (task files expected)
-  svc::FaultSweepRequest req;
-  req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    if (core::parse_study_flag(study, argc, raw, i)) continue;
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--rates") {
-      const char* v = next();
-      if (!v) return usage();
-      req.rates = parse_num_list("--rates", v);
-    } else if (a == "--min-sep") {
-      const char* v = next();
-      if (!v) return usage();
-      req.min_separation = parse_num("--min-sep", v);
-    } else if (a == "--no-baselines") {
-      req.with_baselines = false;
-    } else if (a == "--exact-supply") {
-      req.use_exact_supply = true;
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() == (study.trials == 0)) {
-    return usage();  // exactly one fleet source: task files xor --trials
-  }
-  if (!common.finish_journal_flags()) return usage();
-
-  svc::AnalysisService service;
-  if (study.trials > 0) {
-    service.add_fleet(study, [](std::size_t, Rng& rng) {
-      return gen::study_system(rng);
-    });
-    req.search.grid_step = 5e-3;  // cmd_study's generated-fleet search grid
-    req.search.p_max = 10.0;
-  } else {
-    load_fleet(service, common.files);
-  }
-  req.alg = common.alg;
-  req.overheads = common.overheads;
-  req.goal = common.goal;
-  req.accuracy = common.accuracy();
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "fault_sweep";
-    };
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/true));
-        },
-        [&](std::size_t i) { return service.fault_sweep_one(i, req); },
-        [&](const svc::FaultSweepResult& r) {
-          if (r.prov.quarantined) {
-            rc = std::max(rc, 3);
-          } else if (!r.ok() || !r.feasible) {
-            rc = std::max(rc, 1);
-          }
-          return fault_sweep_block(r, common.alg, req.with_baselines);
-        });
-    return finish_journaled(stats, common.output, rc);
-  }
-
-  svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-  int rc = 0;
-  const auto print_result = [&](const svc::FaultSweepResult& r) {
-    if (common.jsonl) {
-      if (!r.ok()) {
-        // Error entries emit their one summary row only: a partially
-        // computed points vector must not masquerade as sweep output.
-        out.write(svc::fault_sweep_summary_row(r, common.alg));
-        rc = std::max(rc, 1);
-        return;
-      }
-      for (const svc::FaultRatePoint& p : r.points) {
-        out.write(svc::fault_point_row(r, p, common.alg, req.with_baselines));
-      }
-      if (!r.feasible) rc = std::max(rc, 1);
-      out.write(svc::fault_sweep_summary_row(r, common.alg));
-      return;
-    }
+  void print(const svc::RegionSweepResult& r) {
     if (!r.ok()) {
       std::cout << r.name << ": error: " << r.error << "\n";
-      rc = std::max(rc, 1);
+      return;
+    }
+    const core::SearchOptions& search =
+        std::get<svc::RegionSweepRequest>(inv_.request).search;
+    std::cout << r.name << ": lhs(P) over [" << search.p_min << ", "
+              << search.p_max << "], " << to_string(common_.alg) << " ("
+              << provenance_note(r.prov) << ")\n";
+    Table t({"P", "margin"});
+    for (const core::RegionSample& s : r.samples) {
+      t.row().cell(s.period, 3).cell(s.margin, 4);
+    }
+    table(t);
+  }
+
+  void print(const svc::VerifyResult& r) {
+    std::cout << r.name << ": "
+              << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
+              << provenance_note(r.prov) << ")\n";
+  }
+
+  void print(const svc::FaultSweepResult& r) {
+    if (!r.ok()) {
+      std::cout << r.name << ": error: " << r.error << "\n";
       return;
     }
     if (!r.feasible) {
       std::cout << r.name << ": infeasible: " << r.infeasible << "\n";
-      rc = std::max(rc, 1);
       return;
     }
+    const bool baselines =
+        std::get<svc::FaultSweepRequest>(inv_.request).with_baselines;
     std::cout << r.name << ": nominal design P = " << r.schedule.period
-              << " (" << to_string(common.alg) << ", "
+              << " (" << to_string(common_.alg) << ", "
               << provenance_note(r.prov) << ")\n";
     std::vector<std::string> head = {"rate", "recovery_gap", "ft_ok",
                                      "fs_ok", "nf_ok", "nf_exposure"};
-    if (req.with_baselines) {
+    if (baselines) {
       head.insert(head.end(),
                   {"pb_ok", "static_ft_ok", "static_fs_ok", "static_nf_ok"});
     }
@@ -771,151 +271,249 @@ int cmd_fault_sweep(const std::vector<std::string>& argv_rest) {
           .cell(mark(p.fs_ok))
           .cell(mark(p.nf_ok))
           .cell(p.nf_exposure, 6);
-      if (req.with_baselines) {
+      if (baselines) {
         t.cell(mark(p.pb_ok))
             .cell(mark(p.static_ft_ok))
             .cell(mark(p.static_fs_ok))
             .cell(mark(p.static_nf_ok));
       }
     }
-    common.csv ? t.print_csv(std::cout) : t.print(std::cout);
-  };
-
-  if (common.stream) {
-    service.fault_sweep(req, print_result);
-    return rc;
+    table(t);
   }
-  for (const svc::FaultSweepResult& r : service.fault_sweep(req)) {
-    print_result(r);
+
+  int rc() const noexcept { return misses_ ? 1 : 0; }
+
+  /// The study's aggregate table, after the last entry.
+  void finish(const svc::StudyAggregate& agg) const {
+    if (inv_.command->id != proto::CommandId::Study) return;
+    const core::StudyOptions& study = inv_.study;
+    std::cout << "study: " << agg.trials() << " of " << study.trials
+              << " trials (shard " << study.shard.index + 1 << "/"
+              << study.shard.count << ", seed 0x" << std::hex
+              << study.base_seed << std::dec << "), "
+              << to_string(common_.alg) << ", " << to_string(common_.goal)
+              << ", O_tot " << common_.overheads.total() << "\n\n";
+    Table t({"trials", "packed", "feasible", "sum_period", "mean_period",
+             "sum_slack_bw"});
+    t.row()
+        .cell(agg.trials())
+        .cell(agg.packed())
+        .cell(agg.feasible())
+        .cell(agg.sum_period(), 3)
+        .cell(agg.feasible()
+                  ? agg.sum_period() / static_cast<double>(agg.feasible())
+                  : 0.0,
+              3)
+        .cell(agg.sum_slack_bw(), 3);
+    table(t);
   }
-  return rc;
-}
 
-// --- study / merge --------------------------------------------------------
-
-int cmd_study(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  common.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
-  core::StudyOptions study;
-  study.trials = 100;
-  study.base_seed = 0x5EED;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    if (core::parse_study_flag(study, argc, raw, i)) continue;
-    return usage();
+ private:
+  void table(const Table& t) const {
+    common_.csv ? t.print_csv(std::cout) : t.print(std::cout);
   }
-  if (!common.finish_journal_flags()) return usage();
 
-  svc::AnalysisService service;
-  service.add_fleet(study, [](std::size_t, Rng& rng) {
-    return gen::study_system(rng);
-  });
-
-  core::SearchOptions search;
-  search.grid_step = 5e-3;
-  search.p_max = 10.0;
-  const svc::SolveRequest req{common.alg, common.overheads, common.goal,
-                              search, common.accuracy()};
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    svc::StudyAggregate agg;
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "study_trial";
-    };
-    // An unsharded journal carries the summary row as its epilogue --
-    // deliberately non-terminal, so a crash after it but before the rename
-    // truncates it away on resume and the recomputed aggregate re-emits it.
-    std::function<std::string()> epilogue;
-    if (study.shard.count == 1) {
-      epilogue = [&agg] { return agg.summary_row() + "\n"; };
+  void print_solve(const svc::SolveResult& r) {
+    const core::ModeTaskSystem& sys = service_.system(r.system);
+    std::cout << r.name << ": " << sys.num_tasks() << " tasks (FT "
+              << sys.mode_tasks(rt::Mode::FT).size() << ", FS "
+              << sys.mode_tasks(rt::Mode::FS).size() << ", NF "
+              << sys.mode_tasks(rt::Mode::NF).size() << ")\n";
+    if (!r.feasible) {
+      std::cout << "infeasible: " << r.infeasible << "\n";
+      return;
     }
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          if (svc::json_string_field(row, "kind").value_or("") !=
-              "study_trial") {
-            return;  // a committed file's summary row: not a trial
+    const core::Design& d = r.design;
+    std::cout << "design (" << to_string(common_.alg) << ", "
+              << to_string(common_.goal) << "): " << d.schedule << "\n"
+              << "accuracy: " << provenance_note(r.prov) << "\n";
+
+    Table t({"mode", "quantum", "overhead", "alloc_bw", "required_bw"});
+    for (const rt::Mode mode : core::kAllModes) {
+      t.row()
+          .cell(rt::to_string(mode))
+          .cell(d.schedule.slot(mode).usable, 4)
+          .cell(d.schedule.slot(mode).overhead, 4)
+          .cell(d.schedule.allocated_bandwidth(mode), 4)
+          .cell(sys.required_bandwidth(mode), 4);
+    }
+    table(t);
+
+    if (inv_.sensitivity) {
+      std::cout << "\nsensitivity (max WCET scale keeping the design "
+                   "feasible, cap 16x):\n";
+      svc::SensitivityRequest req;
+      req.alg = common_.alg;
+      req.schedule = d.schedule;
+      req.accuracy = common_.accuracy();
+      const svc::SensitivityResult s = service_.sensitivity_one(r.system, req);
+      Table st({"task", "mode", "wcet", "scale_margin"});
+      for (const core::TaskMargin& m : s.margins) {
+        st.row()
+            .cell(m.name)
+            .cell(rt::to_string(m.mode))
+            .cell(m.wcet, 3)
+            .cell(m.scale_margin, 3);
+      }
+      table(st);
+      std::cout << "global simultaneous scale margin: "
+                << format_fixed(s.global_margin, 3) << "\n";
+    }
+
+    if (inv_.response_times) {
+      if (common_.alg != hier::Scheduler::FP) {
+        std::cout << "\n(response-time bounds are available for FP only; "
+                     "rerun with --alg rm)\n";
+      } else {
+        std::cout << "\nworst-case response-time bounds (exact slot supply):\n";
+        Table rtb({"task", "mode", "deadline", "response_bound"});
+        for (const rt::Mode mode : core::kAllModes) {
+          for (const rt::TaskSet& raw : sys.partitions(mode)) {
+            if (raw.empty()) continue;
+            const rt::TaskSet ordered = rt::sort_deadline_monotonic(raw);
+            const auto bounds =
+                hier::fp_response_times(ordered, d.schedule.exact_supply(mode));
+            for (std::size_t k = 0; k < ordered.size(); ++k) {
+              rtb.row()
+                  .cell(ordered[k].name)
+                  .cell(rt::to_string(mode))
+                  .cell(ordered[k].deadline, 3);
+              if (bounds[k]) {
+                rtb.cell(*bounds[k], 3);
+              } else {
+                rtb.cell("miss");
+              }
+            }
           }
-          agg.add(row);
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/false));
-        },
-        [&](std::size_t i) { return service.solve_one(i, req); },
-        [&](const svc::SolveResult& r) {
-          const std::string row =
-              svc::study_trial_row(r, common.alg, common.goal);
-          agg.add(row);
-          if (r.prov.quarantined) rc = std::max(rc, 3);
-          return row + "\n";
-        },
-        epilogue);
-    return finish_journaled(stats, common.output, rc);
-  }
-
-  if (common.jsonl) {
-    // Rows and summary are identical whether buffered or streamed: the
-    // streaming sink renders/aggregates each row in entry order, and the
-    // buffered path funnels through the same sink. Shards emit rows only;
-    // the merged/unsharded report owns the summary. Per-row flushing is
-    // reserved for --stream (kill-safety); buffered runs stay buffered.
-    svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-    svc::StudyAggregate agg;
-    const auto sink = [&](const svc::SolveResult& r) {
-      const std::string row = svc::study_trial_row(r, common.alg, common.goal);
-      out.write(row);
-      agg.add(row);
-    };
-    if (common.stream) {
-      service.solve(req, sink);
-    } else {
-      for (const svc::SolveResult& r : service.solve(req)) sink(r);
+        }
+        table(rtb);
+      }
     }
-    if (study.shard.count == 1) out.write(agg.summary_row());
-    return 0;
-  }
 
-  std::size_t done = 0, packed = 0, feasible = 0;
-  double sum_period = 0.0, sum_slack = 0.0;
-  const auto tally = [&](const svc::SolveResult& r) {
-    ++done;
-    packed += r.ok() ? 1 : 0;
-    if (r.ok() && r.feasible) {
-      ++feasible;
-      sum_period += r.design.schedule.period;
-      sum_slack += r.design.schedule.slack_bandwidth();
+    if (inv_.simulate_horizon > 0.0) {
+      sim::SimOptions opt;
+      opt.horizon = inv_.simulate_horizon;
+      opt.scheduler = common_.alg;
+      opt.faults = {inv_.fault_rate, 2.0};
+      opt.trace_capacity = inv_.trace;
+      sim::Simulator simulator(sys, d.schedule, opt);
+      const sim::SimResult res = simulator.run();
+      std::cout << "\nsimulated " << inv_.simulate_horizon << " units: "
+                << res.total_misses() << " misses, " << res.faults.injected
+                << " faults (" << res.faults.masked << " masked, "
+                << res.faults.silenced << " silenced, "
+                << res.faults.corrupting << " corrupting)\n";
+      if (inv_.trace > 0) {
+        std::cout << "--- trace ---\n";
+        simulator.trace().print(std::cout);
+      }
+      if (res.total_misses() > 0) misses_ = true;
     }
-  };
-  if (common.stream) {
-    service.solve(req, tally);  // aggregates only: bounded memory
-  } else {
-    for (const svc::SolveResult& r : service.solve(req)) tally(r);
   }
 
-  std::cout << "study: " << done << " of " << study.trials
-            << " trials (shard " << study.shard.index + 1 << "/"
-            << study.shard.count << ", seed 0x" << std::hex << study.base_seed
-            << std::dec << "), " << to_string(common.alg) << ", "
-            << to_string(common.goal) << ", O_tot "
-            << common.overheads.total() << "\n\n";
-  Table t({"trials", "packed", "feasible", "sum_period", "mean_period",
-           "sum_slack_bw"});
-  t.row()
-      .cell(done)
-      .cell(packed)
-      .cell(feasible)
-      .cell(sum_period, 3)
-      .cell(feasible ? sum_period / static_cast<double>(feasible) : 0.0, 3)
-      .cell(sum_slack, 3);
-  common.csv ? t.print_csv(std::cout) : t.print(std::cout);
-  return 0;
+  const proto::Invocation& inv_;
+  const CommonOpts& common_;
+  const svc::AnalysisService& service_;
+  bool misses_ = false;  ///< a --simulate run missed deadlines
+};
+
+// --- the analysis driver ------------------------------------------------------
+
+/// A journaled run: each entry's wall-free rows append to the journal as one
+/// block (its terminal row last), a resume replays the completed prefix into
+/// the exit code and study aggregate, and an unsharded study's summary is
+/// the epilogue -- deliberately non-terminal, so a crash after it but
+/// before the rename truncates it away on resume and the recomputed
+/// aggregate re-emits it. Every journaled run is signal-aware: SIGINT or
+/// SIGTERM finishes the in-flight entry, fsyncs the .partial journal and
+/// exits 4 (completed entries are durable; --resume finishes the run
+/// byte-identically). The closing note goes to stderr, so the report file
+/// owns stdout-equivalent bytes.
+int run_journal(const proto::Invocation& inv,
+                const svc::AnalysisService& service) {
+  const CommonOpts& o = inv.common;
+  sys::install_stop_signals();
+  svc::JournalOptions jopts;
+  jopts.resume = o.resume;
+  jopts.fsync_per_entry = o.fsync;
+  jopts.retry.max_attempts = o.retries + 1;
+  jopts.stop = &sys::stop_requested();
+  svc::Journal journal(o.output);
+  proto::Rows rows(inv, /*with_wall=*/false);
+  const svc::JournalStats stats = std::visit(
+      [&](const auto& req) {
+        return svc::run_journaled(
+            journal, service.size(), jopts,
+            [&](std::string_view row) { return rows.terminal(row); },
+            [&](std::string_view row) {
+              if (rows.terminal(row)) rows.fold(row);
+            },
+            [&](std::size_t i) { return service.run_one(i, req); },
+            [&](const auto& r) {
+              std::string block;
+              for (const std::string& row : rows.entry(r)) {
+                block += row;
+                block += '\n';
+              }
+              return block;
+            },
+            [&] {
+              const std::optional<std::string> s = rows.summary();
+              return s ? *s + "\n" : std::string();
+            });
+      },
+      inv.request);
+  std::cerr << "journal: " << o.output << ": " << stats.entries
+            << " entries (" << stats.replayed << " replayed, "
+            << stats.executed << " executed, " << stats.retried
+            << " retried, " << stats.quarantined << " quarantined)"
+            << (stats.already_complete ? " -- already complete" : "") << "\n";
+  if (!stats.interrupted) return rows.rc();
+  const int sig = sys::stop_signal();
+  std::cerr << "journal: interrupted by "
+            << (sig == SIGTERM  ? "SIGTERM"
+                : sig == SIGINT ? "SIGINT"
+                                : "stop request")
+            << " -- completed entries are durable in " << o.output
+            << ".partial; finish with --resume\n";
+  return 4;
 }
+
+/// One analysis subcommand: parse it through the command table, build the
+/// fleet from task files or --trials, and hand each entry to one of three
+/// outputs -- the journal, JSONL on stdout, or the human/CSV report.
+int cmd_analysis(const std::string& name,
+                 const std::vector<std::string>& args) {
+  const proto::Invocation inv =
+      proto::parse_command(name, args, proto::Front::Offline);
+  svc::AnalysisService service;
+  if (inv.generated) {
+    service.add_fleet(inv.study, [](std::size_t, Rng& rng) {
+      return gen::study_system(rng);
+    });
+  } else {
+    for (const std::string& file : inv.common.files) {
+      std::ifstream in(file);
+      if (!in) throw ModelError("cannot open " + file);
+      service.add_system(io::parse_mode_task_system(in).system, file);
+    }
+  }
+  if (inv.common.journaled()) return run_journal(inv, service);
+  if (inv.common.jsonl) {
+    return proto::write_rows(inv, service, std::cout, !inv.common.no_wall,
+                             inv.common.stream);
+  }
+  proto::Rows rows(inv, /*with_wall=*/false);
+  HumanReport human(inv, service);
+  proto::for_each_entry(inv, service, [&](const auto& r) {
+    rows.entry(r);  // the command's failure and exit-code rule
+    human.print(r);
+  });
+  human.finish(rows.aggregate());
+  return std::max(human.rc(), rows.rc());
+}
+
+// --- merge ----------------------------------------------------------------
 
 int cmd_merge(const std::vector<std::string>& argv_rest) {
   std::vector<std::string> files;
@@ -1014,64 +612,36 @@ int cmd_remote(const std::vector<std::string>& rest) {
   if (rest.size() < 2) return usage();
   const std::string& addr = rest[0];
   const std::string& sub = rest[1];
-  static const char* kSubs[] = {"solve", "sweep",       "verify", "minq",
-                                "study", "fault-sweep", "status"};
-  if (std::find_if(std::begin(kSubs), std::end(kSubs), [&](const char* s) {
-        return sub == s;
-      }) == std::end(kSubs)) {
-    return usage();
-  }
   const std::vector<std::string> args(rest.begin() + 2, rest.end());
-  for (const std::string& a : args) {
-    for (const char* f :
-         {"--csv", "--output", "--resume", "--retries", "--fsync"}) {
-      if (a == f) {
-        throw ModelError("remote: " + a +
-                         " is offline-only (wire reports are plain JSONL)");
-      }
-    }
-  }
 
-  // Split the arguments three ways: study flags (become the wire gen-fleet
-  // command), bare tokens (task files, uploaded via `add`), and everything
-  // else (forwarded verbatim to the wire request).
-  core::StudyOptions study;
-  study.trials = 0;  // 0 = no generated fleet requested
-  std::vector<std::string> files, fwd;
-  {
-    ArgVec av(args);
-    const int argc = av.argc();
-    char** raw = av.argv();
-    for (int i = 0; i < argc; ++i) {
-      if (core::parse_study_flag(study, argc, raw, i)) continue;
-      const std::string a = raw[i];
-      if (!a.empty() && a[0] != '-') {
-        files.push_back(a);
-        continue;
+  // The wire lines to send: the fleet (task files as `add` blocks, a
+  // generated fleet as `gen-fleet`), then the command with its forwarded
+  // request flags. `status` reports on the fresh session as given.
+  std::vector<std::string> lines;
+  std::string cmd = sub;
+  if (sub == "status") {
+    for (const std::string& a : args) cmd += ' ' + a;
+  } else {
+    const proto::Invocation inv =
+        proto::parse_command(sub, args, proto::Front::Remote);
+    if (inv.generated) {
+      std::ostringstream gen;
+      gen << "gen-fleet --trials " << inv.study.trials << " --seed "
+          << inv.study.base_seed;
+      if (inv.study.shard.count > 1) {
+        gen << " --shard " << inv.study.shard.index + 1 << "/"
+            << inv.study.shard.count;
       }
-      fwd.push_back(a);
-      static const char* kValued[] = {
-          "--alg",    "--goal",  "--overhead", "--adaptive", "--budget",
-          "--budget-cap", "--deadline", "--period", "--quanta", "--p-min",
-          "--p-max",  "--step",  "--rates",    "--min-sep"};
-      for (const char* f : kValued) {
-        if (a == f && i + 1 < argc) {
-          fwd.push_back(raw[++i]);
-          break;
-        }
+      lines.push_back(gen.str() + "\n");
+    } else {
+      for (const std::string& f : inv.common.files) {
+        lines.push_back(add_payload(f));
       }
     }
+    cmd = inv.command->wire;
+    for (const std::string& a : inv.wire_args) cmd += ' ' + a;
   }
-  const bool study_cmd = (sub == "study");
-  const bool gen_mode = study_cmd || study.trials > 0;
-  if (study_cmd && study.trials == 0) study.trials = 100;  // study default
-  if (gen_mode && !files.empty()) {
-    throw ModelError("remote " + sub +
-                     ": task files and --trials are mutually exclusive");
-  }
-  if (!gen_mode && files.empty() && sub != "status") {
-    throw ModelError("remote " + sub + ": no task files given");
-  }
+  lines.push_back(cmd + "\n");
 
   const int fd = net::dial(addr);
   struct FdCloser {
@@ -1079,25 +649,8 @@ int cmd_remote(const std::vector<std::string>& rest) {
     ~FdCloser() { ::close(fd); }
   } closer{fd};
   net::FdStream io(fd);
-
-  if (gen_mode) {
-    std::ostringstream gen;
-    gen << "gen-fleet --trials " << study.trials << " --seed "
-        << study.base_seed;
-    if (study.shard.count > 1) {
-      gen << " --shard " << study.shard.index + 1 << "/" << study.shard.count;
-    }
-    wire_exchange(io, gen.str() + "\n");
-  } else {
-    for (const std::string& f : files) wire_exchange(io, add_payload(f));
-  }
-
-  std::string cmd = study_cmd ? "solve --study" : sub;
-  for (const std::string& a : fwd) {
-    cmd += ' ';
-    cmd += a;
-  }
-  const int rc = wire_exchange(io, cmd + "\n");
+  int rc = 0;
+  for (const std::string& line : lines) rc = wire_exchange(io, line);
   wire_exchange(io, "quit\n");
   return rc;
 }
@@ -1121,7 +674,7 @@ int main(int argc, char** argv) {
       if (a == "--memo-bytes") {
         if (i + 1 >= argc) return usage();
         svc::global_memo().set_capacity_bytes(
-            parse_size("--memo-bytes", argv[++i]));
+            proto::parse_size("--memo-bytes", argv[++i]));
         continue;
       }
       all.push_back(a);
@@ -1129,24 +682,17 @@ int main(int argc, char** argv) {
     if (all.empty()) return usage();
     const std::string cmd = all[0];
     std::vector<std::string> rest(all.begin() + 1, all.end());
-    if (cmd == "solve") return cmd_solve(rest);
-    if (cmd == "sweep") return cmd_sweep(rest);
-    if (cmd == "verify") return cmd_verify(rest);
-    if (cmd == "study") return cmd_study(rest);
-    if (cmd == "fault-sweep") return cmd_fault_sweep(rest);
+    if (proto::find_command(cmd)) return cmd_analysis(cmd, rest);
     if (cmd == "merge") return cmd_merge(rest);
     if (cmd == "remote") return cmd_remote(rest);
     if (cmd == "help" || cmd == "--help" || cmd == "-h") return cmd_help();
     // Legacy form: flexrt_design [flags...] <taskfile> [flags...] == solve
     // (the pre-subcommand CLI accepted the file at any position, so flags
     // before the file must keep working too).
-    return cmd_solve(all);
+    return cmd_analysis("solve", all);
   } catch (const InfeasibleError& e) {
     std::cerr << "infeasible: " << e.what() << "\n";
     return 1;
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
