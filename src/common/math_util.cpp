@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/error.hpp"
+
 namespace flexrt {
 
 std::int64_t lcm_saturating(std::int64_t a, std::int64_t b) noexcept {
@@ -53,6 +55,66 @@ std::int64_t floor_ratio(double x, double y, double tol) noexcept {
     return static_cast<std::int64_t>(nearest);
   }
   return static_cast<std::int64_t>(std::floor(r));
+}
+
+GridCrossing walk_down_grid(double p, double step, double limit) {
+  FLEXRT_REQUIRE(std::isfinite(p) && std::isfinite(step) && step > 0.0 &&
+                     p > limit,
+                 "walk_down_grid needs finite p > limit and a finite step > 0");
+  const auto stalled = [] {
+    throw ModelError(
+        "grid step cannot move a candidate: it is at most half the spacing "
+        "of doubles there");
+  };
+  // Loop invariant: q is a candidate > limit.
+  double q = p;
+  for (;;) {
+    if (q >= std::numeric_limits<double>::min()) {
+      const int e = std::ilogb(q);
+      const double lo = std::ldexp(1.0, e);       // q in [lo, 2 lo)
+      const double u = std::ldexp(1.0, e - 52);   // ulp throughout it
+      // Every quotient below is exact: u is a power of two, q - lo and
+      // limit - lo are differences within one binade, and all of them
+      // are below 2^52 units of u.
+      if (step <= q - lo) {
+        const double s = step / u;
+        const double k = std::floor(s);
+        const auto m = static_cast<std::int64_t>((q - lo) / u);
+        const bool tie = s - k == 0.5;
+        if (!tie || m % 2 == 0) {
+          auto d = static_cast<std::int64_t>(k);
+          if (tie ? d % 2 != 0 : s - k > 0.5) ++d;
+          if (d == 0) stalled();
+          // Steps j = 0, 1, ... stay in the binade while m - j d >= s;
+          // this run ends with m - (n - 1) d >= ceil(s) > m - n d.
+          const std::int64_t n =
+              (m - static_cast<std::int64_t>(std::ceil(s))) / d + 1;
+          std::int64_t taken = n;
+          bool crossed = false;
+          if (limit >= lo) {
+            // The first j with m - j d <= (limit - lo) / u.
+            const auto l = static_cast<std::int64_t>((limit - lo) / u);
+            const std::int64_t first = (m - l + d - 1) / d;
+            if (first <= n) {
+              taken = first;
+              crossed = true;
+            }
+          }
+          const double last =
+              lo + static_cast<double>(m - (taken - 1) * d) * u;
+          q = lo + static_cast<double>(m - taken * d) * u;
+          if (crossed) return {last, q};
+          continue;
+        }
+      }
+    }
+    // One real subtraction: out of the binade, a tie from an odd
+    // significand, or a subnormal or non-positive candidate.
+    const double next = q - step;
+    if (next == q) stalled();
+    if (next <= limit) return {q, next};
+    q = next;
+  }
 }
 
 }  // namespace flexrt

@@ -46,4 +46,35 @@ std::int64_t ceil_ratio(double x, double y, double tol = kRatioSnapTol) noexcept
 /// floor(x/y) with the same integer-snapping robustness as ceil_ratio.
 std::int64_t floor_ratio(double x, double y, double tol = kRatioSnapTol) noexcept;
 
+/// Where an accumulated downward grid crosses a limit: the two consecutive
+/// candidates on either side of it.
+struct GridCrossing {
+  double last_above;         ///< last candidate > limit
+  double first_at_or_below;  ///< the candidate after it, <= limit
+};
+
+/// Walks the accumulated grid p, p - step, (p - step) - step, ... -- each
+/// difference a double subtraction rounded to nearest -- from p > limit
+/// down past `limit`, bit-identical to a `q -= step` loop but without
+/// taking its steps one by one.
+///
+/// Why a run can be jumped: inside one binade [lo, 2 lo) the doubles are
+/// the multiples of u = ulp(lo), so while the exact difference q - step
+/// stays >= lo it rounds to the multiple of u nearest to it and every
+/// step subtracts the same d = u * round(step / u). The exception is a
+/// tie, step / u = k + 1/2 exactly: round-half-even then picks the
+/// candidate whose significand is even, so the amount depends on the last
+/// bit of q. A tie step always lands on an even significand, and from an
+/// even significand every later tie step subtracts the even one of k and
+/// k + 1 -- constant again. Runs are jumped in exact int64 units of u; a
+/// step that leaves the binade, a tie step from an odd significand and
+/// every step from a subnormal or non-positive candidate is one real
+/// subtraction. The work is O(binades crossed) instead of O(candidates).
+///
+/// Throws ModelError when p or step is not finite, step <= 0, p <= limit,
+/// or the step cannot move some candidate above the limit (q - step == q:
+/// step below half the spacing there, or exactly half from an even
+/// significand) -- where the plain loop would never end.
+GridCrossing walk_down_grid(double p, double step, double limit);
+
 }  // namespace flexrt

@@ -1,6 +1,8 @@
 #include "core/analysis_engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -36,6 +38,13 @@ namespace {
 
 bool matches(const rt::Task& t, const std::string& name) {
   return name.empty() || t.name == name;
+}
+
+/// Shortest round-trip rendering, for error messages.
+std::string shortest(double v) {
+  std::array<char, 32> buf{};
+  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  return std::string(buf.data(), res.ptr);
 }
 
 }  // namespace
@@ -83,6 +92,20 @@ core::SearchOptions BatchEngine::resolve(core::SearchOptions opts) const {
   FLEXRT_REQUIRE(opts.p_min > 0.0 && opts.p_min < opts.p_max,
                  "invalid period search range");
   FLEXRT_REQUIRE(opts.grid_step > 0.0, "grid step must be > 0");
+  // The scans accumulate p -= grid_step (and p += grid_step) between p_min
+  // and p_max. A step of at most half the spacing of doubles just below
+  // p_max leaves some candidate where it is -- every one when smaller,
+  // those with an even significand when exactly half -- and the scan would
+  // never end; a larger step moves every smaller candidate, whose spacing
+  // is no wider, and keeps sample_region's count below 2^54.
+  const double spacing = opts.p_max - std::nextafter(opts.p_max, 0.0);
+  if (!(opts.grid_step > 0.5 * spacing)) {
+    throw ModelError("grid step " + shortest(opts.grid_step) +
+                     " cannot move the period at p_max " +
+                     shortest(opts.p_max) +
+                     ": it must exceed half the spacing of doubles there (" +
+                     shortest(spacing) + ")");
+  }
   return opts;
 }
 
@@ -146,14 +169,26 @@ double BatchEngine::max_feasible_period(double o_tot,
   // tolerance-snapped supply evaluation and the rounding of the margin
   // with three orders of magnitude to spare, so the first feasible
   // candidate and its predecessor are exactly those of the full scan.
+  //
+  // A stepped-over run is not walked one subtraction at a time:
+  // walk_down_grid (common/math_util.hpp) finds its last candidate and the
+  // next one in closed form, in time O(binades crossed), with the bits of
+  // the accumulated sequence. A search costs its probes (tens) plus a few
+  // binade crossings, whatever the number of grid candidates.
   const int used_modes = mode_used_[0] + mode_used_[1] + mode_used_[2];
+  // Candidates at or below this one are below p_min.
+  const double below_range = std::nextafter(opts.p_min, 0.0);
   double feasible = -1.0;
   double infeasible_above = opts.p_max;
   // Candidates above next_probe are proven infeasible.
   double next_probe = opts.p_max;
-  for (double p = opts.p_max; p >= opts.p_min; p -= opts.grid_step) {
+  double p = opts.p_max;
+  while (p >= opts.p_min) {
     if (p > next_probe) {
-      infeasible_above = p;
+      const GridCrossing run = walk_down_grid(
+          p, opts.grid_step, std::max(next_probe, below_range));
+      infeasible_above = run.last_above;
+      p = run.first_at_or_below;
       continue;
     }
     const double margin = feasibility_margin(p, opts.use_exact_supply);
@@ -168,6 +203,7 @@ double BatchEngine::max_feasible_period(double o_tot,
       if (used_modes <= 1) break;
       next_probe = p - excess / (used_modes - 1);
     }
+    p -= opts.grid_step;
   }
   if (feasible < 0.0) {
     throw InfeasibleError(

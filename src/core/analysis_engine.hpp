@@ -83,11 +83,15 @@ class BatchEngine {
   std::vector<core::RegionSample> sample_region(
       const core::SearchOptions& opts = {}) const;
 
-  /// sup { P : lhs(P) >= o_tot }: a downward scan of the grid, then a
-  /// bisection between the first feasible candidate and its predecessor.
-  /// Candidates that a supply-dominance bound on minQ proves infeasible
-  /// are stepped over without a probe; the answer is bit-identical to
-  /// probing every candidate (tests/period_search_test.cpp).
+  /// sup { P : lhs(P) >= o_tot }: a downward scan of the accumulated grid
+  /// p_max, p_max - grid_step, ..., then a bisection between the first
+  /// feasible candidate and its predecessor. Runs of candidates that a
+  /// supply-dominance bound on minQ proves infeasible are jumped in closed
+  /// form (flexrt::walk_down_grid) without a probe, so a search costs its
+  /// probes, not the grid's length; the answer is bit-identical to probing
+  /// every candidate (tests/period_search_test.cpp). Throws ModelError on
+  /// a grid whose step cannot move p_max (see resolve) and InfeasibleError
+  /// when no candidate is feasible.
   double max_feasible_period(double o_tot,
                              const core::SearchOptions& opts = {}) const;
 
@@ -134,6 +138,10 @@ class BatchEngine {
   /// Per-partition demand deltas of one scaling probe; see the .cpp.
   struct ScaledProbe;
 
+  /// Fills in the automatic p_max and validates the search: throws
+  /// ModelError on an empty range or a grid step that cannot move p_max
+  /// (at most half the spacing of doubles below it), on which every scan
+  /// would spin forever.
   core::SearchOptions resolve(core::SearchOptions opts) const;
   double margin_impl(const core::ModeSchedule& schedule,
                      const std::string& task_name, double lambda_max,

@@ -483,13 +483,20 @@ TEST(NetProto, HostileCommandsErrorWithoutKillingTheSession) {
   for (const std::string& cmd : bad) script += cmd + "\n";
   script += add_block("sys0");
   for (const std::string& cmd : bad_with_fleet) script += cmd + "\n";
+  // Grid steps that cannot move the period (one ulp of 1e17 is 16, of the
+  // automatic 3e17 64): a sweep is its error row with rc 1, a solve an
+  // error line -- never a hang or a truncated sweep.
+  script += "sweep --p-max 1e17 --step 1e-3\n";
+  script += "drop\nadd far\nt1 1 4 FT 0\nt2 1 4 FS 0\nt3 1 1e17 NF 0\n.\n";
+  script += "solve\ndrop\n" + add_block("sys0");
   script += "solve\nquit\n";
 
   const SessionOutput got = run_script(script);
   EXPECT_EQ(got.rc, 2) << "errors dominate the session rc";
   const std::vector<WireStatus> st = statuses(got.bytes);
-  // errors + add + errors + solve + quit
-  ASSERT_EQ(st.size(), bad.size() + bad_with_fleet.size() + 3);
+  // errors + add + errors + sweep + drop + add + solve + drop + add +
+  // solve + quit
+  ASSERT_EQ(st.size(), bad.size() + bad_with_fleet.size() + 9);
   for (std::size_t i = 0; i < bad.size(); ++i) {
     EXPECT_TRUE(st[i].failed) << "'" << bad[i] << "' must fail";
     EXPECT_FALSE(st[i].message.empty());
@@ -503,12 +510,26 @@ TEST(NetProto, HostileCommandsErrorWithoutKillingTheSession) {
     EXPECT_NE(s.message.find(flag), std::string::npos)
         << s.message << " must name " << flag;
   }
+  const std::size_t grid = bad.size() + 1 + bad_with_fleet.size();
+  EXPECT_FALSE(st[grid].failed) << "sweep reports through its error row";
+  EXPECT_EQ(st[grid].rc, 1);
+  const WireStatus& far_solve = st[grid + 3];
+  EXPECT_TRUE(far_solve.failed) << "solve on an unresolvable grid";
+  EXPECT_NE(far_solve.message.find("grid step 0.001"), std::string::npos)
+      << far_solve.message;
+  EXPECT_NE(far_solve.message.find("p_max 3e+17"), std::string::npos)
+      << far_solve.message;
   // The session survived it all: the trailing solve still streams rows,
-  // and no fault-sweep row slipped out.
+  // and no fault-sweep or sweep sample row slipped out.
   EXPECT_FALSE(st[st.size() - 2].failed);
   const std::string rows = data_rows(got.bytes);
   EXPECT_NE(rows.find("\"kind\":\"solve\""), std::string::npos);
   EXPECT_EQ(rows.find("fault_"), std::string::npos);
+  EXPECT_EQ(rows.find("sweep_sample"), std::string::npos);
+  EXPECT_NE(rows.find("\"error\":\"grid step 0.001 cannot move the period "
+                      "at p_max 1e+17"),
+            std::string::npos)
+      << rows;
 }
 
 // A triple flag's whole token must parse: trailing junk after the third

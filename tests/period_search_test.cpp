@@ -23,11 +23,13 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/design.hpp"
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
 #include "hier/min_quantum.hpp"
+#include "io/task_io.hpp"
 #include "rt/analysis_context.hpp"
 #include "rt/priority.hpp"
 
@@ -105,8 +107,9 @@ void expect_identical(const core::ModeTaskSystem& sys, Scheduler alg,
 }
 
 /// A wire-like system: 4-16 tasks from the divisor-friendly period menu,
-/// the longest period stretched to 30 (utilization kept), packed.
-core::ModeTaskSystem wire_like_system(std::uint64_t index) {
+/// the longest period stretched to `longest` (utilization kept), packed.
+core::ModeTaskSystem wire_like_system(std::uint64_t index,
+                                      double longest = 30.0) {
   Rng rng = core::trial_rng(0x5EA7C4, index);
   gen::GenParams params;
   params.num_tasks = 4 + index % 13;
@@ -114,16 +117,16 @@ core::ModeTaskSystem wire_like_system(std::uint64_t index) {
   for (;;) {
     params.total_utilization = rng.uniform(0.4, 0.9);
     rt::TaskSet ts = gen::generate_task_set(params, rng);
-    std::size_t longest = 0;
+    std::size_t longest_i = 0;
     for (std::size_t i = 1; i < ts.size(); ++i) {
-      if (ts[i].period > ts[longest].period) longest = i;
+      if (ts[i].period > ts[longest_i].period) longest_i = i;
     }
     rt::TaskSet stretched;
     for (std::size_t i = 0; i < ts.size(); ++i) {
       rt::Task t = ts[i];
-      if (i == longest) {
-        t.wcet = t.utilization() * 30.0;
-        t.period = t.deadline = 30.0;
+      if (i == longest_i) {
+        t.wcet = t.utilization() * longest;
+        t.period = t.deadline = longest;
       }
       stretched.add(std::move(t));
     }
@@ -186,6 +189,17 @@ TEST(PeriodSearchIdentity, WireLikeSystemsOnTheDefaultGrid) {
   }
 }
 
+// A longer range: the longest deadline stretched to 1e3 puts p_max at 3e3,
+// so a search walks down to its answer across more binades, and along far
+// longer stretches of one binade, than the p_max <= 90 cases above.
+TEST(PeriodSearchIdentity, WireLikeSystemsOnALongRange) {
+  for (std::uint64_t i = 3000; i < 3040; ++i) {
+    const Scheduler alg = i % 2 == 0 ? Scheduler::EDF : Scheduler::FP;
+    expect_identical(wire_like_system(i, 1e3), alg, grid(0.0, 0.05),
+                     "long wire #" + std::to_string(i));
+  }
+}
+
 TEST(PeriodSearchIdentity, StudyFleetOnTheStudyGrid) {
   const std::vector<core::ModeTaskSystem> fleet = study_fleet(0x57D1, 120);
   for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -236,6 +250,72 @@ TEST(PeriodSearchIdentity, ExactSupplySlice) {
     expect_identical(wire_like_system(i), alg, opts,
                      "wire exact #" + std::to_string(i));
   }
+}
+
+// --- ranges at the edge of double resolution ------------------------------
+
+/// Period-4 tasks in FT and FS, one NF task whose deadline sets the
+/// automatic p_max = 3 D, and `extra` task lines.
+core::ModeTaskSystem long_deadline_system(const std::string& deadline,
+                                          const std::string& extra = "") {
+  return io::parse_mode_task_system_string("t1 1 4 FT 0\nt2 1 4 FS 0\nt3 1 " +
+                                           deadline + " NF 0\n" + extra)
+      .system;
+}
+
+// p_max = 3e12 puts ~3e15 candidates on the default 1e-3 grid: the search
+// finishes only because skipped runs are walked in closed form.
+TEST(PeriodSearchRange, ATrillionPeriodRangeSolvesAndVerifies) {
+  for (const Scheduler alg : {Scheduler::EDF, Scheduler::FP}) {
+    SCOPED_TRACE(hier::to_string(alg));
+    const core::Design alone =
+        core::solve_design(long_deadline_system("1e12"), alg, {},
+                           core::DesignGoal::MinOverheadBandwidth);
+    EXPECT_GT(alone.schedule.period, 0.0);
+    // That design does not verify: hier::quantum_for_point loses t3's
+    // quantum (about 4e-12) to cancellation and gives NF none. With a
+    // second NF task setting NF's quantum, the design must verify (on the
+    // engine's bounded deadline sets: the hyperperiod is 1e12).
+    const BatchEngine engine(long_deadline_system("1e12", "t4 1 4 NF 0\n"),
+                             alg);
+    const core::Design design =
+        core::solve_design(engine, {}, core::DesignGoal::MinOverheadBandwidth);
+    EXPECT_TRUE(engine.verify(design.schedule));
+  }
+}
+
+// p_max = 3e17, where the spacing of doubles is 64: p - 1e-3 == p, and the
+// scans would spin on p_max forever. Every scan rejects the grid instead.
+TEST(PeriodSearchRange, AStepThatCannotMovePMaxIsAModelError) {
+  const BatchEngine engine(long_deadline_system("1e17"), Scheduler::EDF);
+  try {
+    (void)engine.max_feasible_period(0.0);
+    ADD_FAILURE() << "expected ModelError";
+  } catch (const ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("grid step 0.001"), std::string::npos) << what;
+    EXPECT_NE(what.find("p_max 3e+17"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)engine.sample_region(), ModelError);
+  EXPECT_THROW((void)engine.max_admissible_overhead(), ModelError);
+  EXPECT_THROW((void)engine.max_slack_period(0.0), ModelError);
+}
+
+// Exactly half the spacing below p_max leaves candidates with an even
+// significand where they are (ties to even), so it is rejected too; one
+// ulp more moves every candidate.
+TEST(PeriodSearchRange, HalfTheSpacingBelowPMaxIsTheBoundary) {
+  const BatchEngine engine(core::paper_example(), Scheduler::EDF);
+  core::SearchOptions opts;
+  opts.p_max = 3.0;  // spacing below: 2^-51
+  opts.p_min = 3.0 - 0x1p-48;
+  opts.grid_step = 0x1p-52;
+  EXPECT_THROW((void)engine.sample_region(opts), ModelError);
+  EXPECT_THROW((void)engine.max_feasible_period(0.0, opts), ModelError);
+  opts.grid_step = std::nextafter(0x1p-52, 1.0);
+  EXPECT_EQ(engine.sample_region(opts).size(), 17u);
+  EXPECT_EQ(engine.max_feasible_period(0.0, opts), 3.0);
 }
 
 // --- the bound the skip rests on ------------------------------------------

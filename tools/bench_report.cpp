@@ -161,6 +161,37 @@ int main(int argc, char** argv) {
                       return engine.sample_region(opts).back().margin;
                     })});
   }
+  {
+    // Design goal G1 on the default grid (p_max 3 x the largest deadline,
+    // step 1e-3). Legacy: the full downward scan -- every accumulated
+    // candidate probed -- then the same bisection; engine: the certified
+    // skip, its skipped runs walked in closed form.
+    constexpr double kOverhead = 0.05;
+    rows.push_back(
+        {"max_feasible_period_paper",
+         time_ns([&] {
+           const core::SearchOptions opts;
+           double hi = core::auto_period_bound(sys);
+           double lo = -1.0;
+           for (double p = hi; p >= opts.p_min; p -= opts.grid_step) {
+             if (engine.feasibility_margin(p) >= kOverhead) {
+               lo = p;
+               break;
+             }
+             hi = p;
+           }
+           while (hi - lo > opts.tolerance) {
+             const double mid = 0.5 * (lo + hi);
+             if (engine.feasibility_margin(mid) >= kOverhead) {
+               lo = mid;
+             } else {
+               hi = mid;
+             }
+           }
+           return lo;
+         }),
+         time_ns([&] { return engine.max_feasible_period(kOverhead); })});
+  }
 
   // --- large-n stress rows: the QPA-condensed dlSet at n = 1000 -----------
   {
