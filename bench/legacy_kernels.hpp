@@ -1,10 +1,14 @@
 #pragma once
 
 // Frozen pre-refactor analysis kernels, kept in-tree as the "before" side
-// of the before/after micro-benchmarks (micro_perf, tools/bench_report) so
-// the speedup trajectory of the batched analysis engine stays measurable
-// across PRs. These are verbatim ports of the seed implementations:
+// of tools/bench_report's before/after rows, so the speedup trajectory of
+// the batched analysis engine stays measurable, and as the exact oracle the
+// tests compare the bounded analysis against. These are verbatim ports of
+// the seed implementations:
 //  - supply inversion by exponential search + bisection from lo = 0,
+//  - Theorems 1-2 over the full scheduling-point and hyperperiod deadline
+//    sets (unbounded: a hyperperiod-hostile set exhausts memory), and
+//    verify_schedule / verify_frame on them,
 //  - min_quantum re-deriving scheduling points / deadline sets and calling
 //    the O(n)-per-point demand kernels on every invocation,
 //  - feasibility_margin re-sorting and re-deriving per call,
@@ -19,6 +23,7 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "core/general_frame.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
 #include "core/sensitivity.hpp"
@@ -49,6 +54,76 @@ inline double supply_inverse(const hier::SupplyFunction& supply,
     }
   }
   return hi;
+}
+
+/// Theorem 1 (FP, set in priority order) or Theorem 2 (EDF) under
+/// `supply`, over the full point and deadline sets.
+inline bool schedulable(const rt::TaskSet& ts, hier::Scheduler alg,
+                        const hier::SupplyFunction& supply) {
+  if (alg == hier::Scheduler::FP) {
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      bool ok = false;
+      for (const double t : rt::scheduling_points(ts, i)) {
+        if (leq_tol(rt::fp_workload(ts, i, t), supply.value(t))) {
+          ok = true;
+          break;
+        }
+      }
+      if (!ok) return false;
+    }
+    return true;
+  }
+  if (ts.empty()) return true;
+  if (ts.utilization() > supply.rate() + 1e-12) return false;
+  for (const double t : rt::deadline_set(ts)) {
+    if (!leq_tol(rt::edf_demand(ts, t), supply.value(t))) return false;
+  }
+  return true;
+}
+
+inline bool verify_schedule(const core::ModeTaskSystem& sys,
+                            const core::ModeSchedule& schedule,
+                            hier::Scheduler alg,
+                            bool use_exact_supply = false) {
+  schedule.validate();
+  for (const rt::Mode mode : core::kAllModes) {
+    if (sys.mode_tasks(mode).empty()) {
+      continue;  // unused mode needs no quantum
+    }
+    if (schedule.slot(mode).usable <= 0.0) {
+      return false;  // tasks but no supply at all
+    }
+    for (const rt::TaskSet& ts : sys.partitions(mode)) {
+      if (ts.empty()) continue;
+      const rt::TaskSet ordered = alg == hier::Scheduler::FP
+                                      ? rt::sort_deadline_monotonic(ts)
+                                      : ts;
+      const bool ok =
+          use_exact_supply
+              ? legacy::schedulable(ordered, alg, schedule.exact_supply(mode))
+              : legacy::schedulable(ordered, alg, schedule.supply(mode));
+      if (!ok) return false;
+    }
+  }
+  return true;
+}
+
+inline bool verify_frame(const core::ModeTaskSystem& sys,
+                         const core::GeneralFrame& frame,
+                         hier::Scheduler alg) {
+  for (const rt::Mode mode : core::kAllModes) {
+    if (sys.mode_tasks(mode).empty()) continue;
+    if (frame.total_usable(mode) <= 0.0) return false;
+    const hier::MultiSlotSupply supply = frame.supply(mode);
+    for (const rt::TaskSet& ts : sys.partitions(mode)) {
+      if (ts.empty()) continue;
+      const rt::TaskSet ordered = alg == hier::Scheduler::FP
+                                      ? rt::sort_deadline_monotonic(ts)
+                                      : ts;
+      if (!legacy::schedulable(ordered, alg, supply)) return false;
+    }
+  }
+  return true;
 }
 
 inline double min_quantum(const rt::TaskSet& ts, hier::Scheduler alg,
@@ -123,7 +198,7 @@ inline bool feasible_at(const core::ModeTaskSystem& sys,
       }
     }
   }
-  return core::verify_schedule(scaled(sys, name, lambda), schedule, alg);
+  return legacy::verify_schedule(scaled(sys, name, lambda), schedule, alg);
 }
 
 inline double bisect_margin(const core::ModeTaskSystem& sys,

@@ -1,8 +1,8 @@
 #pragma once
 
-// Shared large-n benchmark workloads. micro_perf and tools/bench_report must
-// time the *same* task sets (BENCH_micro.json mirrors the benchmark suite),
-// so the seeds and generator parameters live here, in one place.
+// Large-n benchmark workloads behind tools/bench_report's stress rows. The
+// FpStress tests replay the same draw (seed 977 + n), so the seeds and
+// generator parameters live here, in one place.
 
 #include <cstddef>
 

@@ -4,9 +4,7 @@
 #include <limits>
 #include <vector>
 
-#include "rt/edf_test.hpp"
-#include "rt/priority.hpp"
-#include "rt/rta.hpp"
+#include "baseline/static_config.hpp"
 
 namespace flexrt::baseline {
 namespace {
@@ -65,10 +63,7 @@ std::optional<PBSystem> build_primary_backup(const rt::TaskSet& all_tasks,
 
 bool pb_schedulable(const PBSystem& system, hier::Scheduler alg) {
   for (const rt::TaskSet& proc : system.processors) {
-    const bool ok = alg == hier::Scheduler::EDF
-                        ? rt::edf_schedulable(proc)
-                        : rt::fp_schedulable(rt::sort_deadline_monotonic(proc));
-    if (!ok) return false;
+    if (!dedicated_schedulable(proc, alg)) return false;
   }
   return true;
 }

@@ -34,7 +34,8 @@ std::optional<PBSystem> build_primary_backup(const rt::TaskSet& all_tasks,
                                              const part::PackOptions& pack =
                                                  {});
 
-/// Dedicated-processor schedulability of every processor of the PB system.
+/// dedicated_schedulable (static_config.hpp) on every processor of the PB
+/// system.
 bool pb_schedulable(const PBSystem& system, hier::Scheduler alg);
 
 /// Convenience: build + test in one call (false when placement fails).

@@ -1,8 +1,7 @@
 #include "baseline/static_config.hpp"
 
-#include "rt/edf_test.hpp"
+#include "rt/analysis_context.hpp"
 #include "rt/priority.hpp"
-#include "rt/rta.hpp"
 
 namespace flexrt::baseline {
 
@@ -50,12 +49,13 @@ std::size_t num_static_channels(StaticConfig config) noexcept {
   return 1;
 }
 
-bool dedicated_schedulable(const rt::TaskSet& ts, hier::Scheduler alg) {
-  if (alg == hier::Scheduler::EDF) return rt::edf_schedulable(ts);
-  return rt::fp_schedulable(rt::sort_deadline_monotonic(ts));
-}
-
 }  // namespace
+
+bool dedicated_schedulable(const rt::TaskSet& ts, hier::Scheduler alg) {
+  const rt::AnalysisContext ctx(
+      alg == hier::Scheduler::FP ? rt::sort_deadline_monotonic(ts) : ts);
+  return hier::schedulable(ctx, alg, hier::LinearSupply(1.0, 0.0));
+}
 
 std::optional<std::vector<rt::TaskSet>> static_partition(
     const rt::TaskSet& all_tasks, StaticConfig config,

@@ -35,6 +35,12 @@ rt::Mode provided_mode(StaticConfig config) noexcept;
 /// (FT protection satisfies FS and NF requirements, FS satisfies NF).
 bool satisfies(StaticConfig config, rt::Mode required) noexcept;
 
+/// Dedicated-processor schedulability of one channel, the test both
+/// baselines run: Theorem 1 (deadline-monotonic) or 2 under
+/// hier::LinearSupply(1, 0) on a default-budget rt::AnalysisContext, so a
+/// channel over the budgets gets the conservative (sufficient) verdict.
+bool dedicated_schedulable(const rt::TaskSet& ts, hier::Scheduler alg);
+
 /// Result of a static-configuration admission attempt.
 struct StaticResult {
   bool mode_feasible = false;   ///< every task's mode requirement satisfied

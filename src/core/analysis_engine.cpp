@@ -282,6 +282,16 @@ core::SlackOptimum BatchEngine::max_slack_period(
   return {best.period, best.margin * best.period, best.margin};
 }
 
+bool BatchEngine::schedulable(rt::Mode mode,
+                              const hier::SupplyFunction& supply) const {
+  for (const Partition& part : parts_) {
+    if (part.mode == mode && !hier::schedulable(*part.ctx, alg_, supply)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool BatchEngine::verify(const core::ModeSchedule& schedule,
                          bool use_exact_supply) const {
   schedule.validate();
@@ -289,11 +299,11 @@ bool BatchEngine::verify(const core::ModeSchedule& schedule,
     if (!mode_used_[static_cast<std::size_t>(mode)]) continue;
     if (schedule.slot(mode).usable <= 0.0) return false;
   }
-  for (const Partition& part : parts_) {
-    const bool ok =
-        use_exact_supply
-            ? hier::schedulable(*part.ctx, alg_, schedule.exact_supply(part.mode))
-            : hier::schedulable(*part.ctx, alg_, schedule.supply(part.mode));
+  for (const rt::Mode mode : kAllModes) {
+    if (!mode_used_[static_cast<std::size_t>(mode)]) continue;
+    const bool ok = use_exact_supply
+                        ? schedulable(mode, schedule.exact_supply(mode))
+                        : schedulable(mode, schedule.supply(mode));
     if (!ok) return false;
   }
   return true;

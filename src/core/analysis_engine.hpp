@@ -28,9 +28,10 @@ namespace flexrt::analysis {
 /// parallelism lives one level up, across the fleet entries of svc and
 /// core::run_study.
 ///
-/// The free functions in core/integration.hpp and core/sensitivity.hpp are
-/// one-shot conveniences that build a throwaway engine; hold a BatchEngine
-/// when issuing many queries against one system.
+/// The free functions in core/integration.hpp, core/sensitivity.hpp and
+/// core/general_frame.hpp and core::verify_schedule are one-shot
+/// conveniences that build a throwaway engine; hold a BatchEngine when
+/// issuing many queries against one system.
 class BatchEngine {
  public:
   /// `dl_opts` controls the QPA bounding/condensation of every partition's
@@ -105,7 +106,14 @@ class BatchEngine {
 
   // --- schedule-side kernels (Eq. 12-14, sensitivity) ---------------------
 
-  /// == core::verify_schedule against the cached contexts.
+  /// True iff every channel of `mode` passes Theorem 1 (FP) or 2 (EDF)
+  /// under `supply` (any shape, e.g. a core::GeneralFrame's multi-slot
+  /// supply); true for an unused mode.
+  bool schedulable(rt::Mode mode, const hier::SupplyFunction& supply) const;
+
+  /// Eq. (12)-(14): every used mode has a usable quantum and is
+  /// schedulable() under the schedule's linear (or exact slot) supply.
+  /// core::verify_schedule is this call on a one-shot engine.
   bool verify(const core::ModeSchedule& schedule,
               bool use_exact_supply = false) const;
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "rt/priority.hpp"
+#include "core/analysis_engine.hpp"
 
 namespace flexrt::core {
 
@@ -81,24 +81,18 @@ GeneralFrame GeneralFrame::from_schedule(const ModeSchedule& schedule) {
   return GeneralFrame(schedule.period, std::move(slots));
 }
 
-bool verify_frame(const ModeTaskSystem& sys, const GeneralFrame& frame,
-                  hier::Scheduler alg) {
+namespace {
+
+/// verify_frame against a caller-held engine of the same system.
+bool frame_schedulable(const analysis::BatchEngine& engine,
+                       const ModeTaskSystem& sys, const GeneralFrame& frame) {
   for (const rt::Mode mode : kAllModes) {
     if (sys.mode_tasks(mode).empty()) continue;
     if (frame.total_usable(mode) <= 0.0) return false;
-    const hier::MultiSlotSupply supply = frame.supply(mode);
-    for (const rt::TaskSet& ts : sys.partitions(mode)) {
-      if (ts.empty()) continue;
-      const rt::TaskSet ordered = alg == hier::Scheduler::FP
-                                      ? rt::sort_deadline_monotonic(ts)
-                                      : ts;
-      if (!hier::schedulable(ordered, alg, supply)) return false;
-    }
+    if (!engine.schedulable(mode, frame.supply(mode))) return false;
   }
   return true;
 }
-
-namespace {
 
 /// Round-robin layout: visit j gives each mode budget[mode]/k followed by
 /// its full switch-out overhead.
@@ -117,21 +111,12 @@ GeneralFrame layout(double period, const Overheads& overheads,
   return GeneralFrame(period, std::move(slots));
 }
 
-bool mode_feasible(const ModeTaskSystem& sys, const GeneralFrame& frame,
-                   hier::Scheduler alg, rt::Mode mode) {
-  if (sys.mode_tasks(mode).empty()) return true;
-  const hier::MultiSlotSupply supply = frame.supply(mode);
-  for (const rt::TaskSet& ts : sys.partitions(mode)) {
-    if (ts.empty()) continue;
-    const rt::TaskSet ordered = alg == hier::Scheduler::FP
-                                    ? rt::sort_deadline_monotonic(ts)
-                                    : ts;
-    if (!hier::schedulable(ordered, alg, supply)) return false;
-  }
-  return true;
-}
-
 }  // namespace
+
+bool verify_frame(const ModeTaskSystem& sys, const GeneralFrame& frame,
+                  hier::Scheduler alg) {
+  return frame_schedulable(analysis::BatchEngine(sys, alg), sys, frame);
+}
 
 GeneralFrame interleave(const ModeSchedule& base, std::size_t k) {
   FLEXRT_REQUIRE(k >= 1, "need at least one visit per mode");
@@ -175,6 +160,13 @@ GeneralFrame solve_interleaved(const ModeTaskSystem& sys, hier::Scheduler alg,
     }
     return period - overhead_budget - others;
   };
+  // One engine for every probe: the contexts are built once, and each
+  // bisection step only evaluates the candidate frame's supply.
+  const analysis::BatchEngine engine(sys, alg);
+  const auto mode_feasible = [&](rt::Mode mode) {
+    return engine.schedulable(
+        mode, layout(period, overheads, budgets, k).supply(mode));
+  };
 
   for (int sweep = 0; sweep < 4; ++sweep) {
     for (const rt::Mode mode : kAllModes) {
@@ -184,8 +176,7 @@ GeneralFrame solve_interleaved(const ModeTaskSystem& sys, hier::Scheduler alg,
       double hi = capacity_left(mode);
       if (hi < lo) throw InfeasibleError("mode budgets exceed the period");
       budgets[mi] = hi;
-      if (!mode_feasible(sys, layout(period, overheads, budgets, k), alg,
-                         mode)) {
+      if (!mode_feasible(mode)) {
         throw InfeasibleError(
             "mode " + std::string(rt::to_string(mode)) +
             " unschedulable even with all remaining capacity");
@@ -193,8 +184,7 @@ GeneralFrame solve_interleaved(const ModeTaskSystem& sys, hier::Scheduler alg,
       while (hi - lo > 1e-6 * period) {
         const double mid = 0.5 * (lo + hi);
         budgets[mi] = mid;
-        if (mode_feasible(sys, layout(period, overheads, budgets, k), alg,
-                          mode)) {
+        if (mode_feasible(mode)) {
           hi = mid;
         } else {
           lo = mid;
@@ -205,7 +195,7 @@ GeneralFrame solve_interleaved(const ModeTaskSystem& sys, hier::Scheduler alg,
   }
 
   const GeneralFrame frame = layout(period, overheads, budgets, k);
-  if (!verify_frame(sys, frame, alg)) {
+  if (!frame_schedulable(engine, sys, frame)) {
     throw InfeasibleError(
         "coordinate descent did not converge to a feasible frame");
   }

@@ -60,7 +60,9 @@ class GeneralFrame {
   std::vector<GeneralSlot> slots_;
 };
 
-/// Checks every channel of every mode against the mode's multi-slot supply.
+/// Checks every channel of every mode against the mode's multi-slot supply
+/// (analysis::BatchEngine::schedulable on a one-shot engine, so the default
+/// condensation budgets bound the work).
 bool verify_frame(const ModeTaskSystem& sys, const GeneralFrame& frame,
                   hier::Scheduler alg);
 

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "rt/priority.hpp"
+#include "core/analysis_engine.hpp"
 
 namespace flexrt::core {
 
@@ -58,27 +58,7 @@ void ModeSchedule::validate() const {
 
 bool verify_schedule(const ModeTaskSystem& sys, const ModeSchedule& schedule,
                      hier::Scheduler alg, bool use_exact_supply) {
-  schedule.validate();
-  for (const rt::Mode mode : kAllModes) {
-    if (sys.mode_tasks(mode).empty()) {
-      continue;  // unused mode needs no quantum
-    }
-    if (schedule.slot(mode).usable <= 0.0) {
-      return false;  // tasks but no supply at all
-    }
-    for (const rt::TaskSet& ts : sys.partitions(mode)) {
-      if (ts.empty()) continue;
-      const rt::TaskSet ordered = alg == hier::Scheduler::FP
-                                      ? rt::sort_deadline_monotonic(ts)
-                                      : ts;
-      const bool ok =
-          use_exact_supply
-              ? hier::schedulable(ordered, alg, schedule.exact_supply(mode))
-              : hier::schedulable(ordered, alg, schedule.supply(mode));
-      if (!ok) return false;
-    }
-  }
-  return true;
+  return analysis::BatchEngine(sys, alg).verify(schedule, use_exact_supply);
 }
 
 std::ostream& operator<<(std::ostream& os, const ModeSchedule& schedule) {

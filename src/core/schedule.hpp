@@ -65,6 +65,9 @@ struct ModeSchedule {
 
 /// Checks Eq. (12)-(14): every channel of every mode schedulable under the
 /// schedule's linear supply (or exact slot supply when `use_exact_supply`).
+/// A one-shot analysis::BatchEngine::verify at the default condensation
+/// budgets: a channel whose deadline set or scheduling points exceed them
+/// gets the conservative (sufficient) verdict.
 bool verify_schedule(const ModeTaskSystem& sys, const ModeSchedule& schedule,
                      hier::Scheduler alg, bool use_exact_supply = false);
 

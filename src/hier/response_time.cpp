@@ -32,12 +32,6 @@ std::optional<double> fp_response_time(const rt::TaskSet& ts, std::size_t i,
   return std::nullopt;  // pathological oscillation guard
 }
 
-std::optional<double> fp_response_time(const rt::AnalysisContext& ctx,
-                                       std::size_t i,
-                                       const SupplyFunction& supply) {
-  return fp_response_time(ctx.tasks(), i, supply);
-}
-
 std::vector<std::optional<double>> fp_response_times(
     const rt::TaskSet& ts, const SupplyFunction& supply) {
   std::vector<std::optional<double>> out;

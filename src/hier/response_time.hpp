@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "hier/supply.hpp"
-#include "rt/analysis_context.hpp"
 #include "rt/task_set.hpp"
 
 namespace flexrt::hier {
@@ -31,17 +30,6 @@ double supply_inverse(const SupplyFunction& supply, double demand,
 /// counterpart (Spuri's analysis under a supply function) is out of scope;
 /// use edf_schedulable() for EDF feasibility.
 std::optional<double> fp_response_time(const rt::TaskSet& ts, std::size_t i,
-                                       const SupplyFunction& supply);
-
-/// AnalysisContext overload for API uniformity with the other kernels:
-/// identical result and identical work (the RTA iterates at arbitrary R
-/// values, so the cached test points don't apply -- its speedup over the
-/// seed comes from the closed-form inverse). Lets context-holding callers
-/// avoid carrying the TaskSet separately. Unaffected by the FP point
-/// budget: each iterate is O(i) in the task count with no point set at
-/// all, so the RTA stays exact even on condensed contexts.
-std::optional<double> fp_response_time(const rt::AnalysisContext& ctx,
-                                       std::size_t i,
                                        const SupplyFunction& supply);
 
 /// Response times of every task of the partition (nullopt entries for

@@ -2,42 +2,11 @@
 
 #include "common/math_util.hpp"
 #include "rt/deadline_bound.hpp"
-#include "rt/demand.hpp"
-#include "rt/sched_points.hpp"
 
 namespace flexrt::hier {
 
 const char* to_string(Scheduler alg) noexcept {
   return alg == Scheduler::FP ? "FP" : "EDF";
-}
-
-bool fp_schedulable(const rt::TaskSet& ts, const SupplyFunction& supply) {
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    bool ok = false;
-    for (const double t : rt::scheduling_points(ts, i)) {
-      if (leq_tol(rt::fp_workload(ts, i, t), supply.value(t))) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) return false;
-  }
-  return true;
-}
-
-bool edf_schedulable(const rt::TaskSet& ts, const SupplyFunction& supply) {
-  if (ts.empty()) return true;
-  if (ts.utilization() > supply.rate() + 1e-12) return false;
-  for (const double t : rt::deadline_set(ts)) {
-    if (!leq_tol(rt::edf_demand(ts, t), supply.value(t))) return false;
-  }
-  return true;
-}
-
-bool schedulable(const rt::TaskSet& ts, Scheduler alg,
-                 const SupplyFunction& supply) {
-  return alg == Scheduler::FP ? fp_schedulable(ts, supply)
-                              : edf_schedulable(ts, supply);
 }
 
 bool fp_schedulable(const rt::AnalysisContext& ctx,

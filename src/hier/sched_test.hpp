@@ -2,7 +2,6 @@
 
 #include "hier/supply.hpp"
 #include "rt/analysis_context.hpp"
-#include "rt/task_set.hpp"
 
 namespace flexrt::hier {
 
@@ -14,33 +13,29 @@ enum class Scheduler {
 
 const char* to_string(Scheduler alg) noexcept;
 
+// The library's schedulability tests. Test points and the demand/workload
+// at them come from the AnalysisContext, so a probe only evaluates the
+// supply: bisections over the supply (min_quantum_exact, sensitivity
+// margins) stay cheap. The context's budgets bound the work; on condensed
+// contexts (!dl_exact() / !fp_exact()) both are safe sufficient tests -- a
+// condensed "schedulable" implies the exact verdict, never the reverse.
+
 /// Paper Theorem 1 generalized to an arbitrary supply function:
 /// task set T is FP-schedulable in a partition with supply Z if
 ///   for every task i, exists t in schedP_i with Z(t) >= W_i(t).
-/// With Z = LinearSupply(alpha, delta) this is exactly Eq. (4).
-bool fp_schedulable(const rt::TaskSet& ts, const SupplyFunction& supply);
+/// With Z = LinearSupply(alpha, delta) this is exactly Eq. (4). The context
+/// must hold the set in priority order (rt::sort_rate_monotonic /
+/// sort_deadline_monotonic).
+bool fp_schedulable(const rt::AnalysisContext& ctx,
+                    const SupplyFunction& supply);
 
 /// Paper Theorem 2 generalized to an arbitrary supply function:
 /// T is EDF-schedulable in the partition if U(T) <= rate and
 ///   for every t in dlSet(T), Z(t) >= W(t)   (W = demand bound, Eq. 9).
-bool edf_schedulable(const rt::TaskSet& ts, const SupplyFunction& supply);
-
-/// Dispatch on the scheduler enum. For FP the set must already be in
-/// priority order (use rt::sort_rate_monotonic / sort_deadline_monotonic).
-bool schedulable(const rt::TaskSet& ts, Scheduler alg,
-                 const SupplyFunction& supply);
-
-/// Cached variants: the test points and the demand/workload at them come
-/// from the AnalysisContext, so one probe only evaluates the supply at the
-/// cached points. This is what makes bisection loops over the supply
-/// (min_quantum_exact, sensitivity margins) cheap -- the task-set side of
-/// the inequality never moves between probes. On condensed contexts
-/// (!dl_exact() / !fp_exact()) both are safe sufficient tests: a
-/// condensed "schedulable" implies the exact verdict, never the reverse.
-bool fp_schedulable(const rt::AnalysisContext& ctx,
-                    const SupplyFunction& supply);
 bool edf_schedulable(const rt::AnalysisContext& ctx,
                      const SupplyFunction& supply);
+
+/// Dispatch on the scheduler enum.
 bool schedulable(const rt::AnalysisContext& ctx, Scheduler alg,
                  const SupplyFunction& supply);
 

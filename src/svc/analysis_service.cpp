@@ -611,9 +611,12 @@ FaultSweepResult AnalysisService::fault_sweep_one(
       p.nf_ok = true;
       p.nf_exposure = fault::corruption_exposure(rate, u_nf);
       // FS: each channel must absorb one re-execution per recovery gap
-      // within its designed slot supply.
+      // within its designed slot supply. An empty channel has nothing to
+      // recover, and with no FS task the slot is 0, which has no linear
+      // supply.
       p.fs_ok = true;
       for (const rt::TaskSet& channel : sys.partitions(rt::Mode::FS)) {
+        if (channel.empty()) continue;
         const bool ok =
             req.use_exact_supply
                 ? fault::fs_schedulable(channel, req.alg,

@@ -11,6 +11,7 @@
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
 #include "hier/supply.hpp"
+#include "legacy_kernels.hpp"
 #include "rt/demand.hpp"
 #include "rt/priority.hpp"
 #include "rt/sched_points.hpp"
@@ -129,10 +130,10 @@ TEST(AnalysisContext, SchedulabilityAgreesWithUncachedTest) {
       const double usable = rng.uniform(0.05, 1.0) * period;
       const hier::SlotSupply slot(period, usable);
       EXPECT_EQ(hier::edf_schedulable(edf_ctx, slot),
-                hier::edf_schedulable(edf_ts, slot))
+                legacy::schedulable(edf_ts, hier::Scheduler::EDF, slot))
           << "seed=" << seed << " P=" << period << " q=" << usable;
       EXPECT_EQ(hier::fp_schedulable(fp_ctx, slot),
-                hier::fp_schedulable(fp_ts, slot))
+                legacy::schedulable(fp_ts, hier::Scheduler::FP, slot))
           << "seed=" << seed << " P=" << period << " q=" << usable;
     }
   }

@@ -12,6 +12,29 @@ using rt::make_task;
 using rt::Mode;
 using rt::TaskSet;
 
+TEST(EdfTest, ImplicitDeadlinesReduceToUtilization) {
+  const TaskSet ok{make_task("a", 1, 2, Mode::NF),
+                   make_task("b", 1, 3, Mode::NF)};  // U = 0.833
+  EXPECT_TRUE(dedicated_schedulable(ok, Scheduler::EDF));
+  const TaskSet bad{make_task("a", 1, 2, Mode::NF),
+                    make_task("b", 2, 3, Mode::NF)};  // U = 1.167
+  EXPECT_FALSE(dedicated_schedulable(bad, Scheduler::EDF));
+}
+
+TEST(EdfTest, ConstrainedDeadlinesNeedDemandCheck) {
+  // U < 1 but dbf(4) = 3+... : a(3,10,D=4) b(2,5,D=5):
+  // dbf(4)=3, ok; dbf(5)=3+2=5, ok; dbf(9)? a:1 job, b: floor((9)/5)=1 ->
+  // 3+2=5 <= 9 ok; dbf(10)=... 2 jobs b: floor((10)/5)=2 -> 3+4=7 <=10.
+  const TaskSet ok{make_task("a", 3, 10, 4, Mode::NF),
+                   make_task("b", 2, 5, 5, Mode::NF)};
+  EXPECT_TRUE(dedicated_schedulable(ok, Scheduler::EDF));
+  // Shrink a's deadline to 3: dbf(3) = 3, and dbf(5) = 5 still; but deadline
+  // 3 with wcet 3 plus b's 2 by 5: at t=5 demand 5 ok; make b heavier:
+  const TaskSet bad{make_task("a", 3, 10, 3, Mode::NF),
+                    make_task("b", 3, 5, 5, Mode::NF)};  // dbf(5)=6 > 5
+  EXPECT_FALSE(dedicated_schedulable(bad, Scheduler::EDF));
+}
+
 TEST(StaticConfig, ProtectionOrdering) {
   // FT hardware satisfies everything; NF hardware only NF.
   EXPECT_TRUE(satisfies(StaticConfig::AllFT, Mode::FT));

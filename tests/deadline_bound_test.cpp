@@ -16,6 +16,7 @@
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
 #include "hier/supply.hpp"
+#include "legacy_kernels.hpp"
 #include "rt/analysis_context.hpp"
 #include "rt/demand.hpp"
 
@@ -138,7 +139,7 @@ TEST(CondensedSafety, SchedulableNeverContradictsFullTest) {
         const hier::SlotSupply slot(period, usable);
         if (hier::edf_schedulable(condensed, slot)) {
           condensed_passes++;
-          EXPECT_TRUE(hier::edf_schedulable(ts, slot))
+          EXPECT_TRUE(legacy::schedulable(ts, hier::Scheduler::EDF, slot))
               << "seed=" << seed << " P=" << period << " q=" << usable;
         }
       }
@@ -166,7 +167,7 @@ TEST(CondensedSafety, MinQuantumOverApproximatesAndStaysValid) {
         // ...whose supply really schedules the full set.
         if (q_cond < period) {
           const hier::LinearSupply supply(q_cond / period, period - q_cond);
-          EXPECT_TRUE(hier::edf_schedulable(ts, supply))
+          EXPECT_TRUE(legacy::schedulable(ts, hier::Scheduler::EDF, supply))
               << "seed=" << seed << " P=" << period << " q=" << q_cond;
         }
       }

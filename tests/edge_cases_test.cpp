@@ -4,13 +4,13 @@
 
 #include <cmath>
 
+#include "baseline/static_config.hpp"
 #include "common/error.hpp"
 #include "core/design.hpp"
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "hier/min_quantum.hpp"
 #include "rt/demand.hpp"
-#include "rt/edf_test.hpp"
 #include "sim/simulator.hpp"
 
 namespace flexrt {
@@ -105,7 +105,7 @@ TEST(EdgeCases, SimulatorExactBoundaryCompletion) {
 TEST(EdgeCases, EdfSchedulableAtExactlyFullUtilization) {
   const TaskSet ts{make_task("a", 1, 2, Mode::NF),
                    make_task("b", 1, 2, Mode::NF)};  // U = 1 exactly
-  EXPECT_TRUE(rt::edf_schedulable(ts));
+  EXPECT_TRUE(baseline::dedicated_schedulable(ts, Scheduler::EDF));
 }
 
 TEST(EdgeCases, FeasibilityMarginNegativeForOverloadedSystem) {

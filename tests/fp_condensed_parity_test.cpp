@@ -22,6 +22,7 @@
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
 #include "hier/supply.hpp"
+#include "legacy_kernels.hpp"
 #include "rt/analysis_context.hpp"
 #include "rt/deadline_bound.hpp"
 #include "rt/demand.hpp"
@@ -82,7 +83,7 @@ TEST(FpCondensedDifferential, VerdictIsSafeAcrossSeededTrials) {
         if (hier::fp_schedulable(condensed, slot)) {
           ++condensed_passes;
           // Safety: a condensed pass implies the exact full-point verdict.
-          EXPECT_TRUE(hier::fp_schedulable(ts, slot))
+          EXPECT_TRUE(legacy::schedulable(ts, Scheduler::FP, slot))
               << "seed=" << seed << " budget=" << budget << " P=" << period
               << " q=" << usable;
         }
@@ -113,7 +114,7 @@ TEST(FpCondensedDifferential, MinQuantumOverApproximatesAndStaysValid) {
         // ...whose supply really schedules the full set.
         if (q_cond < period) {
           const hier::LinearSupply supply(q_cond / period, period - q_cond);
-          EXPECT_TRUE(hier::fp_schedulable(ts, supply))
+          EXPECT_TRUE(legacy::schedulable(ts, Scheduler::FP, supply))
               << "seed=" << seed << " budget=" << budget << " P=" << period
               << " q=" << q_cond;
         }

@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "rt/edf_test.hpp"
+#include "hier/response_time.hpp"
+#include "legacy_kernels.hpp"
 #include "rt/priority.hpp"
-#include "rt/rta.hpp"
 #include "rt/task.hpp"
 
 namespace flexrt::hier {
 namespace {
 
+using rt::AnalysisContext;
 using rt::make_task;
 using rt::Mode;
 using rt::TaskSet;
@@ -29,8 +30,11 @@ TEST(FpSupplyTest, DedicatedSupplyMatchesClassicRta) {
                        rng.uniform(0.5, period * 0.45), period, Mode::NF));
     }
     const TaskSet rm = rt::sort_rate_monotonic(ts);
-    const bool hier = fp_schedulable(rm, dedicated);
-    const bool classic = rt::fp_schedulable(rm);
+    const bool hier = fp_schedulable(AnalysisContext(rm), dedicated);
+    bool classic = true;
+    for (std::size_t i = 0; i < rm.size(); ++i) {
+      classic = classic && fp_response_time(rm, i, dedicated).has_value();
+    }
     ASSERT_EQ(hier, classic) << "trial " << trial;
     (classic ? agree_sched : agree_unsched)++;
   }
@@ -51,14 +55,16 @@ TEST(EdfSupplyTest, DedicatedSupplyMatchesProcessorDemand) {
       ts.add(make_task("t" + std::to_string(i), wcet, period, deadline,
                        Mode::NF));
     }
-    EXPECT_EQ(edf_schedulable(ts, dedicated), rt::edf_schedulable(ts))
+    EXPECT_EQ(edf_schedulable(AnalysisContext(ts), dedicated),
+              legacy::schedulable(ts, Scheduler::EDF, dedicated))
         << "trial " << trial;
   }
 }
 
 TEST(SupplyTests, ShrinkingSupplyBreaksSchedulability) {
-  const TaskSet ts{make_task("a", 1, 4, Mode::NF),
-                   make_task("b", 1, 8, Mode::NF)};  // U = 0.375
+  const AnalysisContext ts(TaskSet{make_task("a", 1, 4, Mode::NF),
+                                   make_task("b", 1, 8, Mode::NF)});
+  // U = 0.375.
   // Generous partition: alpha 0.6, small delay.
   EXPECT_TRUE(edf_schedulable(ts, LinearSupply(0.6, 0.5)));
   EXPECT_TRUE(fp_schedulable(ts, LinearSupply(0.6, 0.5)));
@@ -87,13 +93,15 @@ TEST(SupplyTests, ExactSlotSupplyDominatesLinearBound) {
     const double q = rng.uniform(0.1 * p, p);
     const SlotSupply exact(p, q);
     const LinearSupply linear = exact.linear_bound();
-    if (edf_schedulable(ts, linear)) {
-      EXPECT_TRUE(edf_schedulable(ts, exact)) << "trial " << trial;
-    } else if (edf_schedulable(ts, exact)) {
+    const AnalysisContext edf(ts);
+    const AnalysisContext rm(rt::sort_rate_monotonic(ts));
+    if (edf_schedulable(edf, linear)) {
+      EXPECT_TRUE(edf_schedulable(edf, exact)) << "trial " << trial;
+    } else if (edf_schedulable(edf, exact)) {
       upgraded++;  // exact supply admits strictly more sets
     }
-    if (fp_schedulable(rt::sort_rate_monotonic(ts), linear)) {
-      EXPECT_TRUE(fp_schedulable(rt::sort_rate_monotonic(ts), exact));
+    if (fp_schedulable(rm, linear)) {
+      EXPECT_TRUE(fp_schedulable(rm, exact));
     }
   }
   EXPECT_GT(upgraded, 0) << "exact test never beat the linear bound; the "
@@ -101,7 +109,7 @@ TEST(SupplyTests, ExactSlotSupplyDominatesLinearBound) {
 }
 
 TEST(SupplyTests, EmptyTaskSetAlwaysSchedulable) {
-  const TaskSet empty;
+  const AnalysisContext empty(TaskSet{});
   EXPECT_TRUE(edf_schedulable(empty, LinearSupply(0.1, 10.0)));
   EXPECT_TRUE(fp_schedulable(empty, LinearSupply(0.1, 10.0)));
 }

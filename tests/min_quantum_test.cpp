@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "legacy_kernels.hpp"
 #include "rt/priority.hpp"
 
 namespace flexrt::hier {
@@ -64,7 +65,7 @@ TEST_P(MinQuantumProperty, AllocatingMinQIsFeasible) {
     const double q = min_quantum(ts_, alg, period);
     if (q > period) continue;  // no feasible quantum at this period
     EXPECT_TRUE(
-        schedulable(ts_, alg, LinearSupply(q / period, period - q)))
+        legacy::schedulable(ts_, alg, LinearSupply(q / period, period - q)))
         << to_string(alg) << " P=" << period;
   }
 }
@@ -75,7 +76,7 @@ TEST_P(MinQuantumProperty, SlightlyLessThanMinQIsInfeasible) {
     const double q = 0.98 * min_quantum(ts_, alg, period);
     if (q <= 0.0 || q > period) continue;
     EXPECT_FALSE(
-        schedulable(ts_, alg, LinearSupply(q / period, period - q)))
+        legacy::schedulable(ts_, alg, LinearSupply(q / period, period - q)))
         << to_string(alg) << " P=" << period;
   }
 }
@@ -106,7 +107,7 @@ TEST_P(MinQuantumProperty, ExactSupplyNeedsAtMostLinearQuantum) {
     EXPECT_LE(exact, std::min(linear, period) + 1e-6)
         << to_string(alg) << " P=" << period;
     // And the exact answer must itself be feasible under the exact supply.
-    EXPECT_TRUE(schedulable(ts_, alg, SlotSupply(period, exact)));
+    EXPECT_TRUE(legacy::schedulable(ts_, alg, SlotSupply(period, exact)));
   }
 }
 

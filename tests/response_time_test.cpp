@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/static_config.hpp"
 #include "common/rng.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
+#include "rt/demand.hpp"
 #include "rt/priority.hpp"
-#include "rt/rta.hpp"
+#include "rt/sched_points.hpp"
 #include "sim/simulator.hpp"
 
 namespace flexrt::hier {
@@ -42,9 +44,47 @@ TEST(SupplyInverse, RoundTripsWithValue) {
   }
 }
 
+// --- dedicated processor: LinearSupply(1, 0) is classic RTA ---------------
+
+const LinearSupply kDedicated(1.0, 0.0);
+
+TEST(ResponseTime, ClassicTextbookExample) {
+  // tau1(1,4) tau2(2,10): R1 = 1; R2 = 2 + ceil(R2/4)*1 has fixed point 3.
+  const TaskSet ts{make_task("a", 1, 4, Mode::NF),
+                   make_task("b", 2, 10, Mode::NF)};
+  EXPECT_DOUBLE_EQ(fp_response_time(ts, 0, kDedicated).value(), 1.0);
+  EXPECT_DOUBLE_EQ(fp_response_time(ts, 1, kDedicated).value(), 3.0);
+  EXPECT_TRUE(baseline::dedicated_schedulable(ts, Scheduler::FP));
+}
+
+TEST(ResponseTime, DetectsUnschedulableTask) {
+  // U = 0.5 + 0.6 > 1: the low-priority task cannot make it.
+  const TaskSet ts{make_task("a", 2, 4, Mode::NF),
+                   make_task("b", 6, 10, Mode::NF)};
+  EXPECT_TRUE(fp_response_time(ts, 0, kDedicated).has_value());
+  EXPECT_FALSE(fp_response_time(ts, 1, kDedicated).has_value());
+  EXPECT_FALSE(baseline::dedicated_schedulable(ts, Scheduler::FP));
+}
+
+TEST(ResponseTime, FullUtilizationHarmonicSetIsSchedulable) {
+  const TaskSet ts{make_task("a", 1, 2, Mode::NF),
+                   make_task("b", 2, 4, Mode::NF)};  // U = 1, harmonic
+  EXPECT_TRUE(baseline::dedicated_schedulable(ts, Scheduler::FP));
+  EXPECT_DOUBLE_EQ(fp_response_time(ts, 1, kDedicated).value(), 4.0);
+}
+
+TEST(ResponseTimes, VectorForm) {
+  const TaskSet ts{make_task("a", 1, 4, Mode::NF),
+                   make_task("b", 2, 10, Mode::NF)};
+  const auto all = fp_response_times(ts, kDedicated);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_DOUBLE_EQ(all[1].value(), 3.0);
+}
+
 TEST(FpResponseTime, DedicatedSupplyMatchesClassicRta) {
+  // Classic RTA's definition: R_i is the least fixed point of R = W_i(R),
+  // and it exists within D_i iff some scheduling point t has W_i(t) <= t.
   Rng rng(71);
-  const LinearSupply dedicated(1.0, 0.0);
   for (int trial = 0; trial < 100; ++trial) {
     TaskSet ts;
     const int n = static_cast<int>(rng.uniform_int(2, 5));
@@ -55,12 +95,20 @@ TEST(FpResponseTime, DedicatedSupplyMatchesClassicRta) {
     }
     const TaskSet rm = rt::sort_rate_monotonic(ts);
     for (std::size_t i = 0; i < rm.size(); ++i) {
-      const auto classic = rt::response_time(rm, i);
-      const auto hier = fp_response_time(rm, i, dedicated);
-      ASSERT_EQ(classic.has_value(), hier.has_value())
+      const auto hier = fp_response_time(rm, i, kDedicated);
+      bool point_ok = false;
+      for (const double t : rt::scheduling_points(rm, i)) {
+        point_ok = point_ok || rt::fp_workload(rm, i, t) <= t + 1e-9;
+        // R_i is the least fixed point: no point below it may pass.
+        if (hier && t < *hier - 1e-6) {
+          EXPECT_GT(rt::fp_workload(rm, i, t), t)
+              << "trial " << trial << " task " << i;
+        }
+      }
+      ASSERT_EQ(point_ok, hier.has_value())
           << "trial " << trial << " task " << i;
-      if (classic) {
-        EXPECT_NEAR(*classic, *hier, 1e-6);
+      if (hier) {
+        EXPECT_NEAR(rt::fp_workload(rm, i, *hier), *hier, 1e-6);
       }
     }
   }

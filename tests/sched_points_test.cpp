@@ -4,9 +4,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "hier/response_time.hpp"
 #include "rt/demand.hpp"
 #include "rt/priority.hpp"
-#include "rt/rta.hpp"
 
 namespace flexrt::rt {
 namespace {
@@ -93,7 +93,9 @@ TEST(SchedPoints, AgreesWithResponseTimeAnalysis) {
           break;
         }
       }
-      const bool rta_ok = response_time(rm, i).has_value();
+      const bool rta_ok =
+          hier::fp_response_time(rm, i, hier::LinearSupply(1.0, 0.0))
+              .has_value();
       EXPECT_EQ(points_ok, rta_ok) << "trial " << trial << " task " << i;
       (rta_ok ? schedulable_seen : unschedulable_seen)++;
     }

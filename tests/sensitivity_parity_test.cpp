@@ -80,20 +80,24 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, SensitivityParity,
                          });
 
 TEST(BatchEngine, VerifyMatchesVerifySchedule) {
+  // The frozen full-enumeration verify is the reference: core's
+  // verify_schedule is a one-shot of the engine itself.
   const ModeTaskSystem sys = paper_example();
   for (const hier::Scheduler alg :
        {hier::Scheduler::EDF, hier::Scheduler::FP}) {
     const analysis::BatchEngine engine(sys, alg);
     ModeSchedule schedule = solved_schedule(alg);
     EXPECT_TRUE(engine.verify(schedule));
-    EXPECT_EQ(engine.verify(schedule), verify_schedule(sys, schedule, alg));
-    EXPECT_EQ(engine.verify(schedule, true),
-              verify_schedule(sys, schedule, alg, true));
     // Shrink one quantum until infeasible; both verdicts must track.
-    schedule.nf.usable *= 0.5;
-    EXPECT_EQ(engine.verify(schedule), verify_schedule(sys, schedule, alg));
-    schedule.nf.usable = 0.0;
-    EXPECT_EQ(engine.verify(schedule), verify_schedule(sys, schedule, alg));
+    for (const double nf_scale : {1.0, 0.5, 0.0}) {
+      schedule.nf.usable *= nf_scale;
+      for (const bool exact : {false, true}) {
+        EXPECT_EQ(engine.verify(schedule, exact),
+                  legacy::verify_schedule(sys, schedule, alg, exact))
+            << hier::to_string(alg) << " nf x" << nf_scale
+            << (exact ? " exact" : " linear");
+      }
+    }
   }
 }
 

@@ -230,6 +230,32 @@ TEST_F(FaultSweepOnPaperExample, InfeasibleNominalDesignSweepsNothing) {
   EXPECT_TRUE(r.points.empty());
 }
 
+TEST(FaultSweepWithoutFsTasks, EveryRateKeepsTheEmptyFsClass) {
+  // No FS task: the design's FS slot is 0, and no FS channel has anything
+  // to recover -- under the linear bound (which has no zero-rate form) and
+  // under the exact slot supply alike.
+  AnalysisService service;
+  service.add_system(
+      core::ModeTaskSystem({rt::TaskSet{{"a", 1.0, 5.0, 5.0, rt::Mode::FT}}},
+                           {},
+                           {rt::TaskSet{{"b", 1.0, 6.0, 6.0, rt::Mode::NF}},
+                            rt::TaskSet{{"c", 1.0, 8.0, 8.0, rt::Mode::NF}}}),
+      "nofs");
+  for (const bool exact : {false, true}) {
+    FaultSweepRequest req;
+    req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
+    req.use_exact_supply = exact;
+    const FaultSweepResult r = service.fault_sweep_one(0, req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.feasible) << r.infeasible;
+    EXPECT_EQ(r.schedule.fs.usable, 0.0);
+    ASSERT_EQ(r.points.size(), 5u);
+    for (const FaultRatePoint& p : r.points) {
+      EXPECT_TRUE(p.fs_ok) << "rate " << p.rate << (exact ? " exact" : "");
+    }
+  }
+}
+
 // --- fleet + streaming -----------------------------------------------------
 
 TEST(FaultSweepFleet, StreamedResultsEqualBufferedResultsWithErrorRows) {

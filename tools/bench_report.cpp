@@ -1,10 +1,11 @@
 // bench_report -- times the hot analysis kernels (new batched engine vs the
 // frozen pre-refactor kernels from bench/legacy_kernels.hpp) and emits a
 // JSON report. CI archives the file as BENCH_micro.json so the speedup
-// trajectory stays visible across PRs without parsing google-benchmark
-// output.
+// trajectory stays visible across PRs.
 //
-// Usage: bench_report [output.json]   (default: BENCH_micro.json)
+// Usage: bench_report [output.json | --help]. Exit 0 when the report is
+// written, 1 when a measurement throws, 2 on a usage error or an
+// unwritable output.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -70,11 +71,21 @@ struct Row {
   double engine_ns = 0.0;
 };
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: bench_report [output.json]   (default: BENCH_micro.json)\n";
 
-int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_micro.json";
+/// The report's temporary files, named after the output path.
+std::string daemon_tasks_path(const std::string& out_path) {
+  return out_path + ".daemon_bench.tasks";
+}
+std::string daemon_socket_path(const std::string& out_path) {
+  // net::dial reads an address without '/' as host:port.
+  const std::string dir =
+      out_path.find('/') == std::string::npos ? "./" : "";
+  return dir + out_path + ".daemon_bench.sock";
+}
 
+int run(const std::string& out_path, const std::string& argv0) {
   // Every row below except memo_hit measures compute, not lookups; the
   // process-wide answer memo would turn their repeat runs into cache hits
   // and time the wrong thing. The memo_hit block re-enables it.
@@ -87,7 +98,7 @@ int main(int argc, char** argv) {
           .schedule;
   const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
 
-  Rng rng(1246);  // matches micro_perf's sized_set(12)
+  Rng rng(1246);
   gen::GenParams gp;
   gp.num_tasks = 12;
   gp.total_utilization = 0.6;
@@ -388,7 +399,7 @@ int main(int argc, char** argv) {
   {
     static constexpr const char* kTasks =
         "a 1 6 NF 0\nb 1 12 FS 0\nc 1 15 FT 0\n";
-    const std::string task_path = out_path + ".daemon_bench.tasks";
+    const std::string task_path = daemon_tasks_path(out_path);
     if (std::FILE* f = std::fopen(task_path.c_str(), "w")) {
       std::fputs(kTasks, f);
       std::fclose(f);
@@ -399,7 +410,7 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("FLEXRT_DESIGN_BIN")) {
       tool = env;
     } else {
-      const std::string self = argv[0];
+      const std::string& self = argv0;
       const std::size_t slash = self.rfind('/');
       if (slash != std::string::npos) {
         tool = self.substr(0, slash) + "/flexrt_design";
@@ -421,7 +432,7 @@ int main(int argc, char** argv) {
                    tool.c_str());
     }
 
-    const std::string sock = out_path + ".daemon_bench.sock";
+    const std::string sock = daemon_socket_path(out_path);
     net::ServerOptions sopts;
     sopts.socket_path = sock;
     net::Server server(sopts);
@@ -585,4 +596,32 @@ int main(int argc, char** argv) {
       memo_bytes_identical ? "byte-identical" : "DIFFER");
   std::printf("report written to %s\n", out_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string out_path = "BENCH_micro.json";
+  if (argc > 1) {
+    const std::string arg = argv[1];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (arg.starts_with("-") || argc > 2) {
+      const char* bad = arg.starts_with("-") ? argv[1] : argv[2];
+      std::fprintf(stderr, "bench_report: unexpected argument '%s'\n%s", bad,
+                   kUsage);
+      return 2;
+    }
+    out_path = arg;
+  }
+  try {
+    return run(out_path, argv[0]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_report: %s\n", e.what());
+    std::remove(daemon_tasks_path(out_path).c_str());
+    std::remove(daemon_socket_path(out_path).c_str());
+    return 1;
+  }
 }

@@ -37,6 +37,17 @@ generic bug patterns; this script enforces the invariants that are about
                   common/parallel.hpp. Their scans run serially; the pool
                   is for fleet-level loops (svc, core::run_study) only.
 
+  bounded-analysis
+                  One bounded schedulability path. Under src/, only src/rt/
+                  may call rt::deadline_set, rt::edf_demand or
+                  rt::scheduling_points: those enumerations grow with the
+                  hyperperiod or exponentially with the task count. The
+                  library tests a task set through a budgeted
+                  rt::AnalysisContext (ctx.scheduling_points(i) and the
+                  other cached methods do not match); the full enumeration
+                  survives only as the frozen reference in
+                  bench/legacy_kernels.hpp, which is not checked.
+
   no-upward-include
                   Layers form no cycles. Nothing under src/common, rt,
                   hier, core, gen, io, part, fault, baseline, sim or
@@ -87,6 +98,9 @@ ATOMIC_STORE_STMT = re.compile(r"^\w+\.store\(.+\)$")
 
 SERIAL_ENGINE = re.compile(r"^src/(?:rt/|hier/|core/analysis_engine\.)")
 PARALLEL_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]common/parallel\.hpp[">]')
+
+UNBOUNDED_ENUMERATION = re.compile(
+    r"\brt::(?:deadline_set|edf_demand|scheduling_points)\b")
 
 BELOW_SVC = re.compile(
     r"^src/(?:common|rt|hier|core|gen|io|part|fault|baseline|sim|platform)/")
@@ -266,6 +280,24 @@ def check_engine_serial(path, raw, code, findings):
             "not inside one system's analysis")
 
 
+def check_bounded_analysis(path, raw, code, findings):
+    key = rel_key(path)
+    if not key.startswith("src/") or key.startswith("src/rt/"):
+        return
+    for idx, line in enumerate(code):
+        m = UNBOUNDED_ENUMERATION.search(line)
+        if not m:
+            continue
+        if allowed(raw, idx, "bounded-analysis"):
+            continue
+        findings.add(
+            path, idx + 1, "bounded-analysis",
+            f"{m.group(0)} enumerates the full point or deadline set -- test "
+            "through a budgeted rt::AnalysisContext (hier::schedulable, "
+            "analysis::BatchEngine) so hostile task sets get the "
+            "conservative verdict, not an out-of-memory kill")
+
+
 def check_no_upward_include(path, raw, code, findings):
     key = rel_key(path)
     if BELOW_SVC.match(key):
@@ -287,7 +319,8 @@ def check_no_upward_include(path, raw, code, findings):
 
 
 CHECKS = [check_raw_mutex, check_jsonl_helpers, check_wall_pairing,
-          check_signal_handler, check_engine_serial, check_no_upward_include]
+          check_signal_handler, check_engine_serial, check_bounded_analysis,
+          check_no_upward_include]
 EXTENSIONS = {".cpp", ".hpp", ".cc", ".h"}
 
 
