@@ -1,28 +1,30 @@
 #include "io/task_io.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdlib>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace flexrt::io {
 namespace {
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
-
-std::optional<rt::Mode> parse_mode(const std::string& token) {
-  const std::string u = upper(token);
-  if (u == "FT") return rt::Mode::FT;
-  if (u == "FS") return rt::Mode::FS;
-  if (u == "NF") return rt::Mode::NF;
+/// FT, FS or NF in any letter case (the classic locale's: a-z only).
+std::optional<rt::Mode> parse_mode(std::string_view token) {
+  if (token.size() != 2) return std::nullopt;
+  const auto up = [](char c) {
+    return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+  };
+  const char a = up(token[0]);
+  const char b = up(token[1]);
+  if (a == 'F' && b == 'T') return rt::Mode::FT;
+  if (a == 'F' && b == 'S') return rt::Mode::FS;
+  if (a == 'N' && b == 'F') return rt::Mode::NF;
   return std::nullopt;
 }
 
@@ -36,33 +38,55 @@ struct ParsedLine {
 };
 
 /// Parses `token` as a double; reports the offending token on failure.
-double parse_number(const std::string& token, const char* what, int line_no) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(token, &consumed);
-    if (consumed == token.size()) return v;
-  } catch (const std::exception&) {  // invalid_argument / out_of_range
-  }
-  fail(line_no, std::string("bad ") + what + " '" + token + "'");
+double parse_number(std::string_view token, const char* what, int line_no) {
+  if (const std::optional<double> v = text::parse_double(token)) return *v;
+  fail(line_no, std::string("bad ") + what + " '" + std::string(token) + "'");
 }
 
-std::optional<ParsedLine> parse_line(const std::string& raw, int line_no) {
+/// True when std::stod converts a prefix of `token`: it throws
+/// invalid_argument only when strtod converts nothing.
+bool starts_a_number(std::string_view token) {
+  const std::string s(token);
+  char* end = nullptr;
+  (void)std::strtod(s.c_str(), &end);
+  return end != s.c_str();
+}
+
+/// A channel index, as std::stoll reads it in base 10.
+long long parse_channel(std::string_view token, int line_no) {
+  try {
+    const std::string s(token);
+    std::size_t consumed = 0;
+    const long long channel = std::stoll(s, &consumed, 10);
+    if (consumed == s.size()) return channel;
+  } catch (const std::exception&) {
+  }
+  fail(line_no, "bad channel '" + std::string(token) + "'");
+}
+
+/// One task line; nullopt when blank or comment-only.
+std::optional<ParsedLine> parse_line(std::string_view raw, int line_no) {
   // Tolerate CRLF files and stray trailing whitespace: everything after a
   // '#' is comment, and '\r' (like '\t') is classic-locale whitespace, so
-  // the extraction below treats it as just another token separator.
-  const std::string line = raw.substr(0, raw.find('#'));
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  for (std::string tok; in >> tok;) tokens.push_back(std::move(tok));
+  // the split below treats it as just another token separator.
+  std::vector<std::string_view> tokens;
+  for (std::string_view rest = raw.substr(0, raw.find('#'));;) {
+    const std::string_view token = text::next_token(rest);
+    if (token.empty()) break;
+    tokens.push_back(token);
+  }
   if (tokens.empty()) return std::nullopt;  // blank / comment-only
   if (tokens.size() < 4) {
-    std::string got = tokens[0];
-    for (std::size_t k = 1; k < tokens.size(); ++k) got += ' ' + tokens[k];
+    std::string got(tokens[0]);
+    for (std::size_t k = 1; k < tokens.size(); ++k) {
+      got += ' ';
+      got += tokens[k];
+    }
     fail(line_no,
          "expected 'name C T [D] mode [channel]', got '" + got + "'");
   }
 
-  const std::string& name = tokens[0];
+  const std::string_view name = tokens[0];
   const double c = parse_number(tokens[1], "WCET", line_no);
   const double t = parse_number(tokens[2], "period", line_no);
 
@@ -71,38 +95,32 @@ std::optional<ParsedLine> parse_line(const std::string& raw, int line_no) {
   double d = t;
   std::optional<rt::Mode> mode = parse_mode(tokens[next]);
   if (!mode) {
-    try {
-      std::size_t consumed = 0;
-      d = std::stod(tokens[next], &consumed);
-      if (consumed != tokens[next].size()) {
-        fail(line_no, "bad deadline '" + tokens[next] + "'");
-      }
-    } catch (const std::invalid_argument&) {
-      fail(line_no,
-           "expected deadline or mode (FT/FS/NF), got '" + tokens[next] + "'");
+    const std::string_view token = tokens[next];
+    if (const std::optional<double> v = text::parse_double(token)) {
+      d = *v;
+    } else if (starts_a_number(token)) {
+      fail(line_no, "bad deadline '" + std::string(token) + "'");
+    } else {
+      fail(line_no, "expected deadline or mode (FT/FS/NF), got '" +
+                        std::string(token) + "'");
     }
     ++next;
     if (next >= tokens.size()) fail(line_no, "missing mode (FT/FS/NF)");
     mode = parse_mode(tokens[next]);
-    if (!mode) fail(line_no, "unknown mode '" + tokens[next] + "'");
+    if (!mode) {
+      fail(line_no, "unknown mode '" + std::string(tokens[next]) + "'");
+    }
   }
   ++next;
 
   ParsedLine out;
   try {
-    out.task = rt::make_task(name, c, t, d, *mode);
+    out.task = rt::make_task(std::string(name), c, t, d, *mode);
   } catch (const ModelError& e) {
     fail(line_no, e.what());
   }
   if (next < tokens.size()) {
-    long long channel = -1;
-    try {
-      std::size_t consumed = 0;
-      channel = std::stoll(tokens[next], &consumed, 10);
-      if (consumed != tokens[next].size()) throw std::invalid_argument("");
-    } catch (const std::exception&) {
-      fail(line_no, "bad channel '" + tokens[next] + "'");
-    }
+    const long long channel = parse_channel(tokens[next], line_no);
     if (channel < 0 ||
         static_cast<std::size_t>(channel) >= core::num_channels(*mode)) {
       fail(line_no, "channel " + std::to_string(channel) +
@@ -112,38 +130,34 @@ std::optional<ParsedLine> parse_line(const std::string& raw, int line_no) {
     ++next;
   }
   if (next < tokens.size()) {
-    fail(line_no, "trailing token '" + tokens[next] + "'");
+    fail(line_no, "trailing token '" + std::string(tokens[next]) + "'");
   }
   return out;
 }
 
-std::vector<ParsedLine> parse_lines(std::istream& in) {
+/// Every task line of `text`, which splits into lines at '\n' as getline
+/// would.
+std::vector<ParsedLine> parse_lines(std::string_view text) {
   std::vector<ParsedLine> out;
-  std::string raw;
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
     ++line_no;
-    if (auto parsed = parse_line(raw, line_no)) out.push_back(std::move(*parsed));
+    if (auto parsed = parse_line(text.substr(0, nl), line_no)) {
+      out.push_back(std::move(*parsed));
+    }
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
   }
   return out;
 }
 
-}  // namespace
-
-rt::TaskSet parse_task_set(std::istream& in) {
-  rt::TaskSet ts;
-  for (ParsedLine& p : parse_lines(in)) ts.add(std::move(p.task));
-  return ts;
+std::string read_all(std::istream& in) {
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-rt::TaskSet parse_task_set_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_task_set(in);
-}
-
-ParsedSystem parse_mode_task_system(std::istream& in,
-                                    const part::PackOptions& pack) {
-  const std::vector<ParsedLine> lines = parse_lines(in);
+/// Builds the per-mode channel partition of parsed lines.
+ParsedSystem partition(std::vector<ParsedLine> lines,
+                       const part::PackOptions& pack) {
   ParsedSystem out;
 
   // Pinned tasks go straight to their channel; the rest are packed around
@@ -155,12 +169,13 @@ ParsedSystem parse_mode_task_system(std::istream& in,
     parts[static_cast<std::size_t>(mode)].resize(core::num_channels(mode));
   }
   rt::TaskSet unpinned;
-  for (const ParsedLine& p : lines) {
+  for (ParsedLine& p : lines) {
     if (p.channel) {
       out.had_explicit_channels = true;
-      parts[static_cast<std::size_t>(p.task.mode)][*p.channel].add(p.task);
+      parts[static_cast<std::size_t>(p.task.mode)][*p.channel].add(
+          std::move(p.task));
     } else {
-      unpinned.add(p.task);
+      unpinned.add(std::move(p.task));
     }
   }
   for (const rt::Mode mode : core::kAllModes) {
@@ -203,10 +218,26 @@ ParsedSystem parse_mode_task_system(std::istream& in,
   return out;
 }
 
+}  // namespace
+
+rt::TaskSet parse_task_set(std::istream& in) {
+  return parse_task_set_string(read_all(in));
+}
+
+rt::TaskSet parse_task_set_string(const std::string& text) {
+  rt::TaskSet ts;
+  for (ParsedLine& p : parse_lines(text)) ts.add(std::move(p.task));
+  return ts;
+}
+
+ParsedSystem parse_mode_task_system(std::istream& in,
+                                    const part::PackOptions& pack) {
+  return parse_mode_task_system_string(read_all(in), pack);
+}
+
 ParsedSystem parse_mode_task_system_string(const std::string& text,
                                            const part::PackOptions& pack) {
-  std::istringstream in(text);
-  return parse_mode_task_system(in, pack);
+  return partition(parse_lines(text), pack);
 }
 
 void write_task_set(std::ostream& os, const rt::TaskSet& ts) {

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/text.hpp"
 #include "gen/taskset_gen.hpp"
 #include "io/task_io.hpp"
 #include "svc/memo_cache.hpp"
@@ -19,21 +19,19 @@
 namespace flexrt::net::proto {
 
 double parse_num(const char* flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(v, &pos);
-    if (pos == v.size()) return out;
-  } catch (const std::exception&) {
-  }
+  if (const std::optional<double> out = text::parse_double(v)) return *out;
   throw ModelError(std::string(flag) + ": bad number '" + v + "'");
 }
 
 std::size_t parse_size(const char* flag, const std::string& v, int base) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long out = std::stoull(v, &pos, base);
-    if (pos == v.size()) return static_cast<std::size_t>(out);
-  } catch (const std::exception&) {
+  // std::stoull negates a '-' value into a huge count; no count is negative.
+  if (v.find('-') == std::string::npos) {
+    try {
+      std::size_t pos = 0;
+      const unsigned long long out = std::stoull(v, &pos, base);
+      if (pos == v.size()) return static_cast<std::size_t>(out);
+    } catch (const std::exception&) {
+    }
   }
   throw ModelError(std::string(flag) + ": bad count '" + v + "'");
 }
@@ -61,10 +59,11 @@ std::array<double, 3> parse_triple(const char* flag, const std::string& spec) {
 
 std::vector<std::string> split_tokens(const std::string& line) {
   std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
+  for (std::string_view rest = line;;) {
+    const std::string_view tok = text::next_token(rest);
+    if (tok.empty()) return tokens;
+    tokens.emplace_back(tok);
+  }
 }
 
 std::optional<std::string> read_line(std::istream& in, std::size_t max_bytes,
@@ -439,57 +438,76 @@ Invocation parse_command(const std::string& name,
   return inv;
 }
 
-std::vector<std::string> Rows::close(std::vector<std::string> rows) {
-  fold(rows.back());
-  return rows;
+namespace {
+
+/// Appends a finished row and its newline to an entry's block.
+void add_row(std::string& block, svc::JsonRow row) {
+  block += std::move(row).str();
+  block += '\n';
 }
 
-std::vector<std::string> Rows::entry(const svc::SolveResult& r) {
+/// A one-row block.
+std::string one_row(svc::JsonRow row) {
+  std::string block = std::move(row).str();
+  block += '\n';
+  return block;
+}
+
+}  // namespace
+
+std::string Rows::close(std::string block) {
+  std::string_view rows = block;
+  rows.remove_suffix(1);  // the last row's newline; rows hold no raw '\n'
+  fold(rows.substr(rows.rfind('\n') + 1));
+  return block;
+}
+
+std::string Rows::entry(const svc::SolveResult& r) {
   const auto& q = std::get<svc::SolveRequest>(inv_.request);
   if (inv_.command->id == CommandId::Study) {
-    return close({svc::study_trial_row(r, q.alg, q.goal)});
+    return close(svc::study_trial_row(r, q.alg, q.goal) + '\n');
   }
   if (!r.ok()) throw ModelError(r.error);
-  return close({svc::solve_row(r, q.alg, q.goal, with_wall_).str()});
+  return close(one_row(svc::solve_row(r, q.alg, q.goal, with_wall_)));
 }
 
-std::vector<std::string> Rows::entry(const svc::MinQuantumResult& r) {
+std::string Rows::entry(const svc::MinQuantumResult& r) {
   const auto& q = std::get<svc::MinQuantumRequest>(inv_.request);
   if (!r.ok()) throw ModelError(r.error);
-  return close({svc::min_quantum_row(r, q.alg, q.period, with_wall_).str()});
+  return close(one_row(svc::min_quantum_row(r, q.alg, q.period, with_wall_)));
 }
 
-std::vector<std::string> Rows::entry(const svc::RegionSweepResult& r) {
+std::string Rows::entry(const svc::RegionSweepResult& r) {
   const auto& q = std::get<svc::RegionSweepRequest>(inv_.request);
-  std::vector<std::string> rows;
+  std::string block;
   if (r.ok()) {
-    rows.reserve(r.samples.size() + 1);
     for (const core::RegionSample& s : r.samples) {
-      rows.push_back(svc::sweep_sample_row(r, q.alg, s).str());
+      add_row(block, svc::sweep_sample_row(r, q.alg, s));
     }
   }
-  rows.push_back(svc::sweep_summary_row(r, q.alg, with_wall_).str());
-  return close(std::move(rows));
+  add_row(block, svc::sweep_summary_row(r, q.alg, with_wall_));
+  return close(std::move(block));
 }
 
-std::vector<std::string> Rows::entry(const svc::VerifyResult& r) {
+std::string Rows::entry(const svc::VerifyResult& r) {
   const auto& q = std::get<svc::VerifyRequest>(inv_.request);
   if (!r.ok()) throw ModelError(r.error);
-  return close({svc::verify_row(r, q.alg, q.schedule.period, with_wall_).str()});
+  return close(
+      one_row(svc::verify_row(r, q.alg, q.schedule.period, with_wall_)));
 }
 
-std::vector<std::string> Rows::entry(const svc::FaultSweepResult& r) {
+std::string Rows::entry(const svc::FaultSweepResult& r) {
   const auto& q = std::get<svc::FaultSweepRequest>(inv_.request);
-  std::vector<std::string> rows;
+  std::string block;
   // Error entries emit their one summary row only: partially computed
   // points must not masquerade as sweep output.
   if (r.ok()) {
     for (const svc::FaultRatePoint& p : r.points) {
-      rows.push_back(svc::fault_point_row(r, p, q.alg, q.with_baselines).str());
+      add_row(block, svc::fault_point_row(r, p, q.alg, q.with_baselines));
     }
   }
-  rows.push_back(svc::fault_sweep_summary_row(r, q.alg).str());
-  return close(std::move(rows));
+  add_row(block, svc::fault_sweep_summary_row(r, q.alg));
+  return close(std::move(block));
 }
 
 bool Rows::terminal(std::string_view row) const {
@@ -520,9 +538,8 @@ int write_rows(const Invocation& inv, const svc::AnalysisService& service,
                std::ostream& out, bool with_wall, bool flush_per_row) {
   Rows rows(inv, with_wall);
   svc::JsonlWriter writer(out, flush_per_row);
-  for_each_entry(inv, service, [&](const auto& r) {
-    for (const std::string& row : rows.entry(r)) writer.write(row);
-  });
+  for_each_entry(inv, service,
+                 [&](const auto& r) { writer.write_rows(rows.entry(r)); });
   if (const std::optional<std::string> s = rows.summary()) writer.write(*s);
   return rows.rc();
 }

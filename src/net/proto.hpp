@@ -220,15 +220,16 @@ class Rows {
   Rows(const Invocation& inv, bool with_wall)
       : inv_(inv), with_wall_(with_wall) {}
 
-  /// One entry's rows, terminal row last; folded into rc() (and, for
-  /// study, the summary aggregate). A failed solve, minq or verify entry
-  /// throws ModelError: those commands stop (exit 2, wire `error`). A
-  /// failed sweep, fault-sweep or study entry renders its error row.
-  std::vector<std::string> entry(const svc::SolveResult& r);
-  std::vector<std::string> entry(const svc::MinQuantumResult& r);
-  std::vector<std::string> entry(const svc::RegionSweepResult& r);
-  std::vector<std::string> entry(const svc::VerifyResult& r);
-  std::vector<std::string> entry(const svc::FaultSweepResult& r);
+  /// One entry's rows as one block, each row '\n'-terminated, terminal row
+  /// last; folded into rc() (and, for study, the summary aggregate). A
+  /// failed solve, minq or verify entry throws ModelError: those commands
+  /// stop (exit 2, wire `error`). A failed sweep, fault-sweep or study
+  /// entry renders its error row.
+  std::string entry(const svc::SolveResult& r);
+  std::string entry(const svc::MinQuantumResult& r);
+  std::string entry(const svc::RegionSweepResult& r);
+  std::string entry(const svc::VerifyResult& r);
+  std::string entry(const svc::FaultSweepResult& r);
 
   /// True when `row` closes an entry (the command's terminal kind).
   bool terminal(std::string_view row) const;
@@ -242,7 +243,8 @@ class Rows {
   int rc() const noexcept { return rc_; }
 
  private:
-  std::vector<std::string> close(std::vector<std::string> rows);
+  /// Folds the block's last row, then hands the block back.
+  std::string close(std::string block);
 
   const Invocation& inv_;
   bool with_wall_;

@@ -1,128 +1,219 @@
 #include "svc/jsonl.hpp"
 
-#include <array>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
+#include <type_traits>
 
 #include "common/error.hpp"
 
 namespace flexrt::svc {
 namespace {
 
-std::string format_double(double v) {
-  // JSON has no inf/nan; the analysis layer uses +inf for "no feasible
-  // quantum", so map non-finite values to null at the row level.
-  std::array<char, 32> buf;
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  std::string out(buf.data(), end);
-  // Bare integers like "2" are valid JSON numbers; keep them as emitted so
-  // the round-trip stays byte-stable.
-  return out;
+/// A typical row: the wire sweep's sample rows fit, so most rows allocate
+/// once.
+constexpr std::size_t kRowReserve = 128;
+
+/// The most bytes one escaped byte takes ("\u00XX").
+constexpr std::size_t kMaxEscape = 6;
+
+/// The most bytes a number takes: "-2.2250738585072014e-308" (INT64_MIN and
+/// SIZE_MAX are shorter).
+constexpr std::size_t kNumberBytes = 32;
+
+/// Fields up to this size are staged on the stack.
+constexpr std::size_t kStageBytes = 256;
+
+/// True for the bytes JSON needs escaped.
+constexpr bool needs_escape(char ch) {
+  const auto c = static_cast<unsigned char>(ch);
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+char* write(char* p, std::string_view s) {
+  return std::copy(s.begin(), s.end(), p);
+}
+
+/// Writes `raw` JSON-escaped (quotes excluded) at `p`, which has room for
+/// kMaxEscape bytes per byte of `raw`; returns the end. The escapes are
+/// \" and \\ for the quote and the backslash, \n \r \t, and \u00XX
+/// (lower-case hex) for the other bytes below 0x20.
+char* write_escaped(char* p, std::string_view raw) {
+  // Most strings need no escape: copy while checking, without a branch per
+  // byte, and redo only the rare string that does.
+  bool escape = false;
+  char* end = p;
+  for (const char c : raw) {
+    *end++ = c;
+    escape |= needs_escape(c);
+  }
+  if (!escape) return end;
+  for (const char ch : raw) {
+    if (!needs_escape(ch)) {
+      *p++ = ch;
+      continue;
+    }
+    const auto c = static_cast<unsigned char>(ch);
+    *p++ = '\\';
+    switch (c) {
+      case '"':
+      case '\\':
+        *p++ = ch;
+        break;
+      case '\n':
+        *p++ = 'n';
+        break;
+      case '\r':
+        *p++ = 'r';
+        break;
+      case '\t':
+        *p++ = 't';
+        break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        p = write(p, std::string_view(esc, sizeof esc));
+      }
+    }
+  }
+  return p;
+}
+
+/// Writes shortest round-trip digits (to_chars, which gives std::to_string's
+/// digits for integers) in at most kNumberBytes. JSON has no inf/nan; the
+/// analysis layer uses +inf for "no feasible quantum", so non-finite values
+/// render as null. Bare integers like "2" stay as emitted, so the
+/// round-trip stays byte-stable.
+template <typename T>
+char* write_number(char* p, T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return write(p, "null");
+  }
+  return std::to_chars(p, p + kNumberBytes, v).ptr;
+}
+
+/// Appends one field to `row` with a single append: the comma (before every
+/// field but the first), the quoted key and the colon, then what
+/// `write_value` writes in at most `value_bytes`. Every std::string append
+/// is an out-of-line call and a field is several small pieces, so the field
+/// is built on the stack first -- or on the heap, when its worst case does
+/// not fit.
+template <typename Fn>
+void append_field(std::string& row, std::string_view key,
+                  std::size_t value_bytes, Fn&& write_value) {
+  const auto build = [&](char* begin) {
+    char* p = begin;
+    if (row.size() > 1) *p++ = ',';  // more than the row's '{'
+    *p++ = '"';
+    p = write_escaped(p, key);
+    *p++ = '"';
+    *p++ = ':';
+    row.append(begin, static_cast<std::size_t>(write_value(p) - begin));
+  };
+  const std::size_t max_bytes = kMaxEscape * key.size() + 4 + value_bytes;
+  if (max_bytes <= kStageBytes) {
+    char stage[kStageBytes];
+    build(stage);
+  } else {
+    std::string heap(max_bytes, '\0');
+    build(heap.data());
+  }
 }
 
 }  // namespace
 
 std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof esc, "\\u%04x", c);
-          out += esc;
-        } else {
-          out += c;
-        }
-    }
-  }
+  std::string out(kMaxEscape * raw.size(), '\0');
+  out.resize(static_cast<std::size_t>(write_escaped(out.data(), raw) -
+                                      out.data()));
   return out;
 }
 
-void JsonRow::key(std::string_view k) {
-  if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  body_ += json_escape(k);
-  body_ += "\":";
+JsonRow::JsonRow() {
+  buf_.reserve(kRowReserve);
+  buf_ += '{';
 }
 
 JsonRow& JsonRow::field(std::string_view k, double v) {
-  if (!std::isfinite(v)) return null_field(k);
-  key(k);
-  body_ += format_double(v);
+  append_field(buf_, k, kNumberBytes,
+               [v](char* p) { return write_number(p, v); });
   return *this;
 }
 
 JsonRow& JsonRow::field(std::string_view k, std::int64_t v) {
-  key(k);
-  body_ += std::to_string(v);
+  append_field(buf_, k, kNumberBytes,
+               [v](char* p) { return write_number(p, v); });
   return *this;
 }
 
 JsonRow& JsonRow::field(std::string_view k, std::size_t v) {
-  key(k);
-  body_ += std::to_string(v);
+  append_field(buf_, k, kNumberBytes,
+               [v](char* p) { return write_number(p, v); });
   return *this;
 }
 
 JsonRow& JsonRow::field(std::string_view k, bool v) {
-  key(k);
-  body_ += v ? "true" : "false";
+  append_field(buf_, k, 5,
+               [v](char* p) { return write(p, v ? "true" : "false"); });
   return *this;
 }
 
 JsonRow& JsonRow::field(std::string_view k, std::string_view v) {
-  key(k);
-  body_ += '"';
-  body_ += json_escape(v);
-  body_ += '"';
+  append_field(buf_, k, kMaxEscape * v.size() + 2, [v](char* p) {
+    *p++ = '"';
+    p = write_escaped(p, v);
+    *p++ = '"';
+    return p;
+  });
   return *this;
 }
 
 JsonRow& JsonRow::field(std::string_view k, std::span<const double> v) {
-  key(k);
-  body_ += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) body_ += ',';
-    body_ += std::isfinite(v[i]) ? format_double(v[i]) : std::string("null");
-  }
-  body_ += ']';
+  append_field(buf_, k, (kNumberBytes + 1) * v.size() + 2, [v](char* p) {
+    *p++ = '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i) *p++ = ',';
+      p = write_number(p, v[i]);
+    }
+    *p++ = ']';
+    return p;
+  });
   return *this;
 }
 
 JsonRow& JsonRow::null_field(std::string_view k) {
-  key(k);
-  body_ += "null";
+  append_field(buf_, k, 4, [](char* p) { return write(p, "null"); });
   return *this;
 }
 
+std::string JsonRow::str() const& {
+  std::string out;
+  out.reserve(buf_.size() + 1);
+  out += buf_;
+  out += '}';
+  return out;
+}
+
+std::string JsonRow::str() && {
+  buf_ += '}';
+  return std::move(buf_);
+}
+
 JsonlWriter& JsonlWriter::write(std::string_view row) {
-  out_ << row << '\n';
+  line_.assign(row);
+  line_ += '\n';
+  return write_rows(line_);
+}
+
+JsonlWriter& JsonlWriter::write_rows(std::string_view rows) {
+  out_.write(rows.data(), static_cast<std::streamsize>(rows.size()));
   if (flush_per_row_) out_.flush();
   FLEXRT_REQUIRE(static_cast<bool>(out_),
                  "write failed after " + std::to_string(rows_) +
                      " rows (" + (name_.empty() ? "output stream" : name_) +
                      "): disk full or stream closed?");
-  ++rows_;
+  rows_ += static_cast<std::size_t>(std::count(rows.begin(), rows.end(), '\n'));
   return *this;
 }
 

@@ -18,8 +18,13 @@ namespace flexrt::svc {
 /// shard-merge invariant (merged shard reports == unsharded report) depends
 /// on this. No nesting beyond one level of number arrays: rows stay
 /// greppable and the field scanner below stays trivial.
+///
+/// Each field -- comma, quoted key, colon and value -- is appended in place
+/// to one buffer; an rvalue str() hands that buffer out by move.
 class JsonRow {
  public:
+  JsonRow();
+
   JsonRow& field(std::string_view key, double v);
   JsonRow& field(std::string_view key, std::int64_t v);
   JsonRow& field(std::string_view key, std::size_t v);
@@ -33,24 +38,25 @@ class JsonRow {
   JsonRow& null_field(std::string_view key);
 
   /// The finished row, braces included (no trailing newline).
-  std::string str() const { return "{" + body_ + "}"; }
+  std::string str() const&;
+  std::string str() &&;  ///< moves the buffer out: the row is spent
 
  private:
-  void key(std::string_view k);
-  std::string body_;
+  std::string buf_;  ///< '{' + the fields so far; str() closes it
 };
 
 /// JSON string escaping (quotes excluded) for the writer above.
 std::string json_escape(std::string_view raw);
 
-/// Incremental JSON-lines writer: one row out per call, newline-terminated,
-/// straight to the ostream. This is the streaming counterpart of buffering
-/// rows in a vector -- a fleet request's sink can hand rows here as entries
-/// finish and peak memory stays one row, not one fleet. With
-/// `flush_per_row` (what --stream runs use) the stream is flushed after
-/// every row, so a killed run leaves at most one truncated final line
-/// (which json_row_complete below detects deterministically); buffered
-/// runs leave it off and keep normal ostream buffering.
+/// Incremental JSON-lines writer: one row (or one entry's block of rows)
+/// out per call, newline-terminated, straight to the ostream. This is the
+/// streaming counterpart of buffering rows in a vector -- a fleet request's
+/// sink can hand rows here as entries finish and peak memory stays one
+/// entry, not one fleet. With `flush_per_row` (what --stream runs use) the
+/// stream is flushed after every call, so a killed run leaves at most one
+/// truncated final line (which json_row_complete below detects
+/// deterministically); buffered runs leave it off and keep normal ostream
+/// buffering.
 ///
 /// Every write checks the stream afterwards and throws ModelError on
 /// failure (disk full, closed pipe, I/O error), naming the row count and
@@ -67,6 +73,9 @@ class JsonlWriter {
   /// Throws ModelError when the stream goes bad.
   JsonlWriter& write(std::string_view row);
   JsonlWriter& write(const JsonRow& row) { return write(row.str()); }
+  /// Writes finished rows that each end in '\n' (net::proto::Rows::entry's
+  /// block) with one call; the stream is checked once for the block.
+  JsonlWriter& write_rows(std::string_view rows);
 
   std::size_t rows_written() const noexcept { return rows_; }
 
@@ -75,6 +84,7 @@ class JsonlWriter {
   bool flush_per_row_;
   std::string name_;
   std::size_t rows_ = 0;
+  std::string line_;  ///< write()'s row + '\n', written with one call
 };
 
 /// True when `line` is a complete JsonRow-shaped row: non-empty, starts

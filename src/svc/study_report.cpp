@@ -1,6 +1,7 @@
 #include "svc/study_report.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "svc/jsonl.hpp"
@@ -48,7 +49,7 @@ std::string study_trial_row(const SolveResult& r, hier::Scheduler alg,
     // it survived, not just "packed: false".
     row.field("error", r.error);
     provenance_fields(row, r.prov, /*with_wall=*/false);
-    return row.str();
+    return std::move(row).str();
   }
   row.field("feasible", r.feasible);
   if (r.feasible) {
@@ -59,7 +60,7 @@ std::string study_trial_row(const SolveResult& r, hier::Scheduler alg,
         .field("slack_bw", r.design.schedule.slack_bandwidth());
   }
   provenance_fields(row, r.prov, /*with_wall=*/false);
-  return row.str();
+  return std::move(row).str();
 }
 
 void StudyAggregate::add(std::string_view row) {
@@ -82,7 +83,7 @@ std::string StudyAggregate::summary_row() const {
       .field("sum_slack_bw", sum_slack_bw_)
       .field("mean_period",
              feasible_ ? sum_period_ / static_cast<double>(feasible_) : 0.0);
-  return row.str();
+  return std::move(row).str();
 }
 
 void collect_study_rows(std::istream& in, const std::string& name,

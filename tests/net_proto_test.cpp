@@ -569,6 +569,43 @@ TEST(NetProto, AddWithoutTerminatorErrors) {
   EXPECT_NE(st[0].message.find("terminating"), std::string::npos);
 }
 
+TEST(NetProto, AddWithAnOutOfRangeDeadlineNamesTheLineAndToken) {
+  const SessionOutput got = run_script(
+      "add bad\na 1 5 1e999 FT\nb 1 6 FS\n.\nstatus\n" + add_block("sys0") +
+      "solve\nquit\n");
+  EXPECT_EQ(got.rc, 2);
+  const std::vector<WireStatus> st = statuses(got.bytes);
+  ASSERT_EQ(st.size(), 5u);  // add, status, add, solve, quit
+  EXPECT_TRUE(st[0].failed);
+  EXPECT_EQ(st[0].message, "task file line 1: bad deadline '1e999'");
+  EXPECT_FALSE(st[1].failed);
+  EXPECT_NE(data_rows(got.bytes).find("\"fleet\":0"), std::string::npos)
+      << "the failed add leaves the fleet empty";
+  for (std::size_t i = 2; i < st.size(); ++i) EXPECT_FALSE(st[i].failed);
+  EXPECT_NE(data_rows(got.bytes).find("\"kind\":\"solve\""),
+            std::string::npos);
+}
+
+// A count never wraps: std::stoull reads "-1" as 2^64 - 1, so a negative
+// --trials would hold the session generating trials, and a negative
+// --budget would read as the largest budget.
+TEST(NetProto, NegativeCountsAreErrors) {
+  const SessionOutput got = run_script(
+      "gen-fleet --trials -1\nstatus\n" + add_block("sys0") +
+      "minq --period 2 --budget -1\nstatus\nquit\n");
+  EXPECT_EQ(got.rc, 2);
+  const std::vector<WireStatus> st = statuses(got.bytes);
+  ASSERT_EQ(st.size(), 6u);  // gen-fleet, status, add, minq, status, quit
+  EXPECT_TRUE(st[0].failed);
+  EXPECT_EQ(st[0].message, "--trials: bad count '-1'");
+  EXPECT_FALSE(st[1].failed);
+  EXPECT_FALSE(st[2].failed);
+  EXPECT_TRUE(st[3].failed);
+  EXPECT_EQ(st[3].message, "--budget: bad count '-1'");
+  EXPECT_FALSE(st[4].failed);
+  EXPECT_EQ(data_rows(got.bytes).find("min_quantum"), std::string::npos);
+}
+
 TEST(NetProto, AddWithUnparsableTasksErrors) {
   const SessionOutput got =
       run_script("add junk\nthis is not a task line\n.\nstatus\nquit\n");

@@ -73,6 +73,29 @@ TEST(ParseTaskSet, ErrorsNameTheOffendingToken) {
   EXPECT_NE(message_of("broken 1\n").find("'broken 1'"), std::string::npos);
 }
 
+// A deadline stod cannot represent -- past the largest double, or in the
+// subnormal range -- is a ModelError naming the line and the token, like a
+// bad WCET or period; a token that starts no number is a misspelt mode.
+TEST(ParseTaskSet, OutOfRangeDeadlinesNameTheLineAndToken) {
+  for (const std::string token : {"1e999", "1e-320"}) {
+    try {
+      parse_task_set_string("b 1 6 FS\na 1 5 " + token + " FT\n");
+      FAIL() << token << " must be rejected";
+    } catch (const ModelError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "task file line 2: bad deadline '" + token + "'");
+    }
+  }
+  try {
+    parse_task_set_string("a 1 5 XT FT\n");
+    FAIL() << "a misspelt mode must be rejected";
+  } catch (const ModelError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "task file line 1: expected deadline or mode (FT/FS/NF), got "
+              "'XT'");
+  }
+}
+
 TEST(ParseTaskSet, RejectsBadMode) {
   EXPECT_THROW(parse_task_set_string("a 1 10 XX\n"), ModelError);
 }

@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +25,7 @@
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
 #include "hier/min_quantum.hpp"
+#include "io/task_io.hpp"
 #include "legacy_kernels.hpp"
 #include "rt/analysis_context.hpp"
 #include "rt/deadline_bound.hpp"
@@ -70,6 +73,25 @@ struct Row {
   double legacy_ns = 0.0;
   double engine_ns = 0.0;
 };
+
+/// examples/paper_example.txt: the paper's 13 tasks, pinned to channels.
+constexpr const char* kPaperTaskFile =
+    "# The paper's Table-1 application (13 tasks) with the manual partition\n"
+    "# given in the text -- the task-file twin of core::paper_example().\n"
+    "# Format: name C T [D] mode [channel]   (see tools/README.md)\n"
+    "tau1   1  6  NF 0\n"
+    "tau2   1  8  NF 1\n"
+    "tau3   1 12  NF 1\n"
+    "tau4   2 10  NF 2\n"
+    "tau5   6 24  NF 3\n"
+    "tau6   1 10  FS 0\n"
+    "tau7   1 15  FS 0\n"
+    "tau8   2 20  FS 0\n"
+    "tau9   1  4  FS 1\n"
+    "tau10  1 12  FT 0\n"
+    "tau11  1 15  FT 0\n"
+    "tau12  1 20  FT 0\n"
+    "tau13  2 30  FT 0\n";
 
 constexpr const char* kUsage =
     "usage: bench_report [output.json]   (default: BENCH_micro.json)\n";
@@ -202,6 +224,94 @@ int run(const std::string& out_path, const std::string& argv0) {
            return lo;
          }),
          time_ns([&] { return engine.max_feasible_period(kOverhead); })});
+  }
+
+  // --- text: the wire sweep's rows and the paper's task file --------------
+  // Legacy is the frozen string-per-field renderer and istringstream/stod
+  // parser (bench/legacy_kernels.hpp); the bytes and the parsed system must
+  // match before either side is timed.
+  {
+    svc::AnalysisService service;
+    service.add_system(core::paper_example(), "paper");
+    const net::proto::Invocation sweep_cmd =
+        net::proto::parse_command("sweep", {}, net::proto::Front::Wire);
+    const auto& req = std::get<svc::RegionSweepRequest>(sweep_cmd.request);
+    const svc::RegionSweepResult sweep = service.region_sweep_one(0, req);
+    const std::string alg = hier::to_string(req.alg);
+    const auto legacy_render = [&] {
+      std::ostringstream out;
+      std::size_t n = 0;
+      for (const core::RegionSample& smp : sweep.samples) {
+        legacy::JsonRow row;
+        row.field("kind", "sweep_sample")
+            .field("name", sweep.name)
+            .field("alg", alg)
+            .field("period", smp.period)
+            .field("margin", smp.margin);
+        legacy::jsonl_write(out, row.str(), false, n++);
+      }
+      const svc::Provenance& prov = sweep.prov;
+      legacy::JsonRow row;
+      row.field("kind", "sweep")
+          .field("name", sweep.name)
+          .field("alg", alg)
+          .field("samples", sweep.samples.size())
+          .field("dl_exact", prov.dl_exact)
+          .field("fp_exact", prov.fp_exact)
+          .field("budget", prov.budget)
+          .field("fp_budget", prov.fp_budget)
+          .field("probes", prov.probes);
+      if (prov.gap) {
+        row.field("gap", *prov.gap);
+      } else {
+        row.null_field("gap");
+      }
+      row.field("degraded", prov.degraded);
+      legacy::jsonl_write(out, row.str(), false, n);
+      return out.str();
+    };
+    // The wire's render path: Rows::entry's block, written with one call.
+    const auto library_render = [&] {
+      std::ostringstream out;
+      net::proto::Rows entry_rows(sweep_cmd, /*with_wall=*/false);
+      svc::JsonlWriter(out).write_rows(entry_rows.entry(sweep));
+      return out.str();
+    };
+    FLEXRT_REQUIRE(sweep.samples.size() == 70 &&
+                       legacy_render() == library_render(),
+                   "render_sweep_rows_paper: the renderers disagree");
+    rows.push_back({"render_sweep_rows_paper",
+                    time_ns([&] {
+                      return static_cast<double>(legacy_render().size());
+                    }),
+                    time_ns([&] {
+                      return static_cast<double>(library_render().size());
+                    })});
+
+    const auto task_count = [](const io::ParsedSystem& p) {
+      double n = 0.0;
+      for (const rt::Mode mode : core::kAllModes) {
+        for (const rt::TaskSet& part : p.system.partitions(mode)) {
+          n += static_cast<double>(part.size());
+        }
+      }
+      return n;
+    };
+    FLEXRT_REQUIRE(
+        task_count(legacy::parse_mode_task_system_string(kPaperTaskFile)) ==
+                13.0 &&
+            task_count(io::parse_mode_task_system_string(kPaperTaskFile)) ==
+                13.0,
+        "parse_tasks_paper: the parsers disagree");
+    rows.push_back(
+        {"parse_tasks_paper",
+         time_ns([&] {
+           return task_count(
+               legacy::parse_mode_task_system_string(kPaperTaskFile));
+         }),
+         time_ns([&] {
+           return task_count(io::parse_mode_task_system_string(kPaperTaskFile));
+         })});
   }
 
   // --- large-n stress rows: the QPA-condensed dlSet at n = 1000 -----------

@@ -449,14 +449,7 @@ int run_journal(const proto::Invocation& inv,
               if (rows.terminal(row)) rows.fold(row);
             },
             [&](std::size_t i) { return service.run_one(i, req); },
-            [&](const auto& r) {
-              std::string block;
-              for (const std::string& row : rows.entry(r)) {
-                block += row;
-                block += '\n';
-              }
-              return block;
-            },
+            [&](const auto& r) { return rows.entry(r); },
             [&] {
               const std::optional<std::string> s = rows.summary();
               return s ? *s + "\n" : std::string();
