@@ -4,11 +4,16 @@
 // token must parse, so a malformed value ("--horizon abc", "--trials 1e3")
 // prints which flag rejected it and exits 2 -- the same convention as
 // flexrt_design -- instead of aborting on an uncaught std::invalid_argument
-// or silently truncating ("100x" -> 100) the way raw std::stod/stoi do.
+// or silently truncating ("100x" -> 100) the way raw std::stod/stoi do,
+// and a negative count is rejected, never wrapped to 2^64 - 1.
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+
+#include "common/text.hpp"
 
 namespace flexrt::bench {
 
@@ -24,11 +29,8 @@ inline double parse_num(const char* flag, const std::string& v) {
 }
 
 inline std::size_t parse_count(const char* flag, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long out = std::stoull(v, &pos, 10);
-    if (pos == v.size()) return static_cast<std::size_t>(out);
-  } catch (const std::exception&) {
+  if (const std::optional<std::uint64_t> out = text::parse_count(v)) {
+    return static_cast<std::size_t>(*out);
   }
   std::cerr << flag << ": bad count '" << v << "'\n";
   std::exit(2);

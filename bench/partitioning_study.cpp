@@ -10,7 +10,7 @@
 // (svc/analysis_service.hpp): one fleet holding every (trial, heuristic)
 // packing -- generated with layout-independent per-trial seeds via
 // AnalysisService::add_fleet -- probed by two fleet-wide SolveRequests (G1
-// and G2). Entries are analysed across the parallel_for worker pool
+// and G2). Entries are analysed on parallel_for's workers
 // (FLEXRT_THREADS) and, with --shard k/N, the trial range splits over N
 // cooperating processes; the per-shard aggregate rows (sums + counts)
 // merge by addition.

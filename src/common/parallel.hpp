@@ -33,31 +33,41 @@ class StopWatch {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// Number of worker threads backing parallel_for (>= 1). Resolved once per
+/// Workers per parallel_for loop, caller included (>= 1). Resolved once per
 /// process: the FLEXRT_THREADS environment variable when set to a positive
 /// integer, otherwise std::thread::hardware_concurrency().
 std::size_t thread_count() noexcept;
 
-/// Runs fn(i) for every i in [0, n) across a process-wide persistent thread
-/// pool and blocks until all iterations finished. Iterations are handed out
-/// in index-chunks via an atomic cursor, so the load balances even when
-/// iteration costs are skewed (e.g. period probes near the feasibility
-/// boundary converge slower).
+/// Runs fn(i) for every i in [0, n) and blocks until all iterations
+/// finished. The loop owns its workers: the calling thread plus up to
+/// min(thread_count(), n) - 1 helper threads, started for this loop and
+/// joined before it returns. Iterations are handed out in index chunks via
+/// an atomic cursor, so the load balances even when iteration costs are
+/// skewed (e.g. period probes near the feasibility boundary converge
+/// slower).
 ///
 /// Semantics:
 ///  - fn must be safe to call concurrently from different threads; writes
 ///    should go to disjoint slots (the canonical pattern is a preallocated
 ///    results vector indexed by i, which keeps output order deterministic).
 ///  - The first exception thrown by any iteration is rethrown to the caller
-///    after the loop drains; remaining iterations may or may not run.
-///  - Calls from inside a pool worker (nested parallelism) and loops too
-///    small to amortize the handoff run serially inline -- callers never
-///    need to special-case either.
+///    after every worker has joined; remaining iterations may or may not
+///    run.
+///  - Helpers are bounded process-wide: concurrent loops together run at
+///    most thread_count() - 1 of them, each holding a slot of one atomic
+///    count from its start to its end. A loop that finds the count at the
+///    cap (or cannot start a thread) runs with the helpers it got, down to
+///    the caller alone. No loop ever waits for another, so a stalled loop
+///    (a session whose client stopped reading) holds up only itself and
+///    the helpers it took.
+///  - Calls with thread_count() == 1, with n < 2, or from inside a loop's
+///    worker (nested parallelism) run serially inline -- callers never need
+///    to special-case them.
 ///
-/// This is the fleet runner: svc runs one fleet entry per iteration and
-/// core::run_study one trial. The analysis engine's own scans are serial
-/// (one period probe costs far less than a handoff), so a loop body never
-/// nests a second level of parallelism.
+/// This is the fleet runner: svc runs one fleet entry per iteration, and
+/// the bench studies one trial or system. The analysis engine's own scans
+/// are serial (one period probe costs far less than a thread start), so a
+/// loop body never nests a second level of parallelism.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Reorder window for ordered_stream when the caller passes 0: wide enough
@@ -65,8 +75,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 /// constant multiple of the thread count rather than the loop size.
 std::size_t default_stream_window() noexcept;
 
-/// Ordered streaming loop: computes make(i) for every i in [0, n) across
-/// the parallel_for pool and delivers each result to emit(i, value) in
+/// Ordered streaming loop: computes make(i) for every i in [0, n) on
+/// parallel_for's workers and delivers each result to emit(i, value) in
 /// strict index order, buffering at most `window` out-of-order results
 /// (window 0 = default_stream_window()). This is the bounded-memory
 /// counterpart of the preallocated-results-vector pattern: peak buffering
@@ -146,7 +156,7 @@ std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
     }
     st.gate.notify_all();
   });
-  // parallel_for has drained every worker: this thread is the only one
+  // parallel_for has joined every worker: this thread is the only one
   // left, but the contract is on the members, so read them under the lock.
   sys::MutexLock lock(st.mu);
   if (st.first_error) std::rethrow_exception(st.first_error);

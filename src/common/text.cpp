@@ -40,4 +40,16 @@ std::optional<double> parse_double(std::string_view token) {
   return std::nullopt;
 }
 
+std::optional<std::uint64_t> parse_count(std::string_view token, int base) {
+  if (token.find('-') != std::string_view::npos) return std::nullopt;
+  try {
+    const std::string s(token);
+    std::size_t consumed = 0;
+    const unsigned long long v = std::stoull(s, &consumed, base);
+    if (consumed == s.size()) return v;
+  } catch (const std::exception&) {  // invalid_argument / out_of_range
+  }
+  return std::nullopt;
+}
+
 }  // namespace flexrt::text

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -36,5 +37,12 @@ std::string_view next_token(std::string_view& rest) noexcept;
 /// token -- 0, subnormals, inf, nan, hex floats, a leading '+' or blank,
 /// out-of-range values, junk -- runs through std::stod itself.
 std::optional<double> parse_double(std::string_view token);
+
+/// The whole token as a count, exactly as std::stoull reads it in `base`
+/// (0 takes any C base: "0x5EED"), except that a token holding a '-' is
+/// rejected -- stoull negates "-1" into 2^64 - 1, and no count is negative.
+/// nullopt too when stoull throws or stops short of the token's end.
+std::optional<std::uint64_t> parse_count(std::string_view token,
+                                         int base = 10);
 
 }  // namespace flexrt::text

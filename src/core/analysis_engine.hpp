@@ -24,9 +24,8 @@ namespace flexrt::analysis {
 /// Construction is cheap (task-set snapshots; caches materialize lazily on
 /// first probe) and the engine is immutable afterwards: const engines are
 /// safe to probe from multiple threads. Every scan below runs serially on
-/// the calling thread -- one probe costs well under a pool handoff, so
-/// parallelism lives one level up, across the fleet entries of svc and
-/// core::run_study.
+/// the calling thread -- one probe costs well under a thread start, so
+/// parallelism lives one level up, across the fleet entries of svc.
 ///
 /// The free functions in core/integration.hpp, core/sensitivity.hpp and
 /// core/general_frame.hpp and core::verify_schedule are one-shot

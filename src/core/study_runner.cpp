@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace flexrt::core {
 
@@ -36,15 +38,15 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t trials,
 
 namespace {
 
-/// Whole-token unsigned parse; throws ModelError on trailing garbage so a
-/// typo like "--trials abc" fails loudly instead of silently running a
-/// 0-trial study (same strictness as parse_shard).
-std::uint64_t parse_count(const char* flag, const char* text, int base) {
-  char* rest = nullptr;
-  const unsigned long long v = std::strtoull(text, &rest, base);
-  FLEXRT_REQUIRE(rest != text && *rest == '\0',
-                 std::string(flag) + ": bad value '" + text + "'");
-  return v;
+/// Whole-token count (text::parse_count); throws ModelError on trailing
+/// garbage or a sign, so a typo like "--trials abc" fails loudly instead of
+/// silently running a 0-trial study and "--trials -1" is not read as
+/// 2^64 - 1 (same strictness as parse_shard).
+std::uint64_t parse_count(const char* flag, const char* token, int base) {
+  const std::optional<std::uint64_t> v = text::parse_count(token, base);
+  FLEXRT_REQUIRE(v.has_value(),
+                 std::string(flag) + ": bad value '" + token + "'");
+  return *v;
 }
 
 }  // namespace

@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace flexrt::core {
@@ -47,36 +45,5 @@ struct StudyOptions {
 /// the benches share one parsing convention instead of three copies.
 bool parse_study_flag(StudyOptions& opts, int argc, char** argv, int& i,
                       const char* trials_flag = "--trials");
-
-/// One shard's rows, indexed by global trial id starting at `begin`.
-template <typename Row>
-struct StudySlice {
-  std::size_t begin = 0;
-  std::vector<Row> rows;
-};
-
-/// Sharded study driver: partitions the global trial range across shard
-/// processes (ShardSpec) and, inside this process, across the
-/// par::parallel_for worker pool (FLEXRT_THREADS). `fn(global_index, rng)`
-/// produces one row; it runs concurrently for distinct trials, and each
-/// trial's rng comes from trial_rng, so the assembled study is
-/// deterministic under a fixed base seed regardless of shard layout or
-/// thread count. Row must be default-constructible (rows are written into
-/// a preallocated slice).
-template <typename Fn>
-auto run_study(const StudyOptions& opts, Fn&& fn)
-    -> StudySlice<decltype(fn(std::size_t{}, std::declval<Rng&>()))> {
-  using Row = decltype(fn(std::size_t{}, std::declval<Rng&>()));
-  const auto [begin, end] = shard_range(opts.trials, opts.shard);
-  StudySlice<Row> out;
-  out.begin = begin;
-  out.rows.resize(end - begin);
-  const std::size_t base = begin;  // structured bindings can't be captured
-  par::parallel_for(end - begin, [&, base](std::size_t i) {
-    Rng rng = trial_rng(opts.base_seed, base + i);
-    out.rows[i] = fn(base + i, rng);
-  });
-  return out;
-}
 
 }  // namespace flexrt::core

@@ -24,14 +24,8 @@ double parse_num(const char* flag, const std::string& v) {
 }
 
 std::size_t parse_size(const char* flag, const std::string& v, int base) {
-  // std::stoull negates a '-' value into a huge count; no count is negative.
-  if (v.find('-') == std::string::npos) {
-    try {
-      std::size_t pos = 0;
-      const unsigned long long out = std::stoull(v, &pos, base);
-      if (pos == v.size()) return static_cast<std::size_t>(out);
-    } catch (const std::exception&) {
-    }
+  if (const std::optional<std::uint64_t> n = text::parse_count(v, base)) {
+    return static_cast<std::size_t>(*n);
   }
   throw ModelError(std::string(flag) + ": bad count '" + v + "'");
 }

@@ -56,7 +56,8 @@ namespace flexrt::net::proto {
 /// no-ops; --csv, the journal flags and solve's human-report flags are
 /// rejected (they are offline concerns). `solve --study` is the wire
 /// spelling of the study command. Sessions are independent: each owns its
-/// fleet, while all of them share the process-wide par::parallel_for pool.
+/// fleet, and each fleet command runs on its own par::parallel_for workers,
+/// so a session whose client stops reading stalls no other session.
 /// Results stream to the client in entry order through
 /// svc::AnalysisService::run (par::ordered_stream), the one fleet path
 /// every front end uses, so per-client memory stays bounded by the reorder

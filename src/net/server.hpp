@@ -74,7 +74,8 @@ struct ServerOptions {
 };
 
 /// The flexrtd accept loop: one proto::Session per connection, each on its
-/// own thread, all sharing the process-wide analysis pool. stop() drains
+/// own thread; a fleet command adds helpers for its own loop only
+/// (par::parallel_for), so sessions never wait for each other. stop() drains
 /// gracefully -- the listener closes first, then every live session's fd is
 /// shutdown(SHUT_RD): a blocked read returns EOF, an in-flight command
 /// finishes and writes its rows/status, and the session thread exits. No

@@ -37,7 +37,7 @@ namespace flexrt::svc {
 /// parsed from files, or generated as a sharded trial study -- and executes
 /// *typed requests* (SolveRequest, MinQuantumRequest, RegionSweepRequest,
 /// SensitivityRequest, VerifyRequest, FaultSweepRequest) against every
-/// system on the shared par::parallel_for pool, through one execution path
+/// system on par::parallel_for's workers, through one execution path
 /// (run: ordered streaming into a sink; its collecting overload returns the
 /// vector). Results are typed structs that carry the answer
 /// plus *provenance*: whether the deadline-set analysis was exact, the
@@ -194,7 +194,7 @@ struct ResultBase {
   /// Non-empty when the request produced no answer for this entry:
   /// generation/packing failed, the model was rejected, or the entry's
   /// analysis threw -- *any* exception, not just flexrt::Error, becomes an
-  /// error row rather than escaping into the thread pool (a std::bad_alloc
+  /// error row rather than escaping into the fleet loop (a std::bad_alloc
   /// or stray library exception must never lose the entry or wedge a
   /// streaming run's ordered gate).
   std::string error;
@@ -397,7 +397,7 @@ class AnalysisService {
   const core::ModeTaskSystem& system(std::size_t i) const;
 
   // Fleet-wide execution, one path for every request type: run_one(i, req)
-  // for each entry across the par::parallel_for pool, each result handed to
+  // for each entry on par::parallel_for's workers, each result handed to
   // `sink` as soon as it and every earlier entry have finished -- entry
   // order, through a bounded reorder buffer (par::ordered_stream; window 0
   // = the library default, a small multiple of the thread count). Peak

@@ -1,12 +1,17 @@
 // The flexrtd socket server: unix-domain and TCP transports serve the same
 // protocol Session the stringstream tests pin down, concurrent clients get
-// byte-identical streams to a serial in-process run (per-client fleets,
-// shared pool), graceful stop drains connected clients without hanging,
-// and the socket file is unlinked on shutdown.
+// byte-identical streams to a serial in-process run (per-client fleets),
+// a client that stops reading stalls no other session, graceful stop
+// drains connected clients without hanging, and the socket file is
+// unlinked on shutdown.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +23,8 @@
 
 namespace flexrt::net {
 namespace {
+
+using namespace std::chrono_literals;
 
 /// A short per-client task file: one NF task whose period varies by client
 /// id, so every client's report is distinct and cross-talk would show.
@@ -121,6 +128,68 @@ TEST(NetServer, ConcurrentClientsGetSerialIdenticalStreams) {
   }
   server.stop();
   EXPECT_EQ(server.sessions_served(), static_cast<std::size_t>(kClients));
+}
+
+/// Reads `fd` until `want` status lines have arrived or `limit` has passed,
+/// never blocking past the limit; returns the bytes that arrived.
+std::string read_statuses(int fd, int want, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  std::string got;
+  std::size_t scanned = 0;
+  int seen = 0;
+  while (seen < want) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, static_cast<int>(left.count())) <= 0) continue;
+    char buf[4096];
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    if (r <= 0) break;
+    got.append(buf, static_cast<std::size_t>(r));
+    for (std::size_t nl; (nl = got.find('\n', scanned)) != std::string::npos;
+         scanned = nl + 1) {
+      if (proto::parse_status_line(got.substr(scanned, nl - scanned))) ++seen;
+    }
+  }
+  return got;
+}
+
+TEST(NetServer, ClientThatStopsReadingDoesNotStallOtherSessions) {
+  const std::string path = temp_socket_path("stall");
+  ServerOptions opts;
+  opts.socket_path = path;
+  Server server(opts);
+  server.start();
+
+  // A asks for a fleet whose rows far outgrow the socket buffers and never
+  // reads them: its session's writes block with its fleet loop mid-way.
+  const int a = dial(path);
+  const std::string a_cmds = "gen-fleet --trials 5000\nsolve --study\n";
+  ASSERT_EQ(::send(a, a_cmds.data(), a_cmds.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(a_cmds.size()));
+  // Rows past the gen-fleet status line mean A's fleet loop is running.
+  const auto a_deadline = std::chrono::steady_clock::now() + 10s;
+  int pending = 0;
+  while (::ioctl(a, FIONREAD, &pending) == 0 && pending < 4096 &&
+         std::chrono::steady_clock::now() < a_deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GE(pending, 4096);
+
+  // B's small fleet must answer while A stays stalled.
+  const int b = dial(path);
+  const std::string b_cmds = "gen-fleet --trials 4\nsolve --study\n";
+  ASSERT_EQ(::send(b, b_cmds.data(), b_cmds.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(b_cmds.size()));
+  const std::string got = read_statuses(b, 2, 10s);
+  EXPECT_NE(got.find("\nok rc=0\n"), std::string::npos)
+      << "B got no answer while A stopped reading:\n" << got;
+
+  // Closing A fails its blocked write; only then can stop() join A.
+  ::close(a);
+  ::close(b);
+  server.stop();
 }
 
 TEST(NetServer, StopDrainsConnectedIdleClientsWithoutHanging) {

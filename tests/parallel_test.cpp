@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace flexrt::par {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(ParallelFor, ThreadCountIsAtLeastOne) {
   EXPECT_GE(thread_count(), 1u);
@@ -56,6 +61,88 @@ TEST(ParallelFor, NestedCallsRunSeriallyWithoutDeadlock) {
     parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+// --- concurrent loops -----------------------------------------------------
+
+/// Polls `flag` until it is set (true) or `limit` has passed (false).
+bool wait_for(const std::atomic<bool>& flag, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(Parallel, ConcurrentLoopsDoNotWaitForEachOther) {
+  // A's first emit stands in for a session writing to a client that has
+  // stopped reading: it blocks until B's loop has returned, for at most
+  // 10 s. B must finish while A's loop is stalled, not wait behind it.
+  std::atomic<bool> a_emitting{false};
+  std::atomic<bool> b_returned{false};
+  bool waited = false;  // emits run one at a time, under the stream lock
+  bool a_saw_b = false;
+  std::thread a([&] {
+    ordered_stream(
+        8, 0, [](std::size_t i) { return i; },
+        [&](std::size_t, std::size_t) {
+          a_emitting.store(true);
+          if (!waited) {
+            waited = true;
+            a_saw_b = wait_for(b_returned, 10s);
+          }
+        });
+  });
+  EXPECT_TRUE(wait_for(a_emitting, 10s));
+  std::atomic<int> b_count{0};
+  parallel_for(8, [&](std::size_t) { b_count.fetch_add(1); });
+  b_returned.store(true);
+  a.join();
+  EXPECT_EQ(b_count.load(), 8);
+  EXPECT_TRUE(a_saw_b) << "B's loop waited for A's stalled loop to finish";
+}
+
+thread_local bool t_loop_caller = false;
+
+TEST(Parallel, HelpersStayWithinTheProcessBound) {
+  // Four loops at once, every body slow enough for them to overlap: the
+  // threads other than the four callers that run bodies at the same time
+  // never outnumber thread_count() - 1.
+  constexpr std::size_t kLoops = 4;
+  constexpr std::size_t kN = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(kLoops);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::atomic<std::size_t> helpers_inside{0};
+  std::atomic<std::size_t> peak{0};
+  std::latch start(kLoops);
+  std::vector<std::thread> callers;
+  for (std::size_t l = 0; l < kLoops; ++l) {
+    callers.emplace_back([&, l] {
+      t_loop_caller = true;
+      start.arrive_and_wait();
+      parallel_for(kN, [&](std::size_t i) {
+        hits[l][i].fetch_add(1);
+        if (t_loop_caller) {
+          std::this_thread::sleep_for(1ms);
+          return;
+        }
+        const std::size_t now = helpers_inside.fetch_add(1) + 1;
+        std::size_t seen = peak.load();
+        while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(1ms);
+        helpers_inside.fetch_sub(1);
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_LE(peak.load(), thread_count() - 1);
+  for (std::size_t l = 0; l < kLoops; ++l) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[l][i].load(), 1) << "loop " << l << " index " << i;
+    }
+  }
 }
 
 // --- ordered_stream -------------------------------------------------------

@@ -1,15 +1,15 @@
-// The sharded study driver: shard parsing/partitioning invariants and the
-// determinism contract (a trial's result depends only on (base_seed, trial
-// id), never on the shard layout or worker count).
+// The sharded study options: shard parsing/partitioning invariants and the
+// per-trial seed contract (a trial's stream depends only on (base_seed,
+// trial id), never on the shard layout). Layout independence of whole
+// fleets is covered by ServiceFleet.GeneratedFleetIsShardLayoutIndependent
+// and SvcStream.MergedShardStreamsEqualTheUnshardedStream.
 #include "core/study_runner.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
-#include "gen/taskset_gen.hpp"
 
 namespace flexrt::core {
 namespace {
@@ -72,50 +72,6 @@ TEST(TrialRng, StreamsDifferAcrossTrialsAndMatchPerTrial) {
   Rng c2 = trial_rng(123, 6);
   EXPECT_NE(a2(), c2());
   (void)c;
-}
-
-TEST(RunStudy, AssembledShardsMatchTheUnshardedRun) {
-  const auto trial = [](std::size_t, Rng& rng) {
-    gen::GenParams gp;
-    gp.num_tasks = 6;
-    gp.total_utilization = 0.8;
-    const rt::TaskSet ts = gen::generate_task_set(gp, rng);
-    return ts[0].wcet + 100.0 * ts[2].period;  // fingerprint of the stream
-  };
-  StudyOptions whole;
-  whole.trials = 13;
-  whole.base_seed = 99;
-  const auto reference = run_study(whole, trial);
-  ASSERT_EQ(reference.rows.size(), 13u);
-  EXPECT_EQ(reference.begin, 0u);
-
-  for (const std::size_t shards : {2u, 3u, 5u}) {
-    std::vector<double> assembled(whole.trials, -1.0);
-    for (std::size_t k = 0; k < shards; ++k) {
-      StudyOptions part = whole;
-      part.shard = {k, shards};
-      const auto slice = run_study(part, trial);
-      for (std::size_t i = 0; i < slice.rows.size(); ++i) {
-        assembled[slice.begin + i] = slice.rows[i];
-      }
-    }
-    for (std::size_t i = 0; i < whole.trials; ++i) {
-      EXPECT_DOUBLE_EQ(assembled[i], reference.rows[i]) << "trial " << i;
-    }
-  }
-}
-
-TEST(RunStudy, PassesGlobalTrialIndices) {
-  StudyOptions opts;
-  opts.trials = 10;
-  opts.shard = {1, 2};  // owns trials 5..10
-  const auto slice =
-      run_study(opts, [](std::size_t i, Rng&) { return static_cast<double>(i); });
-  EXPECT_EQ(slice.begin, 5u);
-  ASSERT_EQ(slice.rows.size(), 5u);
-  for (std::size_t i = 0; i < slice.rows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(slice.rows[i], static_cast<double>(5 + i));
-  }
 }
 
 }  // namespace

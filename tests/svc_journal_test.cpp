@@ -529,7 +529,8 @@ TEST(JournalCrash, KillMidStudyThenResumeByteIdentical) {
 
     // Child: re-exec this binary filtered to the paced child test, single
     // worker thread so the journal grows one entry at a time. fork+exec
-    // (not bare fork): the process-wide thread pool does not survive fork.
+    // (not bare fork): par::thread_count() reads FLEXRT_THREADS once per
+    // process, so only a fresh image sees the child's value.
     ::setenv("FLEXRT_JOURNAL_CHILD_OUT", path.c_str(), 1);
     ::setenv("FLEXRT_THREADS", "1", 1);
     const pid_t pid = ::fork();

@@ -531,5 +531,33 @@ TEST(TextOracle, NumbersReadExactlyWhatStodReads) {
   EXPECT_GT(fast, static_cast<std::size_t>(kNumbers) / 4);
 }
 
+TEST(TextOracle, CountsReadWhatStoullReadsExceptNegatives) {
+  // std::stoull negates a '-' token into 2^64 - n; parse_count refuses any
+  // '-' and otherwise reads the whole token exactly as stoull does.
+  struct Case {
+    const char* token;
+    int base;
+    std::optional<std::uint64_t> want;
+  };
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  for (const Case& c : std::vector<Case>{{"0", 10, 0},
+                                         {"12", 10, 12},
+                                         {"+7", 10, 7},
+                                         {" 5", 10, 5},
+                                         {"18446744073709551615", 10, max},
+                                         {"0x5EED", 0, 0x5EED},
+                                         {"-1", 10, std::nullopt},
+                                         {"-0", 10, std::nullopt},
+                                         {" -3", 0, std::nullopt},
+                                         {"18446744073709551616", 10, std::nullopt},
+                                         {"1e3", 10, std::nullopt},
+                                         {"12 ", 10, std::nullopt},
+                                         {"", 10, std::nullopt},
+                                         {"0x5EED", 10, std::nullopt}}) {
+    EXPECT_EQ(text::parse_count(c.token, c.base), c.want)
+        << "'" << c.token << "' base " << c.base;
+  }
+}
+
 }  // namespace
 }  // namespace flexrt

@@ -381,47 +381,6 @@ int run(const std::string& out_path, const std::string& argv0) {
                     })});
   }
 
-  // --- sharded study driver: serial trials vs the parallel_for pool -------
-  // Near-linear scaling across FLEXRT_THREADS shows up as speedup ~=
-  // "threads" (both paths run identical per-trial work).
-  {
-    const auto trial = [](std::size_t, Rng& trial_rng) {
-      gen::GenParams trial_gp;
-      trial_gp.num_tasks = 12;
-      trial_gp.total_utilization = 1.1;
-      const rt::TaskSet ts = gen::generate_task_set(trial_gp, trial_rng);
-      const auto trial_sys = gen::build_system(ts);
-      if (!trial_sys) return 0.0;
-      core::SearchOptions opts;
-      opts.grid_step = 2e-2;
-      opts.p_max = 8.0;
-      try {
-        return core::max_feasible_period(*trial_sys, hier::Scheduler::EDF,
-                                         0.05, opts);
-      } catch (const InfeasibleError&) {
-        return 0.0;
-      }
-    };
-    core::StudyOptions study;
-    study.trials = 4 * par::thread_count();
-    rows.push_back(
-        {"study_trials_e10",
-         time_ns([&] {
-           double acc = 0.0;
-           for (std::size_t i = 0; i < study.trials; ++i) {
-             Rng seeded = core::trial_rng(study.base_seed, i);
-             acc += trial(i, seeded);
-           }
-           return acc;
-         }),
-         time_ns([&] {
-           const auto slice = core::run_study(study, trial);
-           double acc = 0.0;
-           for (const double p : slice.rows) acc += p;
-           return acc;
-         })});
-  }
-
   // --- streaming fleet execution: peak result buffering vs fleet size -----
   // The service's one fleet path reassembles results through a bounded
   // reorder window, so peak buffered rows is O(window), while the
@@ -499,7 +458,7 @@ int run(const std::string& out_path, const std::string& argv0) {
 
   // --- daemon round-trip: process-per-request vs a warm resident session --
   // Cold = exec the offline tool once per request (what a shell loop or a
-  // notebook pays today: shell, process start, pool spin-up, parse -- every
+  // notebook pays today: shell, process start, parse -- every
   // time). Warm = the same solve over one persistent flexrtd session on a
   // unix socket. The workload is deliberately small so the row measures the
   // per-request fixed costs the daemon amortizes, not the solve itself

@@ -1,12 +1,14 @@
 // flexrtd -- the resident analysis daemon.
 //
-// Keeps one process-wide analysis pool warm and serves the net::proto wire
-// protocol (spec in tools/README.md) over a unix-domain or TCP socket: each
-// connection gets its own fleet (a proto::Session), results stream back in
-// entry order with bounded per-client memory, and the reports are
-// byte-identical to the offline `flexrt_design` subcommands -- the warm
-// counterpart of forking one process per request (the daemon_roundtrip
-// bench row quantifies the difference).
+// Serves the net::proto wire protocol (spec in tools/README.md) over a
+// unix-domain or TCP socket: each connection gets its own fleet (a
+// proto::Session) on its own thread, results stream back in entry order
+// with bounded per-client memory, and the reports are byte-identical to the
+// offline `flexrt_design` subcommands -- the warm counterpart of forking one
+// process per request (the daemon_roundtrip bench row quantifies the
+// difference). No worker pool is kept warm: each fleet command starts its
+// own helper threads and joins them before it replies, so a client that
+// stops reading stalls only its own session.
 //
 // Usage:
 //   flexrtd --socket PATH | --port N [--threads N] [--no-memo]
@@ -15,8 +17,9 @@
 //   --socket PATH   listen on a unix-domain socket at PATH
 //   --port N        listen on TCP 127.0.0.1:N (0 = kernel-assigned; the
 //                   chosen port is printed on the listening line)
-//   --threads N     analysis pool width (sets FLEXRT_THREADS before the
-//                   pool spins up)
+//   --threads N     workers per fleet command, the session's thread
+//                   included (sets FLEXRT_THREADS before the first command;
+//                   all sessions together run at most N - 1 helpers)
 //   --no-memo       disable the process-wide answer memo (svc::MemoCache);
 //                   every request recomputes
 //   --memo-bytes N  cap the answer memo at N bytes (default
@@ -57,7 +60,7 @@ void usage_text(std::ostream& os) {
         "               [--no-memo] [--memo-bytes N]\n"
         "  --socket PATH  listen on a unix-domain socket\n"
         "  --port N       listen on TCP 127.0.0.1:N (0 = ephemeral)\n"
-        "  --threads N    analysis pool width (FLEXRT_THREADS)\n"
+        "  --threads N    workers per fleet command (FLEXRT_THREADS)\n"
         "  --no-memo      disable the process-wide answer memo\n"
         "  --memo-bytes N cap the answer memo at N bytes (default "
      << (svc::MemoCache::kDefaultCapacityBytes >> 20)
@@ -140,8 +143,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (threads > 0) {
-    // Must land before the first analysis runs: the pool reads the
-    // variable once, at spin-up.
+    // Must land before the first analysis runs: par::thread_count() reads
+    // the variable once per process.
     ::setenv("FLEXRT_THREADS", std::to_string(threads).c_str(), 1);
   }
 

@@ -34,8 +34,9 @@ generic bug patterns; this script enforces the invariants that are about
   engine-serial   One level of parallelism: the analysis kernels
                   (src/rt/, src/hier/) and the BatchEngine
                   (src/core/analysis_engine.*) may not include
-                  common/parallel.hpp. Their scans run serially; the pool
-                  is for fleet-level loops (svc, core::run_study) only.
+                  common/parallel.hpp. Their scans run serially;
+                  par::parallel_for is for fleet-level loops only (svc
+                  fleet entries, the bench studies' trials).
 
   bounded-analysis
                   One bounded schedulability path. Under src/, only src/rt/
@@ -276,8 +277,8 @@ def check_engine_serial(path, raw, code, findings):
         findings.add(
             path, idx + 1, "engine-serial",
             "the analysis kernels and BatchEngine scan serially -- "
-            "parallelize across fleet entries (svc, core::run_study), "
-            "not inside one system's analysis")
+            "parallelize across fleet entries (svc), not inside one "
+            "system's analysis")
 
 
 def check_bounded_analysis(path, raw, code, findings):
