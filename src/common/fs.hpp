@@ -20,9 +20,9 @@ namespace flexrt::fs {
 /// a crash at any instant leaves at worst a scratch file whose last line
 /// is torn -- exactly the shape the journal's recovery scan handles.
 
-/// Append-only POSIX file handle. Writes are full-write-or-throw (short
-/// writes are retried, EINTR included), so a returned append means every
-/// byte reached the kernel; sync() makes them storage-durable.
+/// Append-only POSIX file handle. Writes are full-write-or-throw (a short
+/// write or an EINTR continues with the rest), so a returned append means
+/// every byte reached the kernel; sync() makes them storage-durable.
 class DurableFile {
  public:
   /// Creates (or truncates) `path` for appending from byte 0.

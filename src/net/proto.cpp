@@ -200,7 +200,6 @@ const std::vector<Flag> kCommonFlags = {
        c.common.output = v;
      }},
     {"--resume", Flag::Offline, false, set<&CommonOpts::resume>},
-    {"--retries", Flag::Offline, true, count<&CommonOpts::retries>},
     {"--fsync", Flag::Offline, false, set<&CommonOpts::fsync>},
     {"--trials", Flag::Fleet, true,
      [](Invocation& c, const char* flag, Str v) {
@@ -406,8 +405,8 @@ Invocation parse_command(const std::string& name,
       throw ModelError(name + ": --output is for study, sweep and fault-sweep");
     }
     o.jsonl = true;  // journaled reports are JSONL by construction
-  } else if (o.resume || o.retries != 0 || o.fsync) {
-    throw ModelError("--resume, --retries and --fsync need --output FILE");
+  } else if (o.resume || o.fsync) {
+    throw ModelError("--resume and --fsync need --output FILE");
   }
   for (const Flag& f : cmd.flags) {
     if (f.kind == Flag::Report && o.jsonl && inv.has(f.name)) {
@@ -512,11 +511,9 @@ bool Rows::terminal(std::string_view row) const {
 void Rows::fold(std::string_view row) {
   const Command& c = *inv_.command;
   if (c.id == CommandId::Study) agg_.add(row);
-  if (c.journal && svc::json_bool_field(row, "quarantined").value_or(false)) {
-    rc_ = 3;
-  } else if ((c.verdict && !svc::json_bool_field(row, c.verdict).value_or(true)) ||
-             (c.error_rows && svc::json_string_field(row, "error"))) {
-    rc_ = std::max(rc_, 1);
+  if ((c.verdict && !svc::json_bool_field(row, c.verdict).value_or(true)) ||
+      (c.error_rows && svc::json_string_field(row, "error"))) {
+    rc_ = 1;
   }
 }
 

@@ -108,8 +108,7 @@ struct CommonOpts {
                          ///< output -- what the wire always does)
   std::string output;   ///< journaled run target file ("" = stdout report)
   bool resume = false;  ///< recover an interrupted journal before running
-  std::size_t retries = 0;  ///< extra executions per failing entry
-  bool fsync = false;       ///< fsync the journal after every entry
+  bool fsync = false;   ///< fsync the journal after every entry
 
   svc::AccuracyPolicy accuracy() const {
     svc::AccuracyPolicy p;
@@ -164,11 +163,10 @@ struct Command {
   const char* name;      ///< offline and `remote` subcommand
   const char* wire;      ///< the wire command line that runs it
   const char* terminal;  ///< kind of the row that closes each entry
-  bool journal;          ///< takes --output/--resume/--retries/--fsync
+  bool journal;          ///< takes --output/--resume/--fsync
   /// Exit-code rule, read off each terminal row: `verdict` false exits 1,
   /// and so does an error row when `error_rows` (a failed solve, minq or
-  /// verify entry stops the command instead; study rows are data). A
-  /// quarantined row of a journaled run exits 3.
+  /// verify entry stops the command instead; study rows are data).
   const char* verdict;  ///< "feasible", "schedulable", or nullptr
   bool error_rows;
   std::vector<Flag> flags;     ///< beyond the common ones

@@ -23,7 +23,7 @@ namespace flexrt::net {
 /// with MSG_NOSIGNAL -- a client that disconnects mid-report surfaces as a
 /// failed stream (which JsonlWriter turns into an exception and Session
 /// into the end of the session), never as a process-killing SIGPIPE.
-/// EINTR is retried; the fd is borrowed, never closed here.
+/// An EINTR restarts the call; the fd is borrowed, never closed here.
 class FdStreamBuf : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd);

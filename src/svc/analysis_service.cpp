@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "fault/recovery.hpp"
-#include "gen/taskset_gen.hpp"
 #include "svc/memo_cache.hpp"
 
 namespace flexrt::svc {
@@ -211,16 +210,6 @@ std::size_t AnalysisService::add_system(core::ModeTaskSystem sys,
   return entries_.size() - 1;
 }
 
-std::size_t AnalysisService::add_task_set(const rt::TaskSet& ts,
-                                          std::string name,
-                                          const part::PackOptions& pack) {
-  std::optional<core::ModeTaskSystem> sys = gen::build_system(ts, pack);
-  if (!sys) {
-    throw InfeasibleError("task set does not pack onto the platform channels");
-  }
-  return add_system(std::move(*sys), std::move(name));
-}
-
 std::size_t AnalysisService::add_fleet(const core::StudyOptions& study,
                                        const SystemFactory& make,
                                        const std::string& prefix) {
@@ -372,38 +361,41 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
   return out;
 }
 
+template <typename Request>
+std::optional<core::Design> AnalysisService::design_ladder(
+    std::size_t i, const Request& req, std::string& infeasible,
+    Provenance& prov) const {
+  // The probed value is the designed schedule (nullopt: infeasible at
+  // this budget); the ladder compares consecutive periods.
+  using Value = std::optional<core::Design>;
+  std::string why;
+  Value design = run_ladder<Value>(
+      [&](std::size_t budget) { return engine_ptr(i, req.alg, budget); },
+      req.accuracy, req.alg,
+      [&](const analysis::BatchEngine& eng) -> Value {
+        try {
+          return core::solve_design(eng, req.overheads, req.goal, req.search);
+        } catch (const InfeasibleError& err) {
+          why = err.what();
+          return std::nullopt;
+        }
+      },
+      [](const Value& a, const Value& b) {
+        if (!a || !b) return kInf;  // verdict flipped / still infeasible
+        return std::abs(a->schedule.period - b->schedule.period);
+      },
+      probe_round(i), prov);
+  if (!design) infeasible = std::move(why);
+  return design;
+}
+
 SolveResult AnalysisService::solve_one(std::size_t i,
                                        const SolveRequest& req) const {
   return memoized<SolveResult>(i, req, [&](SolveResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
-    // The probed value is the designed schedule (nullopt: infeasible at
-    // this budget); the ladder compares consecutive periods.
-    using Value = std::optional<core::Design>;
-    std::string why;
-    const Value design = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
-        [&](const analysis::BatchEngine& eng) -> Value {
-          try {
-            return core::solve_design(eng, req.overheads, req.goal,
-                                      req.search);
-          } catch (const InfeasibleError& err) {
-            why = err.what();
-            return std::nullopt;
-          }
-        },
-        [](const Value& a, const Value& b) {
-          if (!a || !b) return kInf;  // verdict flipped / still infeasible
-          return std::abs(a->schedule.period - b->schedule.period);
-        },
-        probe_round(i), out.prov);
+    std::optional<core::Design> design =
+        design_ladder(i, req, out.infeasible, out.prov);
     out.feasible = design.has_value();
-    if (design) {
-      out.design = *design;
-    } else {
-      out.infeasible = why;
-    }
+    if (design) out.design = std::move(*design);
   });
 }
 
@@ -539,35 +531,13 @@ VerifyResult AnalysisService::verify_one(std::size_t i,
 FaultSweepResult AnalysisService::fault_sweep_one(
     std::size_t i, const FaultSweepRequest& req) const {
   return memoized<FaultSweepResult>(i, req, [&](FaultSweepResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
     // Phase 1: the nominal design, exactly solve_one's ladder (the request's
     // accuracy/deadline policy governs this phase; the per-rate checks below
     // run on fixed bounded contexts and need no ladder).
-    using Value = std::optional<core::Design>;
-    std::string why;
-    const Value design = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
-        [&](const analysis::BatchEngine& eng) -> Value {
-          try {
-            return core::solve_design(eng, req.overheads, req.goal,
-                                      req.search);
-          } catch (const InfeasibleError& err) {
-            why = err.what();
-            return std::nullopt;
-          }
-        },
-        [](const Value& a, const Value& b) {
-          if (!a || !b) return kInf;
-          return std::abs(a->schedule.period - b->schedule.period);
-        },
-        probe_round(i), out.prov);
+    const std::optional<core::Design> design =
+        design_ladder(i, req, out.infeasible, out.prov);
     out.feasible = design.has_value();
-    if (!design) {
-      out.infeasible = why;
-      return;  // no schedule: nothing to sweep
-    }
+    if (!design) return;  // no schedule: nothing to sweep
     out.schedule = design->schedule;
 
     // Phase 2: rate-independent work, once per entry.

@@ -23,7 +23,6 @@
 #include "core/study_runner.hpp"
 #include "fault/fault_model.hpp"
 #include "hier/sched_test.hpp"
-#include "part/bin_packing.hpp"
 #include "rt/deadline_bound.hpp"
 #include "rt/hash.hpp"
 
@@ -161,15 +160,6 @@ struct Provenance {
   /// bounds its distance to the exact answer. Never set by fixed policies
   /// or by ladders that finished on their own.
   bool degraded = false;
-  /// Executions this entry took under a journaled run's per-entry retry
-  /// (svc::run_journaled): > 1 means transient failures were retried on
-  /// the deterministic backoff schedule. Always 1 outside journaled runs.
-  std::size_t attempts = 1;
-  /// True when a journaled run exhausted its retry budget on this entry:
-  /// the row is an explicit quarantine error row (error + attempts record
-  /// what happened) rather than a transient failure, and the rest of the
-  /// fleet ran on. Never set when retrying is disabled (max_attempts 1).
-  bool quarantined = false;
   /// True when this answer came from the process-wide content-addressed
   /// memo (svc::MemoCache) instead of running the accuracy ladder: a
   /// bit-identical system was already asked this bit-identical request
@@ -372,11 +362,6 @@ class AnalysisService {
   /// Adds one system; returns its entry index.
   std::size_t add_system(core::ModeTaskSystem sys, std::string name = {});
 
-  /// Packs a flat task set onto the platform channels (gen::build_system)
-  /// and adds it. Throws InfeasibleError when the packing fails.
-  std::size_t add_task_set(const rt::TaskSet& ts, std::string name = {},
-                           const part::PackOptions& pack = {});
-
   /// Adds this shard's slice of a generated trial study: one entry per
   /// global trial in shard_range(study.trials, study.shard), named
   /// "<prefix><trial>", built by `make` with the layout-independent
@@ -388,9 +373,6 @@ class AnalysisService {
                         const std::string& prefix = "trial");
 
   std::size_t size() const noexcept { return entries_.size(); }
-  const std::string& name(std::size_t i) const { return entries_.at(i).name; }
-  /// Global trial id of a generated entry, kNoTrial otherwise.
-  std::size_t trial(std::size_t i) const { return entries_.at(i).trial; }
   bool has_system(std::size_t i) const {
     return entries_.at(i).system.has_value();
   }
@@ -481,17 +463,9 @@ class AnalysisService {
   /// (max_admissible_overhead, one-task margins, ...). `max_points` 0
   /// means the scheduler's library default budget (dlSet budget for EDF,
   /// per-task scheduling-point budget for FP). Engines are immutable and
-  /// safe to probe concurrently. The reference stays valid while the
-  /// engine is resident in the bounded cache -- callers that probe across
-  /// many budgets on a shared service should pin via engine_ptr instead.
-  const analysis::BatchEngine& engine(std::size_t i, hier::Scheduler alg,
-                                      std::size_t max_points = 0) const {
-    return *engine_ptr(i, alg, max_points);
-  }
-
-  /// Shared-ownership variant: the engine outlives any cache eviction as
-  /// long as the returned pointer does (what the accuracy ladders hold
-  /// across a probe).
+  /// safe to probe concurrently. Shared ownership: the engine outlives any
+  /// eviction from the bounded cache as long as the returned pointer does
+  /// (what the accuracy ladders hold across a probe).
   std::shared_ptr<const analysis::BatchEngine> engine_ptr(
       std::size_t i, hier::Scheduler alg, std::size_t max_points = 0) const;
 
@@ -547,6 +521,15 @@ class AnalysisService {
   /// instantiations live there).
   template <typename Result, typename Request, typename Body>
   Result memoized(std::size_t i, const Request& req, Body&& body) const;
+
+  /// core::solve_design on the accuracy ladder, rungs compared by period:
+  /// solve_one's design and fault_sweep_one's nominal one. nullopt means
+  /// infeasible at the final rung, and `infeasible` then says why. Defined
+  /// in the .cpp.
+  template <typename Request>
+  std::optional<core::Design> design_ladder(std::size_t i, const Request& req,
+                                            std::string& infeasible,
+                                            Provenance& prov) const;
 
   /// The per-entry notify callback handed to the accuracy ladder: forwards
   /// each round start to the injection hook when one is set.

@@ -1,31 +1,13 @@
 #include "svc/journal.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "svc/jsonl.hpp"
 
 namespace flexrt::svc {
-
-double RetryPolicy::delay_ms(std::size_t entry,
-                             std::size_t attempt) const noexcept {
-  if (attempt == 0) return 0.0;
-  double nominal =
-      base_ms * std::pow(factor, static_cast<double>(attempt - 1));
-  nominal = std::min(nominal, cap_ms);
-  if (jitter > 0.0) {
-    // A private draw per (seed, entry, attempt): the schedule is a pure
-    // function of its inputs, so re-running or resuming a journaled fleet
-    // backs off on exactly the same timetable.
-    Rng rng(seed ^ (0x9E3779B97F4A7C15ULL * (entry + 1)) ^
-            (0xBF58476D1CE4E5B9ULL * attempt));
-    nominal *= rng.uniform(1.0 - jitter, 1.0 + jitter);
-  }
-  return std::max(nominal, 0.0);
-}
 
 Journal::Journal(std::string path) : path_(std::move(path)) {
   FLEXRT_REQUIRE(!path_.empty(), "journal path must be non-empty");

@@ -1,15 +1,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <utility>
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
@@ -40,30 +36,6 @@ namespace flexrt::svc {
 /// the remaining entries, so the resumed file is byte-identical to an
 /// uninterrupted run (crash-injection-tested at several chop depths).
 
-/// Bounded exponential backoff for per-entry retries, with a deterministic
-/// seeded jitter schedule: delay_ms(entry, attempt) is a pure function of
-/// (seed, entry, attempt), so a resumed or repeated run retries on exactly
-/// the same schedule -- reproducibility extends to the failure handling,
-/// not just the answers.
-struct RetryPolicy {
-  /// Total executions allowed per entry (first try included); >= 1.
-  /// 1 disables retrying: a failed entry becomes a plain error row.
-  std::size_t max_attempts = 1;
-  double base_ms = 10.0;    ///< nominal delay before the first retry
-  double factor = 2.0;      ///< exponential growth per further retry
-  double cap_ms = 2000.0;   ///< hard ceiling on any single delay
-  /// Uniform multiplicative jitter: the nominal delay is scaled by a
-  /// deterministic draw from [1 - jitter, 1 + jitter]. 0 = no jitter.
-  double jitter = 0.5;
-  std::uint64_t seed = 0x5EED;
-
-  /// Backoff before retry `attempt` (1-based: 1 = the delay between the
-  /// first failure and the second execution) of `entry`. Deterministic in
-  /// (seed, entry, attempt); always within
-  /// [0, min(cap_ms, base_ms * factor^(attempt-1)) * (1 + jitter)].
-  double delay_ms(std::size_t entry, std::size_t attempt) const noexcept;
-};
-
 /// Raised inside a journaled run when its cooperative stop flag goes up
 /// (SIGINT/SIGTERM via sys::install_stop_signals, or a test hook). Entries
 /// already emitted stay durable in the journal; the entry in flight when
@@ -89,23 +61,19 @@ struct JournalOptions {
   /// Reorder window of the ordered stream (0 = library default).
   std::size_t window = 0;
   /// Cooperative interrupt flag (usually &sys::stop_requested()). Checked
-  /// before each entry starts and before each retry sleep: when it rises,
-  /// in-flight entries finish and are journaled, the journal is fsynced
-  /// and left as a resumable .partial, and run_journaled reports
-  /// JournalStats::interrupted instead of committing. nullptr = never
-  /// interrupted.
+  /// before each entry starts: when it rises, in-flight entries finish and
+  /// are journaled, the journal is fsynced and left as a resumable
+  /// .partial, and run_journaled reports JournalStats::interrupted instead
+  /// of committing. nullptr = never interrupted.
   const std::atomic<bool>* stop = nullptr;
-  RetryPolicy retry{};
 };
 
 /// What a journaled run did -- the transport stats mirror StreamStats, the
-/// robustness counters are the journal's own.
+/// resume and interrupt outcomes are the journal's own.
 struct JournalStats {
   std::size_t entries = 0;      ///< fleet size
   std::size_t replayed = 0;     ///< entries recovered from the journal
   std::size_t executed = 0;     ///< entries computed (and written) this run
-  std::size_t retried = 0;      ///< executed entries needing > 1 attempt
-  std::size_t quarantined = 0;  ///< entries that exhausted max_attempts
   std::size_t max_buffered = 0; ///< reorder-buffer high-water mark
   bool already_complete = false;  ///< resume found a committed output
   /// A stop signal interrupted the run: completed entries are durable in
@@ -116,7 +84,7 @@ struct JournalStats {
 
 /// The durable journal file pair: `path` (the committed output) and
 /// `path.partial` (the in-flight journal). Row-level framing and recovery
-/// live here; the retry/stream orchestration is run_journaled() below.
+/// live here; the stream orchestration is run_journaled() below.
 class Journal {
  public:
   /// A predicate marking entry-terminal rows: every entry's block of rows
@@ -153,8 +121,9 @@ class Journal {
   void start_fresh();
 
   /// Appends one entry's complete, newline-terminated rows. The write is
-  /// flushed to the kernel whole (short writes retried), so a crash tears
-  /// at most the final line of the journal, never an earlier one.
+  /// flushed to the kernel whole (a short write resumes where it stopped),
+  /// so a crash tears at most the final line of the journal, never an
+  /// earlier one.
   void append(std::string_view block);
 
   /// fsync the journal (the per-entry durability upgrade).
@@ -183,20 +152,17 @@ class Journal {
 std::size_t count_terminal_rows(std::string_view text,
                                 const Journal::RowPredicate& terminal);
 
-/// Journaled, resumable, fault-bounded execution of an n-entry fleet.
+/// Journaled, resumable execution of an n-entry fleet.
 ///
-///  - `run_one(i)` computes entry i (a svc result type: has ok() and
-///    prov). It must already be exception-safe in the run_entry sense --
+///  - `run_one(i)` computes entry i (a svc result type). It must already
+///    be exception-safe in the run_entry sense --
 ///    failures come back as error-valued results, never as throws.
 ///  - `render(result)` turns one result into its newline-terminated JSONL
 ///    block, ending with exactly one row matching `terminal`.
-///  - Transient failures: a result with !ok() is re-executed up to
-///    retry.max_attempts times, sleeping the deterministic backoff between
-///    attempts. The final result's provenance records the attempt count;
-///    an entry still failing after the last attempt is *quarantined* --
-///    its error row (prov.quarantined = true) is journaled like any other
-///    row, and the fleet carries on. No hang, no lost entry, no poisoned
-///    stream.
+///  - Each entry is computed once. A result with !ok() is journaled as
+///    its error row like any other row, and the fleet carries on: an
+///    entry is a pure function of its system and request, so running it
+///    again would fail the same way. No lost entry, no poisoned stream.
 ///  - `replay` receives recovered rows on resume; `epilogue()` (optional)
 ///    returns trailing rows written after the last entry, before commit
 ///    (the study summary). The epilogue is deliberately *not*
@@ -213,8 +179,6 @@ JournalStats run_journaled(Journal& journal, std::size_t n,
                            const Journal::RowCallback& replay, RunOne&& run_one,
                            Render&& render,
                            const std::function<std::string()>& epilogue = {}) {
-  FLEXRT_REQUIRE(opts.retry.max_attempts >= 1,
-                 "retry.max_attempts must be >= 1");
   JournalStats stats;
   stats.entries = n;
   std::size_t done = 0;
@@ -240,44 +204,24 @@ JournalStats run_journaled(Journal& journal, std::size_t n,
     journal.start_fresh();
   }
 
-  const auto interrupted = [&opts] {
-    return opts.stop && opts.stop->load(std::memory_order_relaxed);
-  };
   try {
     stats.max_buffered = par::ordered_stream(
         n - done, opts.window,
         [&](std::size_t j) {
           const std::size_t i = done + j;
-          // Checked before the entry starts (and before each retry sleep),
-          // never mid-analysis: a signal finishes the in-flight entries and
-          // abandons only the not-yet-started tail.
-          if (interrupted()) {
+          // Checked before the entry starts, never mid-analysis: a signal
+          // finishes the in-flight entries and abandons only the
+          // not-yet-started tail.
+          if (opts.stop && opts.stop->load(std::memory_order_relaxed)) {
             throw InterruptedError("interrupted before entry " +
                                    std::to_string(i));
           }
-          auto result = run_one(i);
-          std::size_t attempt = 1;
-          while (!result.ok() && attempt < opts.retry.max_attempts) {
-            if (interrupted()) {
-              throw InterruptedError("interrupted while retrying entry " +
-                                     std::to_string(i));
-            }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    opts.retry.delay_ms(i, attempt)));
-            result = run_one(i);
-            ++attempt;
-          }
-          result.prov.attempts = attempt;
-          result.prov.quarantined = !result.ok() && opts.retry.max_attempts > 1;
-          return result;
+          return run_one(i);
         },
         [&](std::size_t, auto&& result) {
           // Emission is serialized and in entry order (the ordered gate), so
           // the stats and the journal advance together, race-free.
           ++stats.executed;
-          if (result.prov.attempts > 1) ++stats.retried;
-          if (result.prov.quarantined) ++stats.quarantined;
           journal.append(render(result));
           if (opts.fsync_per_entry) journal.sync();
         });

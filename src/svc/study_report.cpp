@@ -20,11 +20,6 @@ void provenance_fields(JsonRow& row, const Provenance& p, bool with_wall) {
     row.null_field("gap");
   }
   row.field("degraded", p.degraded);
-  // Journaled-run retry provenance. Rendered only when it says something
-  // (an entry that needed more than one execution, or was quarantined), so
-  // rows from non-journaled runs keep their exact pre-journal bytes.
-  if (p.attempts > 1) row.field("attempts", p.attempts);
-  if (p.quarantined) row.field("quarantined", true);
   // Transport provenance: like wall_ms, cache_hit describes this run, not
   // the answer, so it renders only in wall-ful rows -- wall-free rows
   // (stream/journal/wire/warm-repeat byte-identity contracts) must read
@@ -44,9 +39,8 @@ std::string study_trial_row(const SolveResult& r, hier::Scheduler alg,
       .field("goal", to_string(goal))
       .field("packed", r.ok());
   if (!r.ok()) {
-    // Failed entries carry the cause and their (wall-free) provenance: a
-    // quarantined entry's row must say what failed and how many attempts
-    // it survived, not just "packed: false".
+    // Failed entries carry the cause and their (wall-free) provenance: the
+    // row must say what failed, not just "packed: false".
     row.field("error", r.error);
     provenance_fields(row, r.prov, /*with_wall=*/false);
     return std::move(row).str();

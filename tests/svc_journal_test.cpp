@@ -2,10 +2,10 @@
 // byte-identical to the streamed report, resume from any chop of the
 // partial journal (terminal-row boundaries, torn lines, complete-looking
 // unterminated lines, post-epilogue crashes) reproduces those bytes
-// exactly while recomputing only the missing entries, the retry schedule
-// is a deterministic pure function, exhausted entries quarantine into
-// error rows without losing the fleet -- and a child process SIGKILLed
-// mid-study at several chop depths resumes to the uninterrupted bytes.
+// exactly while recomputing only the missing entries, a failed entry runs
+// once and becomes its plain error row without losing the fleet -- and a
+// child process SIGKILLed mid-study at several chop depths resumes to the
+// uninterrupted bytes.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -43,15 +42,6 @@ using hier::Scheduler;
 AnalysisService::SystemFactory test_factory() {
   return [](std::size_t t, Rng&) -> std::optional<core::ModeTaskSystem> {
     if (t == 4) return std::nullopt;
-    return core::paper_example();
-  };
-}
-
-/// All-packable variant for the retry tests: trial 4's deterministic
-/// "packing failed" would otherwise exhaust the retry budget too and
-/// (correctly, but distractingly) quarantine alongside the injected fault.
-AnalysisService::SystemFactory packable_factory() {
-  return [](std::size_t, Rng&) -> std::optional<core::ModeTaskSystem> {
     return core::paper_example();
   };
 }
@@ -147,44 +137,6 @@ std::string streamed_reference(const AnalysisService& service,
   return os.str();
 }
 
-// --- retry schedule -------------------------------------------------------
-
-TEST(RetryPolicy, BackoffScheduleIsDeterministicAndBounded) {
-  RetryPolicy retry;
-  retry.max_attempts = 6;
-  for (std::size_t entry : {0u, 3u, 17u}) {
-    for (std::size_t attempt = 1; attempt <= 5; ++attempt) {
-      const double d1 = retry.delay_ms(entry, attempt);
-      const double d2 = retry.delay_ms(entry, attempt);
-      EXPECT_EQ(d1, d2) << "schedule must be a pure function";
-      const double nominal =
-          std::min(retry.cap_ms, retry.base_ms * std::pow(retry.factor,
-                                                          double(attempt - 1)));
-      EXPECT_GE(d1, nominal * (1.0 - retry.jitter) - 1e-9);
-      EXPECT_LE(d1, nominal * (1.0 + retry.jitter) + 1e-9);
-    }
-  }
-  // Different entries draw different jitter: the fleet does not retry in
-  // lockstep.
-  EXPECT_NE(retry.delay_ms(0, 1), retry.delay_ms(1, 1));
-  // A different seed moves the whole schedule.
-  RetryPolicy reseeded = retry;
-  reseeded.seed ^= 1;
-  EXPECT_NE(retry.delay_ms(0, 1), reseeded.delay_ms(0, 1));
-}
-
-TEST(RetryPolicy, JitterFreeScheduleIsTheExactExponential) {
-  RetryPolicy retry;
-  retry.jitter = 0.0;
-  retry.base_ms = 10.0;
-  retry.factor = 2.0;
-  retry.cap_ms = 35.0;
-  EXPECT_DOUBLE_EQ(retry.delay_ms(5, 1), 10.0);
-  EXPECT_DOUBLE_EQ(retry.delay_ms(5, 2), 20.0);
-  EXPECT_DOUBLE_EQ(retry.delay_ms(5, 3), 35.0);  // capped, not 40
-  EXPECT_DOUBLE_EQ(retry.delay_ms(5, 4), 35.0);
-}
-
 // --- byte identity and resume ---------------------------------------------
 
 TEST(Journal, CommittedRunMatchesTheStreamedReport) {
@@ -199,7 +151,6 @@ TEST(Journal, CommittedRunMatchesTheStreamedReport) {
   EXPECT_EQ(stats.entries, 9u);
   EXPECT_EQ(stats.executed, 9u);
   EXPECT_EQ(stats.replayed, 0u);
-  EXPECT_EQ(stats.quarantined, 0u);
   EXPECT_EQ(read_file(path), streamed_reference(service, req));
   // Commit consumed the scratch journal.
   EXPECT_FALSE(fs::file_size(path + ".partial").has_value());
@@ -369,112 +320,42 @@ TEST(Journal, CountTerminalRowsIgnoresTornTails) {
   EXPECT_EQ(count_terminal_rows("", is_trial_row), 0u);
 }
 
-// --- retry and quarantine -------------------------------------------------
+// --- failed entries ------------------------------------------------------
 
-/// Fast schedule so retry tests spend microseconds, not seconds.
-RetryPolicy fast_retry(std::size_t max_attempts) {
-  RetryPolicy retry;
-  retry.max_attempts = max_attempts;
-  retry.base_ms = 0.01;
-  retry.cap_ms = 0.05;
-  return retry;
-}
-
-TEST(Journal, ExhaustedRetriesQuarantineTheEntryAndTheFleetCarriesOn) {
+TEST(Journal, FailedEntriesArePlainErrorRows) {
+  // A failed entry is computed once and journaled as its error row: no
+  // second execution, no retry provenance, the bytes of the streamed
+  // report. Trial 2 fails in its analysis, trial 4 in its packing.
   AnalysisService service;
-  service.add_fleet(whole_study(), packable_factory());
+  service.add_fleet(whole_study(), test_factory());
   std::atomic<std::size_t> faults{0};
   service.set_probe_hook([&](std::size_t entry, std::size_t) {
     if (entry == 2) {
       faults.fetch_add(1);
-      throw ModelError("injected persistent fault");
+      throw ModelError("injected fault");
     }
   });
   const SolveRequest req = solve_request();
-  const std::string path = temp_path("quarantine");
-  remove_journal(path);
-  JournalOptions opts;
-  opts.retry = fast_retry(3);
-  const JournalStats stats = journaled_study(path, service, req, opts);
-
-  EXPECT_EQ(stats.executed, 9u);
-  EXPECT_EQ(stats.retried, 1u);
-  EXPECT_EQ(stats.quarantined, 1u);
-  EXPECT_EQ(faults.load(), 3u) << "one execution per attempt";
-
-  const std::string report = read_file(path);
-  EXPECT_EQ(count_terminal_rows(report, is_trial_row), 9u)
-      << "no lost, no duplicated entry";
-  // The quarantined entry's row names the failure and its attempt count.
-  std::istringstream in(report);
-  std::string line;
-  std::size_t quarantined_rows = 0;
-  while (std::getline(in, line)) {
-    if (!json_bool_field(line, "quarantined").value_or(false)) continue;
-    ++quarantined_rows;
-    EXPECT_EQ(json_number_field(line, "trial").value_or(-1), 2.0);
-    EXPECT_EQ(json_number_field(line, "attempts").value_or(0), 3.0);
-    EXPECT_EQ(json_string_field(line, "error").value_or(""),
-              "injected persistent fault");
-    EXPECT_EQ(json_bool_field(line, "packed").value_or(true), false);
-  }
-  EXPECT_EQ(quarantined_rows, 1u);
-  remove_journal(path);
-}
-
-TEST(Journal, TransientFailureRecoversWithinTheRetryBudget) {
-  AnalysisService service;
-  service.add_fleet(whole_study(), packable_factory());
-  std::atomic<std::size_t> remaining{2};  // entry 6 fails twice, then heals
-  service.set_probe_hook([&](std::size_t entry, std::size_t) {
-    if (entry == 6) {
-      std::size_t left = remaining.load();
-      while (left > 0 && !remaining.compare_exchange_weak(left, left - 1)) {
-      }
-      if (left > 0) throw ModelError("injected transient fault");
-    }
-  });
-  const SolveRequest req = solve_request();
-  const std::string path = temp_path("transient");
-  remove_journal(path);
-  JournalOptions opts;
-  opts.retry = fast_retry(3);
-  const JournalStats stats = journaled_study(path, service, req, opts);
-
-  EXPECT_EQ(stats.retried, 1u);
-  EXPECT_EQ(stats.quarantined, 0u);
-  const std::string report = read_file(path);
-  std::istringstream in(report);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (json_number_field(line, "trial").value_or(-1) != 6.0) continue;
-    // Healed on the third attempt: a normal answer row whose provenance
-    // remembers the retries; never marked quarantined.
-    EXPECT_EQ(json_number_field(line, "attempts").value_or(0), 3.0);
-    EXPECT_FALSE(json_bool_field(line, "quarantined").value_or(false));
-    EXPECT_TRUE(json_bool_field(line, "packed").value_or(false));
-  }
-  remove_journal(path);
-}
-
-TEST(Journal, RetryDisabledLeavesPlainErrorRows) {
-  // max_attempts 1 (the default): a failing entry is an error row, not a
-  // quarantined one -- the pre-journal error-row contract, unchanged.
-  AnalysisService service;
-  service.add_fleet(whole_study(), test_factory());
-  service.set_probe_hook([](std::size_t entry, std::size_t) {
-    if (entry == 2) throw ModelError("injected fault");
-  });
-  const SolveRequest req = solve_request();
-  const std::string path = temp_path("noretry");
+  const std::string path = temp_path("errors");
   remove_journal(path);
   const JournalStats stats =
       journaled_study(path, service, req, JournalOptions{});
-  EXPECT_EQ(stats.retried, 0u);
-  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(faults.load(), 1u) << "a failed entry runs once";
+  EXPECT_EQ(stats.executed, 9u);
+
   const std::string report = read_file(path);
-  EXPECT_EQ(report.find("\"quarantined\""), std::string::npos);
+  std::istringstream in(report);
+  std::string line;
+  std::vector<double> error_trials;
+  while (std::getline(in, line)) {
+    if (!json_string_field(line, "error")) continue;
+    error_trials.push_back(json_number_field(line, "trial").value_or(-1));
+    EXPECT_EQ(line.find("\"attempts\""), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"quarantined\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(error_trials, (std::vector<double>{2.0, 4.0}));
   EXPECT_NE(report.find("injected fault"), std::string::npos);
+  EXPECT_EQ(report, streamed_reference(service, req));
   remove_journal(path);
 }
 

@@ -424,9 +424,10 @@ TEST(ServiceFleet, PackFailureBecomesAnswerlessEntry) {
 }
 
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {
-  const analysis::BatchEngine* a = &service_.engine(0, Scheduler::EDF);
-  const analysis::BatchEngine* b = &service_.engine(0, Scheduler::EDF);
-  const analysis::BatchEngine* c = &service_.engine(0, Scheduler::EDF, 1u << 8);
+  const analysis::BatchEngine* a = service_.engine_ptr(0, Scheduler::EDF).get();
+  const analysis::BatchEngine* b = service_.engine_ptr(0, Scheduler::EDF).get();
+  const analysis::BatchEngine* c =
+      service_.engine_ptr(0, Scheduler::EDF, 1u << 8).get();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a->dl_options().max_points, rt::kDefaultDlPointBudget);

@@ -61,20 +61,17 @@
 // FILE appears only via the final atomic rename, so it is either absent or
 // complete. --resume recovers the completed prefix of an interrupted
 // journal and computes only the remaining entries -- the resumed FILE is
-// byte-identical to an uninterrupted run. --retries N re-executes failing
-// entries up to N extra times on a deterministic backoff schedule; entries
-// still failing are quarantined as error rows (provenance carries the
-// attempt count) and the run exits 3. `merge --output FILE` publishes the
-// merged report through the same atomic temp-file + rename path.
+// byte-identical to an uninterrupted run. A failed entry is journaled once,
+// as its error row. `merge --output FILE` publishes the merged report
+// through the same atomic temp-file + rename path.
 //
 // Legacy compatibility: `flexrt_design <taskfile> ...` (no subcommand) is
 // routed to `solve`.
 //
 // Exit status: 0 on success, 1 on infeasible design / failed verify /
-// simulated misses / error rows, 2 on usage or input errors, 3 when a
-// journaled run holds quarantined entries, 4 when SIGINT/SIGTERM
-// interrupted a journaled run (the fsynced .partial journal resumes with
-// --resume).
+// simulated misses / error rows, 2 on usage or input errors, 4 when
+// SIGINT/SIGTERM interrupted a journaled run (the fsynced .partial journal
+// resumes with --resume). 3 is unused.
 #include <unistd.h>
 
 #include <algorithm>
@@ -153,9 +150,6 @@ void usage_text(std::ostream& os) {
          "                       FILE.partial, FILE appears by atomic rename\n"
          "        --resume       recover FILE.partial's completed prefix and\n"
          "                       compute only the remaining entries\n"
-         "        --retries N    extra executions for failing entries on a\n"
-         "                       deterministic backoff; exhausted entries are\n"
-         "                       quarantined as error rows (exit 3)\n"
          "        --fsync        fsync the journal after every entry\n"
          "SIGINT/SIGTERM during a journaled run: the in-flight entry\n"
          "finishes and is journaled, the .partial is fsynced, exit 4;\n"
@@ -436,7 +430,6 @@ int run_journal(const proto::Invocation& inv,
   svc::JournalOptions jopts;
   jopts.resume = o.resume;
   jopts.fsync_per_entry = o.fsync;
-  jopts.retry.max_attempts = o.retries + 1;
   jopts.stop = &sys::stop_requested();
   svc::Journal journal(o.output);
   proto::Rows rows(inv, /*with_wall=*/false);
@@ -458,8 +451,7 @@ int run_journal(const proto::Invocation& inv,
       inv.request);
   std::cerr << "journal: " << o.output << ": " << stats.entries
             << " entries (" << stats.replayed << " replayed, "
-            << stats.executed << " executed, " << stats.retried
-            << " retried, " << stats.quarantined << " quarantined)"
+            << stats.executed << " executed)"
             << (stats.already_complete ? " -- already complete" : "") << "\n";
   if (!stats.interrupted) return rows.rc();
   const int sig = sys::stop_signal();
