@@ -378,11 +378,12 @@ double BatchEngine::margin_impl(const core::ModeSchedule& schedule,
       if (!ctx.dl_exact()) {
         // QPA tail closure with the scaled demand line: both U and c grow
         // linearly in (lambda - 1).
-        const double tail = rt::qpa_horizon(
-            ctx.utilization() + growth * p.u_delta,
-            ctx.dl_util_const() + growth * p.c_delta, p.supply.rate(),
-            p.supply.floor_delay());
-        if (!leq_tol(tail, ctx.dl_horizon())) return false;
+        if (!rt::tail_covered(ctx.utilization() + growth * p.u_delta,
+                              ctx.dl_util_const() + growth * p.c_delta,
+                              ctx.dl_horizon(), p.supply.rate(),
+                              p.supply.floor_delay())) {
+          return false;
+        }
       }
       return true;
     }

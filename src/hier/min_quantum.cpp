@@ -11,8 +11,14 @@
 namespace flexrt::hier {
 
 double quantum_for_point(double t, double workload, double period) noexcept {
+  // The positive root (sqrt(b^2 + 4PW) - b) / 2 subtracts two nearly equal
+  // numbers when b = t - P >> sqrt(PW), and rounds a tiny quantum down to
+  // 0. For b > 0 the conjugate form adds instead (Higham, Accuracy and
+  // Stability of Numerical Algorithms, 2nd ed., 1.8).
   const double b = t - period;
-  return (std::sqrt(b * b + 4.0 * period * workload) - b) / 2.0;
+  const double root = std::sqrt(b * b + 4.0 * period * workload);
+  if (b > 0.0) return 2.0 * period * workload / (root + b);
+  return (root - b) / 2.0;
 }
 
 namespace {

@@ -46,10 +46,11 @@ bool edf_schedulable(const rt::AnalysisContext& ctx,
     // QPA tail closure: every deadline beyond the covered horizon passes
     // automatically iff the demand line U t + c has dropped below the
     // supply's guaranteed linear floor rate*(t - floor_delay()) by then.
-    const double tail = rt::qpa_horizon(ctx.utilization(),
-                                        ctx.dl_util_const(), supply.rate(),
-                                        supply.floor_delay());
-    if (!leq_tol(tail, ctx.dl_horizon())) return false;
+    if (!rt::tail_covered(ctx.utilization(), ctx.dl_util_const(),
+                          ctx.dl_horizon(), supply.rate(),
+                          supply.floor_delay())) {
+      return false;
+    }
   }
   return true;
 }

@@ -89,7 +89,7 @@ class AnalysisContext {
 
   /// True iff deadline_points() is the full dlSet up to the hyperperiod.
   /// When false, consumers must close the tail beyond dl_horizon() with the
-  /// QPA bound (rt::qpa_horizon) to stay safe.
+  /// QPA tail test (rt::tail_covered) to stay safe.
   bool dl_exact() const;
 
   /// Horizon covered by deadline_points().

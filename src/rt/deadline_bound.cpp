@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/math_util.hpp"
 #include "rt/demand.hpp"
 
 namespace flexrt::rt {
@@ -42,10 +43,10 @@ void coalesce(const std::vector<double>& points, std::size_t budget,
 
 }  // namespace
 
-double qpa_horizon(double utilization, double util_const, double rate,
-                   double delay) noexcept {
-  if (rate <= utilization) return kInf;
-  return std::max(0.0, (util_const + rate * delay) / (rate - utilization));
+bool tail_covered(double utilization, double util_const, double horizon,
+                  double rate, double delay) noexcept {
+  return rate > utilization &&
+         leq_tol(utilization * horizon + util_const, rate * (horizon - delay));
 }
 
 BoundedDeadlineSet bounded_deadline_set(const TaskSet& ts,

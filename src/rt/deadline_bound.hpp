@@ -18,7 +18,7 @@ namespace flexrt::rt {
 ///
 ///  1. Horizon truncation: deadlines are only enumerated up to
 ///     min(hyperperiod, explicit horizon, budget-derived horizon). The
-///     analytic tail closure in qpa_horizon()/the minQ tail quantum covers
+///     analytic tail closure in tail_covered()/the minQ tail quantum covers
 ///     every t beyond it.
 ///  2. Coalescing: when the surviving points still exceed `max_points`,
 ///     adjacent deadlines are merged into buckets tested conservatively
@@ -89,13 +89,16 @@ struct BoundedDeadlineSet {
 BoundedDeadlineSet bounded_deadline_set(const TaskSet& ts,
                                         const DlBoundOptions& opts = {});
 
-/// QPA horizon L* for a supply with linear floor Z(t) >= rate*(t - delay):
-/// the smallest L such that U t + c <= rate*(t - delay) for every t >= L,
-/// i.e. L* = (c + rate*delay) / (rate - utilization). Every deadline beyond
-/// L* passes the EDF test automatically, so checking dlSet up to L* plus the
-/// utilization condition U <= rate is a complete test. Returns +infinity
-/// when rate <= utilization (the lines never cross).
-double qpa_horizon(double utilization, double util_const, double rate,
-                   double delay) noexcept;
+/// QPA tail closure for a supply with linear floor Z(t) >= rate*(t - delay):
+/// true iff U t + c <= rate*(t - delay) for every t >= horizon, i.e. rate >
+/// utilization and, at the horizon, the demand line lies at or below the
+/// floor to the per-point tolerance (leq_tol). Every deadline beyond the
+/// horizon then passes the EDF test, so the points up to it plus this test
+/// form a complete test. It compares at the horizon, not through the
+/// crossing time L* = (c + rate*delay) / (rate - utilization): a G1 design
+/// makes rate - utilization tight, and L*'s rounding alone can exceed the
+/// tolerance.
+bool tail_covered(double utilization, double util_const, double horizon,
+                  double rate, double delay) noexcept;
 
 }  // namespace flexrt::rt

@@ -1,7 +1,7 @@
 // Coverage for the QPA-bounded/condensed deadline set: exactness on
 // tractable sets, conservative safety of the condensed tests (condensed
 // schedulable implies fully schedulable, condensed minQ covers the full
-// set), the qpa_horizon algebra, and tractability + determinism of the
+// set), the QPA tail test, and tractability + determinism of the
 // hyperperiod-hostile stress generator.
 #include "rt/deadline_bound.hpp"
 
@@ -95,19 +95,39 @@ TEST(BoundedDeadlineSet, ZeroBudgetDisablesCondensation) {
 }
 
 TEST(QpaHorizon, MatchesTheLineCrossingAlgebra) {
-  // U t + c <= rate (t - delay) first holds at L*; check L* solves it with
-  // equality and that it fails just below.
-  const double u = 0.5, c = 2.0, rate = 0.75, delay = 1.0;
-  const double l = qpa_horizon(u, c, rate, delay);
-  EXPECT_NEAR(u * l + c, rate * (l - delay), 1e-9);
-  const double before = l * 0.99;
-  EXPECT_GT(u * before + c, rate * (before - delay));
+  // U t + c <= rate (t - delay) first holds at L* = (c + rate delay) /
+  // (rate - U): the tail is covered from L* on, and not from below it.
+  EXPECT_TRUE(tail_covered(0.5, 2.0, 11.0, 0.75, 1.0));  // L* = 11
+  EXPECT_FALSE(tail_covered(0.5, 2.0, 11.0 * 0.99, 0.75, 1.0));
+  Rng rng(0x7A11);
+  for (int k = 0; k < 2000; ++k) {
+    const double u = rng.uniform(0.0, 0.9);
+    const double rate = u + rng.uniform(0.01, 0.1);
+    const double c = rng.uniform(0.0, 10.0);
+    const double delay = rng.uniform(0.0, 5.0);
+    const double l = (c + rate * delay) / (rate - u);
+    const double h = l * (rng.uniform(0.0, 1.0) < 0.5 ? rng.uniform(0.0, 0.999)
+                                                      : rng.uniform(1.001, 2.0));
+    EXPECT_EQ(tail_covered(u, c, h, rate, delay), h >= l) << k;
+  }
 }
 
 TEST(QpaHorizon, InfiniteWhenSupplyRateCannotCover) {
-  EXPECT_TRUE(std::isinf(qpa_horizon(0.6, 1.0, 0.6, 0.5)));
-  EXPECT_TRUE(std::isinf(qpa_horizon(0.6, 1.0, 0.5, 0.5)));
-  EXPECT_GE(qpa_horizon(0.0, 0.0, 0.5, 0.0), 0.0);
+  // rate <= U: the lines never cross, so no horizon covers the tail.
+  EXPECT_FALSE(tail_covered(0.6, 1.0, 1e12, 0.6, 0.5));
+  EXPECT_FALSE(tail_covered(0.6, 1.0, 1e12, 0.5, 0.5));
+  EXPECT_TRUE(tail_covered(0.0, 0.0, 0.0, 0.5, 0.0));  // L* = 0
+}
+
+TEST(QpaHorizon, TightRateIsCoveredAtTheHorizon) {
+  // A G1 design's tail quantum: the rate exceeds U by ~1.4e-8 and the
+  // lines meet at H. L* divides by that difference, and its rounding alone
+  // can put it past H by more than the tolerance.
+  const double u = 0.45389825244586152, h = 59577640.203270882;
+  const double delay = 1.8781799527540308;
+  const double rate = (u * h) / (h - delay);
+  ASSERT_GT(rate, u);
+  EXPECT_TRUE(tail_covered(u, 0.0, h, rate, delay));
 }
 
 // The heart of the safety argument: a condensed context never reports

@@ -225,28 +225,28 @@ TEST_F(MemoCacheTest, AccumulatedPeriodDoesNotAnswerTheExactOne) {
     const auto ask = [&](double period) {
       return service.min_quantum_one(0, {alg, period, false, {}});
     };
-    // 0.2 plus eight += 0.1 steps lands on 0.9999999999999999, not 1.0.
+    // 0.2 plus nine += 0.1 steps lands on 1.0999999999999999, not 1.1.
     const auto [producer, warm, cold] = after_producer(
         [&] {
           double p = 0.2;
           MinQuantumResult last = ask(p);
-          for (int k = 0; k < 8; ++k) {
+          for (int k = 0; k < 9; ++k) {
             p += 0.1;
             last = ask(p);
           }
           return last;
         },
-        [&] { return ask(1.0); });
+        [&] { return ask(1.1); });
     EXPECT_NE(producer.margin, cold.margin);
     EXPECT_FALSE(warm.prov.cache_hit);
     const analysis::BatchEngine engine(core::paper_example(), alg);
     for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
       EXPECT_EQ(warm.mode_quantum[m],
-                engine.mode_min_quantum(core::kAllModes[m], 1.0));
+                engine.mode_min_quantum(core::kAllModes[m], 1.1));
     }
-    EXPECT_EQ(warm.margin, engine.feasibility_margin(1.0));
-    EXPECT_EQ(min_quantum_row(warm, alg, 1.0, false).str(),
-              min_quantum_row(cold, alg, 1.0, false).str());
+    EXPECT_EQ(warm.margin, engine.feasibility_margin(1.1));
+    EXPECT_EQ(min_quantum_row(warm, alg, 1.1, false).str(),
+              min_quantum_row(cold, alg, 1.1, false).str());
   }
 }
 
@@ -293,19 +293,19 @@ TEST_F(MemoCacheTest, WithinChannelReorderGetsTheColdSweep) {
 TEST_F(MemoCacheTest, ScaledTwinGetsItsOwnColdAnswer) {
   AnalysisService service;
   service.add_system(core::paper_example(), "base");
-  service.add_system(scaled_paper(10.0), "x10");
+  service.add_system(scaled_paper(3.0), "x3");
   const auto ask = [&](std::size_t entry, double period) {
     return service.min_quantum_one(entry, {Scheduler::EDF, period, false, {}});
   };
   const auto [producer, warm, cold] = after_producer(
-      [&] { return ask(0, 1.0); }, [&] { return ask(1, 10.0); });
+      [&] { return ask(0, 1.0); }, [&] { return ask(1, 3.0); });
   ASSERT_TRUE(producer.ok() && cold.ok());
-  EXPECT_NE(cold.mode_quantum[0], 10.0 * producer.mode_quantum[0])
-      << "the x10 answer is not the x1 answer times 10";
+  EXPECT_NE(cold.mode_quantum[0], 3.0 * producer.mode_quantum[0])
+      << "the x3 answer is not the x1 answer times 3";
   EXPECT_FALSE(warm.prov.cache_hit);
   EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
-  EXPECT_EQ(min_quantum_row(warm, Scheduler::EDF, 10.0, false).str(),
-            min_quantum_row(cold, Scheduler::EDF, 10.0, false).str());
+  EXPECT_EQ(min_quantum_row(warm, Scheduler::EDF, 3.0, false).str(),
+            min_quantum_row(cold, Scheduler::EDF, 3.0, false).str());
 }
 
 // --- counters, identity, provenance -------------------------------------

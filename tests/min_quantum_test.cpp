@@ -34,6 +34,55 @@ TEST(QuantumForPoint, DedicatedLimitWhenWindowEqualsDemand) {
   EXPECT_NEAR(quantum_for_point(5.0, 5.0, 2.0), 2.0, 1e-12);
 }
 
+/// A draw of (t, W, P) with t/P from 1e-6 to 1e15 and W in (0, t].
+struct PointDraw {
+  double t, w, p;
+};
+
+PointDraw draw_point(Rng& rng) {
+  const double p = std::pow(10.0, rng.uniform(-3.0, 3.0));
+  const double t = p * std::pow(10.0, rng.uniform(-6.0, 15.0));
+  return {t, t * std::pow(10.0, rng.uniform(-12.0, 0.0)), p};
+}
+
+/// |a - b| in units of the last place of b.
+double ulps(double a, double b) {
+  return std::abs(a - b) / (std::nextafter(b, INFINITY) - b);
+}
+
+TEST(QuantumForPoint, WithinFourUlpOfALongDoubleReference) {
+  // The root of q^2 + b q - W P = 0 (b = t - P) in extended precision,
+  // each sign of b in the form that adds two non-negative terms.
+  const auto reference = [](const PointDraw& d) {
+    const long double b = static_cast<long double>(d.t) - d.p;
+    const long double pw = static_cast<long double>(d.p) * d.w;
+    const long double root = std::sqrt(b * b + 4.0L * pw);
+    return static_cast<double>(b > 0 ? 2.0L * pw / (root + b)
+                                     : (root - b) / 2.0L);
+  };
+  Rng rng(0x5EED);
+  for (int k = 0; k < 20000; ++k) {
+    const PointDraw d = draw_point(rng);
+    EXPECT_LE(ulps(quantum_for_point(d.t, d.w, d.p), reference(d)), 4.0)
+        << "t " << d.t << ", W " << d.w << ", P " << d.p;
+  }
+}
+
+TEST(QuantumForPoint, MonotoneInEachArgumentWithinFourUlp) {
+  // q does not decrease in W or in P and does not increase in t: the
+  // condensed-bucket pairings of min_quantum rely on the W and t halves.
+  Rng rng(0xC0FFEE);
+  for (int k = 0; k < 20000; ++k) {
+    const PointDraw d = draw_point(rng);
+    const double up = 1.0 + std::pow(10.0, rng.uniform(-15.0, 0.0));
+    const double q = quantum_for_point(d.t, d.w, d.p);
+    const double slack = 4.0 * (std::nextafter(q, INFINITY) - q);
+    EXPECT_GE(quantum_for_point(d.t, d.w * up, d.p), q - slack) << k;
+    EXPECT_GE(quantum_for_point(d.t, d.w, d.p * up), q - slack) << k;
+    EXPECT_LE(quantum_for_point(d.t * up, d.w, d.p), q + slack) << k;
+  }
+}
+
 TEST(MinQuantum, EmptySetNeedsNothing) {
   EXPECT_DOUBLE_EQ(min_quantum(TaskSet{}, Scheduler::EDF, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(min_quantum(TaskSet{}, Scheduler::FP, 1.0), 0.0);

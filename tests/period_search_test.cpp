@@ -272,10 +272,10 @@ TEST(PeriodSearchRange, ATrillionPeriodRangeSolvesAndVerifies) {
         core::solve_design(long_deadline_system("1e12"), alg, {},
                            core::DesignGoal::MinOverheadBandwidth);
     EXPECT_GT(alone.schedule.period, 0.0);
-    // That design does not verify: hier::quantum_for_point loses t3's
-    // quantum (about 4e-12) to cancellation and gives NF none. With a
-    // second NF task setting NF's quantum, the design must verify (on the
-    // engine's bounded deadline sets: the hyperperiod is 1e12).
+    // DesignRoundTrip.TrillionDeadlineNfTask verifies that design, whose NF
+    // quantum is about 4e-12. With a second NF task setting NF's quantum,
+    // the design must verify too (on the engine's bounded deadline sets:
+    // the hyperperiod is 1e12).
     const BatchEngine engine(long_deadline_system("1e12", "t4 1 4 NF 0\n"),
                              alg);
     const core::Design design =
