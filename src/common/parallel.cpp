@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <thread>
-#include <vector>
 
 #include "common/annotations.hpp"
 
 namespace flexrt::par {
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 thread_local bool t_inside_loop = false;
 
@@ -18,6 +22,16 @@ thread_local bool t_inside_loop = false;
 /// slot here before it starts a helper, so concurrent loops together never
 /// run more than thread_count() - 1 helpers beside their callers.
 std::atomic<std::size_t> g_live_helpers{0};
+
+/// What starting a helper costs, in nanoseconds, averaged over the helpers
+/// started so far: `g_start_ns` from just before the caller creates the
+/// thread to the helper's first instruction, `g_create_ns` the part the
+/// caller spends creating it. The rest is the scheduler waking the thread
+/// -- up to a time slice on a busy host. Until a helper has been measured
+/// they hold a quiet host's figures. Updates race benignly: a lost sample
+/// only slows the average.
+std::atomic<std::int64_t> g_start_ns{50'000};
+std::atomic<std::int64_t> g_create_ns{25'000};
 
 std::size_t resolve_thread_count() noexcept {
   if (const char* env = std::getenv("FLEXRT_THREADS")) {
@@ -37,36 +51,125 @@ bool reserve_helper() noexcept {
   return false;
 }
 
-/// One parallel_for call: its caller and helpers claim index chunks from
-/// one atomic cursor. The first-error slot lives beside its mutex, the same
-/// shape as ordered_stream's State.
+void note(std::atomic<std::int64_t>& average, Clock::duration took) noexcept {
+  const std::int64_t ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(took).count();
+  const std::int64_t old = average.load(std::memory_order_relaxed);
+  average.store(std::max<std::int64_t>(1, old + (ns - old) / 4),
+                std::memory_order_relaxed);
+}
+
+/// Helpers worth starting `spent_ns` into a loop with `remaining`
+/// iterations to go, when the latest iterations cost `mean_ns` each. None
+/// until
+///  - the caller has itself spent one helper start on the loop, so a start
+///    never costs more than the work already done;
+///  - an iteration costs more than waking a thread: iterations pass between
+///    workers through shared state (ordered_stream takes one lock per
+///    result), and once workers queue on it every hand-off costs a wake-up,
+///    so cheaper iterations run slower shared than alone;
+///  - the rest, projected at `mean_ns`, is worth two starts.
+/// Past that, as many as leave every worker, caller included, a share
+/// larger than one start.
+std::size_t helpers_worth(double spent_ns, double mean_ns,
+                          std::size_t remaining) noexcept {
+  const double start_ns =
+      static_cast<double>(g_start_ns.load(std::memory_order_relaxed));
+  const double wake_ns =
+      start_ns -
+      static_cast<double>(g_create_ns.load(std::memory_order_relaxed));
+  const double shares = mean_ns * static_cast<double>(remaining) / start_ns;
+  if (spent_ns < start_ns || mean_ns < wake_ns || !(shares >= 2.0)) return 0;
+  const std::size_t by_cost =
+      shares >= static_cast<double>(remaining) ? remaining
+                                               : static_cast<std::size_t>(shares);
+  return std::min({thread_count() - 1, remaining - 1, by_cost - 1});
+}
+
+/// Marks the calling thread as inside a loop for the guard's lifetime, so
+/// parallel_for calls from the body run inline.
+class InsideLoop {
+ public:
+  InsideLoop() noexcept { t_inside_loop = true; }
+  ~InsideLoop() { t_inside_loop = false; }
+  InsideLoop(const InsideLoop&) = delete;
+  InsideLoop& operator=(const InsideLoop&) = delete;
+};
+
+/// The shared part of one parallel_for call: the caller and its helpers
+/// claim index chunks from one atomic cursor, and the caller returns once
+/// `finished` counts every index -- each claimed chunk adds its length when
+/// it ends, thrown or not. Helpers own the state jointly with the caller
+/// (shared_ptr), so one that starts after the cursor ran out touches
+/// nothing else: it never calls `fn`, which lives only as long as the
+/// caller's frame.
 struct Loop {
+  Loop(std::size_t n_, std::size_t first, std::size_t chunk_,
+       const std::function<void(std::size_t)>& fn_)
+      : n(n_), chunk(chunk_), fn(&fn_), cursor(first), finished(first) {}
+
   const std::size_t n;
   const std::size_t chunk;
-  const std::function<void(std::size_t)>& fn;
-  std::atomic<std::size_t> cursor{0};
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> cursor;
+  std::atomic<std::size_t> finished;
   sys::Mutex mu{};
+  sys::CondVar all_finished{};
   std::exception_ptr first_error GUARDED_BY(mu) = nullptr;
 
   void work() {
-    // Nested calls from the body run inline. No worker enters here inside a
-    // loop already: such a caller runs inline, a helper is a fresh thread.
-    t_inside_loop = true;
     for (;;) {
       const std::size_t begin =
           cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) break;
+      if (begin >= n) return;
       const std::size_t end = std::min(n, begin + chunk);
       try {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
+        for (std::size_t i = begin; i < end; ++i) (*fn)(i);
       } catch (...) {
         sys::MutexLock lock(mu);
         if (!first_error) first_error = std::current_exception();
       }
+      if (finished.fetch_add(end - begin) + (end - begin) == n) {
+        sys::MutexLock lock(mu);
+        all_finished.notify_all();
+      }
     }
-    t_inside_loop = false;
+  }
+
+  /// Blocks until every index has finished, then rethrows the first error.
+  void finish() {
+    sys::MutexLock lock(mu);
+    while (finished.load() < n) all_finished.wait(mu);
+    if (first_error) std::rethrow_exception(first_error);
   }
 };
+
+/// Runs iterations [first, n) on the caller and up to `helpers` detached
+/// helper threads; returns once every one has finished.
+void run_with_helpers(std::size_t first, std::size_t n, std::size_t helpers,
+                      const std::function<void(std::size_t)>& fn) {
+  const std::size_t chunk =
+      std::max<std::size_t>(1, (n - first) / (8 * (helpers + 1)));
+  const auto loop = std::make_shared<Loop>(n, first, chunk, fn);
+  for (std::size_t h = 0; h < helpers && reserve_helper(); ++h) {
+    try {
+      const Clock::time_point asked = Clock::now();
+      std::thread([loop, asked] {
+        note(g_start_ns, Clock::now() - asked);
+        t_inside_loop = true;
+        loop->work();
+        g_live_helpers.fetch_sub(1);
+      }).detach();
+      note(g_create_ns, Clock::now() - asked);
+    } catch (...) {
+      // Out of threads or memory: the loop finishes with what it has.
+      g_live_helpers.fetch_sub(1);
+      break;
+    }
+  }
+  loop->work();
+  loop->finish();
+}
 
 }  // namespace
 
@@ -87,27 +190,31 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const std::size_t workers = std::min(thread_count(), n);
-  Loop loop{n, std::max<std::size_t>(1, n / (8 * workers)), fn};
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(workers - 1);
-    while (helpers.size() + 1 < workers && reserve_helper()) {
-      try {
-        helpers.emplace_back([&loop] {
-          loop.work();
-          g_live_helpers.fetch_sub(1);
-        });
-      } catch (...) {
-        // Out of threads or memory: the loop finishes with what it has.
-        g_live_helpers.fetch_sub(1);
-        break;
-      }
+  // The caller runs the loop's head alone and times it. At 2, 4, 8, ...
+  // finished iterations it asks whether sharing the rest pays for the
+  // helpers it takes, judging by the iterations since its last look:
+  // iteration 0 alone pays the loop's one-time costs (lazy symbol binding,
+  // cold caches, a file's first write) and would overstate the rest.
+  const InsideLoop inside;
+  const Clock::time_point t0 = Clock::now();
+  fn(0);
+  Clock::time_point last = Clock::now();
+  for (std::size_t i = 1, check = 2; i < n;) {
+    fn(i);
+    if (++i != check || i == n) continue;
+    const Clock::time_point now = Clock::now();
+    const double spent_ns =
+        std::chrono::duration<double, std::nano>(now - t0).count();
+    const double mean_ns =
+        std::chrono::duration<double, std::nano>(now - last).count() /
+        static_cast<double>(check / 2);
+    check *= 2;
+    last = now;
+    if (const std::size_t helpers = helpers_worth(spent_ns, mean_ns, n - i)) {
+      run_with_helpers(i, n, helpers, fn);
+      return;
     }
-    loop.work();
-  }  // the helpers join here
-  sys::MutexLock lock(loop.mu);
-  if (loop.first_error) std::rethrow_exception(loop.first_error);
+  }
 }
 
 }  // namespace flexrt::par

@@ -40,9 +40,9 @@ std::size_t thread_count() noexcept;
 
 /// Runs fn(i) for every i in [0, n) and blocks until all iterations
 /// finished. The loop owns its workers: the calling thread plus up to
-/// min(thread_count(), n) - 1 helper threads, started for this loop and
-/// joined before it returns. Iterations are handed out in index chunks via
-/// an atomic cursor, so the load balances even when iteration costs are
+/// min(thread_count(), n) - 1 helper threads, started for this loop only
+/// when they pay for themselves. Iterations are handed out in index chunks
+/// via an atomic cursor, so the load balances even when iteration costs are
 /// skewed (e.g. period probes near the feasibility boundary converge
 /// slower).
 ///
@@ -50,9 +50,28 @@ std::size_t thread_count() noexcept;
 ///  - fn must be safe to call concurrently from different threads; writes
 ///    should go to disjoint slots (the canonical pattern is a preallocated
 ///    results vector indexed by i, which keeps output order deterministic).
-///  - The first exception thrown by any iteration is rethrown to the caller
-///    after every worker has joined; remaining iterations may or may not
+///  - Cost-aware start: the caller runs the first iterations itself, in
+///    index order, timing them. After 2, 4, 8, ... of them it starts
+///    helpers only once (a) it has itself spent what starting one costs,
+///    (b) the iterations since its last look cost more each than waking a
+///    thread -- the price of every hand-off between workers that queue on
+///    shared state, such as ordered_stream's lock -- and (c) every worker's
+///    share of the rest, projected at that cost, exceeds one start.
+///    Iteration 0 only counts towards (a): it pays the loop's one-time
+///    costs. Both costs are figures the loops measure as they go (from
+///    creating a helper to its first instruction, and the part of that
+///    spent creating it), averaged over the helpers started so far; they
+///    grow on a busy host. A loop too cheap to split never creates a
+///    thread, and a generated study emits its first rows before any thread
+///    exists.
+///  - Finish by count, not by join: the caller returns as soon as every
+///    claimed iteration has finished. Helpers are detached; one that starts
+///    after the cursor ran out never calls fn, releases its slot and exits,
+///    so the caller never waits on a helper that the scheduler has not yet
 ///    run.
+///  - The first exception thrown by any iteration is rethrown to the caller
+///    once every claimed iteration has finished; remaining iterations may
+///    or may not run.
 ///  - Helpers are bounded process-wide: concurrent loops together run at
 ///    most thread_count() - 1 of them, each holding a slot of one atomic
 ///    count from its start to its end. A loop that finds the count at the
@@ -156,8 +175,8 @@ std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
     }
     st.gate.notify_all();
   });
-  // parallel_for has joined every worker: this thread is the only one
-  // left, but the contract is on the members, so read them under the lock.
+  // Every iteration has finished (a helper still alive never calls the
+  // body), but the contract is on the members, so read them under the lock.
   sys::MutexLock lock(st.mu);
   if (st.first_error) std::rethrow_exception(st.first_error);
   return st.high_water;

@@ -215,25 +215,46 @@ std::size_t AnalysisService::add_fleet(const core::StudyOptions& study,
                                        const std::string& prefix) {
   FLEXRT_REQUIRE(static_cast<bool>(make), "fleet factory must be callable");
   const auto [begin, end] = core::shard_range(study.trials, study.shard);
+  const auto recipe =
+      std::make_shared<const Recipe>(Recipe{make, study.base_seed});
   const std::size_t first = entries_.size();
   for (std::size_t t = begin; t < end; ++t) {
-    Rng rng = core::trial_rng(study.base_seed, t);
     Entry e;
     e.name = prefix + std::to_string(t);
     e.trial = t;
-    e.system = make(t, rng);
-    if (!e.system) {
-      e.error = "packing failed";
-    } else {
-      e.key = system_key(*e.system);
-    }
+    e.recipe = recipe;
+    e.generated = std::make_unique<std::once_flag>();
     entries_.push_back(std::move(e));
   }
   return first;
 }
 
-const core::ModeTaskSystem& AnalysisService::system(std::size_t i) const {
+const AnalysisService::Entry& AnalysisService::entry(std::size_t i) const {
   const Entry& e = entries_.at(i);
+  if (!e.recipe) return e;
+  std::call_once(*e.generated, [&e] {
+    // A throw is kept, not left to call_once: the entry is a pure function
+    // of its trial, so a retry would throw again, and call_once's retry
+    // after an exception is not portable.
+    try {
+      Rng rng = core::trial_rng(e.recipe->base_seed, e.trial);
+      e.system = e.recipe->make(e.trial, rng);
+      if (!e.system) {
+        e.error = "packing failed";
+      } else {
+        e.key = system_key(*e.system);
+      }
+    } catch (...) {
+      e.system.reset();
+      e.failed = std::current_exception();
+    }
+  });
+  if (e.failed) std::rethrow_exception(e.failed);
+  return e;
+}
+
+const core::ModeTaskSystem& AnalysisService::system(std::size_t i) const {
+  const Entry& e = entry(i);
   FLEXRT_REQUIRE(e.system.has_value(),
                  "entry " + e.name + " has no system: " + e.error);
   return *e.system;
@@ -290,7 +311,7 @@ AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
 template <typename Result, typename Body>
 Result AnalysisService::run_entry(std::size_t i, Body&& body) const {
   Result out;
-  const Entry& e = entries_.at(i);
+  const Entry& e = entry(i);  // a generator's throw fails the run
   out.system = i;
   out.name = e.name;
   out.trial = e.trial;
@@ -318,7 +339,7 @@ Result AnalysisService::run_entry(std::size_t i, Body&& body) const {
 template <typename Result, typename Request, typename Body>
 Result AnalysisService::memoized(std::size_t i, const Request& req,
                                  Body&& body) const {
-  const Entry& e = entries_.at(i);
+  const Entry& e = entry(i);
   MemoCache& memo = global_memo();
   // The memo stays out of the way whenever replaying could change
   // semantics: answer-less entries (error rows carry entry context),

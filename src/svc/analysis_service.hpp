@@ -5,9 +5,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>  // std::once_flag, std::call_once
 #include <optional>
 #include <string>
 #include <vector>
@@ -368,13 +370,31 @@ class AnalysisService {
   /// trial_rng stream. Trials whose factory returns nullopt become
   /// answer-less entries (results carry error "packing failed"), keeping
   /// trial accounting intact across shards. Returns the first entry index.
+  ///
+  /// Generation is lazy: add_fleet records each trial's recipe and calls
+  /// `make` zero times. The first read of an entry -- a run's worker, a
+  /// journaled run's entry, has_system(), system() or engine_ptr() --
+  /// builds its system, exactly once per entry, so a streamed study emits
+  /// its first row before its last trial is generated, and a resumed
+  /// journal generates only the entries it executes. Hence `make`:
+  ///  - runs later, on whichever thread first needs the entry, and at most
+  ///    once per entry;
+  ///  - must be safe to call concurrently for different trials;
+  ///  - must not capture anything that dies before the service's last run.
+  /// A `make` that throws fails the command that needed the entry, with
+  /// that exception (the entry stays answer-less and every later read
+  /// rethrows it). It is not an error row: run() rethrows it once every
+  /// earlier entry has been emitted, so rows of earlier entries may already
+  /// be out, and a journaled run (svc::run_journaled) stays an uncommitted,
+  /// resumable .partial.
   std::size_t add_fleet(const core::StudyOptions& study,
                         const SystemFactory& make,
                         const std::string& prefix = "trial");
 
   std::size_t size() const noexcept { return entries_.size(); }
+  /// Whether entry i has a system (generating it on first use).
   bool has_system(std::size_t i) const {
-    return entries_.at(i).system.has_value();
+    return entry(i).system.has_value();
   }
   const core::ModeTaskSystem& system(std::size_t i) const;
 
@@ -477,13 +497,28 @@ class AnalysisService {
   EngineCacheStats engine_cache_stats() const;
 
  private:
+  /// What add_fleet records for each of its trials, shared by them.
+  struct Recipe {
+    SystemFactory make;
+    std::uint64_t base_seed = 0;
+  };
+
   struct Entry {
     std::string name;
     std::size_t trial = kNoTrial;
-    std::optional<core::ModeTaskSystem> system;
-    std::string error;  ///< why `system` is absent
-    rt::Hash128 key{};  ///< system_key(*system); empty when absent
+    /// Set for a generated entry whose fields below entry() fills in on
+    /// first use, once, under `generated`.
+    std::shared_ptr<const Recipe> recipe;
+    std::unique_ptr<std::once_flag> generated;
+    mutable std::optional<core::ModeTaskSystem> system;
+    mutable std::string error;  ///< why `system` is absent
+    mutable rt::Hash128 key{};  ///< system_key(*system); empty when absent
+    mutable std::exception_ptr failed;  ///< what `make` threw, if it did
   };
+
+  /// Entry i, its system built first if it is a generated one not yet
+  /// built. Every read of an entry goes through here.
+  const Entry& entry(std::size_t i) const;
 
   /// (entry, scheduler, dlSet budget) -> engine.
   using EngineKey = std::tuple<std::size_t, int, std::size_t>;

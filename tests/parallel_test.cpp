@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -141,6 +142,75 @@ TEST(Parallel, HelpersStayWithinTheProcessBound) {
   for (std::size_t l = 0; l < kLoops; ++l) {
     for (std::size_t i = 0; i < kN; ++i) {
       EXPECT_EQ(hits[l][i].load(), 1) << "loop " << l << " index " << i;
+    }
+  }
+}
+
+// --- cost-aware start -----------------------------------------------------
+
+TEST(Parallel, TinyLoopRunsOnTheCaller) {
+  // 256 trivial iterations cost far less than starting one thread, so the
+  // loop starts none: every index runs on the calling thread.
+  std::vector<std::thread::id> ran(256);
+  parallel_for(ran.size(),
+               [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i], std::this_thread::get_id()) << "index " << i;
+  }
+}
+
+TEST(Parallel, HeavyLoopStillUsesHelpers) {
+  if (thread_count() == 1) GTEST_SKIP() << "one worker per loop";
+  // 64 iterations of ~1 ms of busy work: far more than a thread start.
+  std::vector<std::thread::id> ran(64);
+  parallel_for(ran.size(), [&](std::size_t i) {
+    const auto until = std::chrono::steady_clock::now() + 1ms;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    ran[i] = std::this_thread::get_id();
+  });
+  std::vector<std::thread::id> ids = ran;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  EXPECT_GT(ids.size(), 1u) << "a 64 ms loop ran on one thread";
+}
+
+TEST(Parallel, LateHelpersNeverTouchAFinishedLoop) {
+  // 10^4 back-to-back loops, tiny ones and ones whose slow first
+  // iterations start helpers that the caller then outruns: those helpers
+  // start after their loop returned, its body and everything it captured
+  // gone, and must leave both alone (the sanitizer builds check it). Every
+  // index runs once, and each stream emits in order.
+  for (std::size_t k = 0; k < 10000; ++k) {
+    const std::size_t n = 1 + k % 64;
+    const bool slow_head = k % 32 == 0;
+    const auto head = [&](std::size_t i) {
+      if (slow_head && i < 2) std::this_thread::sleep_for(1ms);
+    };
+    std::vector<int> hits(n, 0);
+    if (k % 2 == 0) {
+      parallel_for(n, [&](std::size_t i) {
+        head(i);
+        ++hits[i];
+      });
+    } else {
+      std::size_t next = 0;
+      ordered_stream(
+          n, 0,
+          [&](std::size_t i) {
+            head(i);
+            return i;
+          },
+          [&](std::size_t i, std::size_t v) {
+            EXPECT_EQ(i, next);
+            EXPECT_EQ(v, i);
+            ++next;
+            ++hits[i];
+          });
+      ASSERT_EQ(next, n) << "loop " << k;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i], 1) << "loop " << k << " index " << i;
     }
   }
 }

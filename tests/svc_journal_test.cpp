@@ -19,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -318,6 +319,49 @@ TEST(Journal, CountTerminalRowsIgnoresTornTails) {
       "{\"kind\":\"study_trial\",\"tri";  // torn: no newline
   EXPECT_EQ(count_terminal_rows(text, is_trial_row), 2u);
   EXPECT_EQ(count_terminal_rows("", is_trial_row), 0u);
+}
+
+TEST(Journal, GeneratorExceptionLeavesAResumablePartial) {
+  // A generator that throws fails the journaled run with its exception:
+  // the rows of earlier entries are already in the .partial, no final file
+  // appears, and a resume completes the run to the uninterrupted bytes,
+  // generating only the entries it executes.
+  const std::string path = temp_path("generator_throw");
+  remove_journal(path);
+  const SolveRequest req = solve_request();
+  {
+    AnalysisService failing;
+    failing.add_fleet(whole_study(), [](std::size_t t, Rng& rng) {
+      if (t == 6) throw std::runtime_error("generator failed at trial 6");
+      return test_factory()(t, rng);
+    });
+    try {
+      journaled_study(path, failing, req, {});
+      ADD_FAILURE() << "the journaled run returned";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "generator failed at trial 6");
+    }
+  }
+  EXPECT_FALSE(std::ifstream(path).good()) << "a failed run committed";
+  EXPECT_EQ(count_terminal_rows(read_file(path + ".partial"), is_trial_row),
+            6u);
+
+  std::atomic<std::size_t> generated{0};
+  AnalysisService service;
+  service.add_fleet(whole_study(), [&](std::size_t t, Rng& rng) {
+    generated.fetch_add(1);
+    return test_factory()(t, rng);
+  });
+  JournalOptions resume;
+  resume.resume = true;
+  const JournalStats stats = journaled_study(path, service, req, resume);
+  EXPECT_EQ(stats.replayed, 6u);
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_EQ(generated.load(), 3u);
+  AnalysisService reference;
+  reference.add_fleet(whole_study(), test_factory());
+  EXPECT_EQ(read_file(path), streamed_reference(reference, req));
+  remove_journal(path);
 }
 
 // --- failed entries ------------------------------------------------------

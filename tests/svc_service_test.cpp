@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/error.hpp"
@@ -421,6 +423,59 @@ TEST(ServiceFleet, PackFailureBecomesAnswerlessEntry) {
   EXPECT_EQ(rs[1].trial, 1u);
   EXPECT_TRUE(rs[2].ok());
   EXPECT_THROW(service.system(1), ModelError);
+}
+
+TEST(ServiceFleet, EachTrialIsGeneratedOnceOnFirstUse) {
+  std::atomic<std::size_t> calls{0};
+  core::StudyOptions study;
+  study.trials = 40;
+  study.base_seed = 0x6E7;
+  AnalysisService service;
+  service.add_fleet(study, [&](std::size_t, Rng& rng) {
+    calls.fetch_add(1);
+    return gen::study_system(rng);
+  });
+  EXPECT_EQ(calls.load(), 0u) << "add_fleet generated trials";
+  const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
+  const std::vector<MinQuantumResult> first = service.run(req);
+  EXPECT_EQ(calls.load(), study.trials);
+  const std::vector<MinQuantumResult> second = service.run(req);
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    if (service.has_system(i)) (void)service.system(i);
+  }
+  EXPECT_EQ(calls.load(), study.trials) << "a trial was generated twice";
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].error, second[i].error) << "entry " << i;
+    EXPECT_EQ(first[i].margin, second[i].margin) << "entry " << i;
+  }
+}
+
+TEST(ServiceFleet, GeneratorExceptionFailsTheRun) {
+  // A factory that throws is not an error row: the run rethrows it, after
+  // every earlier entry was delivered, and a later read of the entry
+  // rethrows it again.
+  core::StudyOptions study;
+  study.trials = 32;
+  AnalysisService service;
+  service.add_fleet(
+      study, [](std::size_t t, Rng&) -> std::optional<core::ModeTaskSystem> {
+        if (t == 13) throw std::runtime_error("generator failed at trial 13");
+        return core::paper_example();
+      });
+  const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
+  std::vector<std::size_t> seen;
+  try {
+    service.run(req, [&](const MinQuantumResult& r) { seen.push_back(r.system); });
+    ADD_FAILURE() << "the run returned";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(), "generator failed at trial 13");
+  }
+  ASSERT_EQ(seen.size(), 13u);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_THROW((void)service.run(req), std::runtime_error);
+  EXPECT_THROW((void)service.has_system(13), std::runtime_error);
+  EXPECT_TRUE(service.has_system(12));
 }
 
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {

@@ -6,9 +6,12 @@
 // rejected by the merge helpers deterministically.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +26,7 @@ namespace flexrt::svc {
 namespace {
 
 using hier::Scheduler;
+using namespace std::chrono_literals;
 
 /// A deterministic 9-entry fleet with one unpackable trial, the shape the
 /// study subcommand streams: packed rows, a "packing failed" row, and
@@ -216,6 +220,41 @@ TEST(SvcStream, PeakBufferingIsBoundedByTheWindow) {
     EXPECT_LE(stats.max_buffered, window);
     EXPECT_GE(stats.max_buffered, 1u);
   }
+}
+
+TEST(SvcStream, FirstRowArrivesBeforeTheLastTrialIsGenerated) {
+  // The last trial's generator waits, for at most 10 s, until the sink has
+  // seen entry 0: a runner that generates the whole fleet before it runs
+  // any entry times out here.
+  constexpr std::size_t kTrials = 64;
+  std::atomic<bool> saw_first{false};
+  std::atomic<bool> timed_out{false};
+  core::StudyOptions study;
+  study.trials = kTrials;
+  AnalysisService service;
+  service.add_fleet(
+      study, [&](std::size_t t, Rng&) -> std::optional<core::ModeTaskSystem> {
+        if (t == kTrials - 1) {
+          const auto limit = std::chrono::steady_clock::now() + 10s;
+          while (!saw_first.load()) {
+            if (std::chrono::steady_clock::now() >= limit) {
+              timed_out.store(true);
+              break;
+            }
+            std::this_thread::sleep_for(1ms);
+          }
+        }
+        return core::paper_example();
+      });
+  std::size_t emitted = 0;
+  service.run(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
+              [&](const MinQuantumResult& r) {
+                if (r.system == 0) saw_first.store(true);
+                ++emitted;
+              });
+  EXPECT_FALSE(timed_out.load())
+      << "the last trial was generated before the first row was emitted";
+  EXPECT_EQ(emitted, kTrials);
 }
 
 // --- kill-mid-stream: truncated shard files -------------------------------

@@ -68,6 +68,14 @@ double time_ns(const std::function<double()>& fn) {
   }
 }
 
+/// Builds every entry of a generated fleet now, so that the rows time the
+/// requests and not the generation that add_fleet leaves to first use.
+void materialize(const svc::AnalysisService& service) {
+  for (std::size_t i = 0; i < service.size(); ++i) {
+    (void)service.has_system(i);
+  }
+}
+
 struct Row {
   std::string name;
   double legacy_ns = 0.0;
@@ -396,6 +404,7 @@ int run(const std::string& out_path, const std::string& argv0) {
     service.add_fleet(study,
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     fleet_entries = service.size();
+    materialize(service);
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
     (void)service.run(req);  // warm the engine cache for both paths
     const auto t0 = Clock::now();
@@ -429,6 +438,7 @@ int run(const std::string& out_path, const std::string& argv0) {
     service.add_fleet(study,
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     journal_entries = service.size();
+    materialize(service);
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
     (void)service.run(req);  // warm the engine cache
     const std::string path = out_path + ".journal_bench.jsonl";
@@ -571,6 +581,7 @@ int run(const std::string& out_path, const std::string& argv0) {
         return gen::study_system(fleet_rng);
       });
       memo_entries = service.size();
+      materialize(service);
       svc::global_memo().clear();
       const auto t0 = Clock::now();
       const auto cold = service.run(req);
