@@ -35,6 +35,8 @@ namespace flexrt::net::proto {
 ///   client -> server: one command per line,
 ///       add <name>            followed by task-file lines, ended by "."
 ///       gen-fleet [--trials N] [--seed S] [--shard k/N]
+///                             (records the study; each trial is generated
+///                             by the first fleet command that runs it)
 ///       solve  [--study] [common flags]
 ///       minq   --period P [--exact-supply] [common flags]
 ///       sweep  [--p-min P] [--p-max P] [--step dP] [common flags]

@@ -7,8 +7,9 @@
 // offline `flexrt_design` subcommands -- the warm counterpart of forking one
 // process per request (the daemon_roundtrip bench row quantifies the
 // difference). No worker pool is kept warm: each fleet command starts its
-// own helper threads and joins them before it replies, so a client that
-// stops reading stalls only its own session.
+// own helper threads, only when its entries pay for them, and replies once
+// every entry it started has finished, so a client that stops reading
+// stalls only its own session.
 //
 // Usage:
 //   flexrtd --socket PATH | --port N [--threads N] [--no-memo]
