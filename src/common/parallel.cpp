@@ -51,6 +51,7 @@ bool reserve_helper() noexcept {
   return false;
 }
 
+/// Moves a running average a quarter of the way towards one new sample.
 void note(std::atomic<std::int64_t>& average, Clock::duration took) noexcept {
   const std::int64_t ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(took).count();
@@ -80,9 +81,8 @@ std::size_t helpers_worth(double spent_ns, double mean_ns,
       static_cast<double>(g_create_ns.load(std::memory_order_relaxed));
   const double shares = mean_ns * static_cast<double>(remaining) / start_ns;
   if (spent_ns < start_ns || mean_ns < wake_ns || !(shares >= 2.0)) return 0;
-  const std::size_t by_cost =
-      shares >= static_cast<double>(remaining) ? remaining
-                                               : static_cast<std::size_t>(shares);
+  const auto by_cost = static_cast<std::size_t>(
+      std::min(shares, static_cast<double>(remaining)));
   return std::min({thread_count() - 1, remaining - 1, by_cost - 1});
 }
 

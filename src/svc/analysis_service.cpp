@@ -245,7 +245,6 @@ const AnalysisService::Entry& AnalysisService::entry(std::size_t i) const {
         e.key = system_key(*e.system);
       }
     } catch (...) {
-      e.system.reset();
       e.failed = std::current_exception();
     }
   });
