@@ -203,11 +203,12 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     fn(i);
     if (++i != check || i == n) continue;
     const Clock::time_point now = Clock::now();
+    const std::size_t since_last = check / 2;
     const double spent_ns =
         std::chrono::duration<double, std::nano>(now - t0).count();
     const double mean_ns =
         std::chrono::duration<double, std::nano>(now - last).count() /
-        static_cast<double>(check / 2);
+        static_cast<double>(since_last);
     check *= 2;
     last = now;
     if (const std::size_t helpers = helpers_worth(spent_ns, mean_ns, n - i)) {
