@@ -42,9 +42,9 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "core/general_frame.hpp"
+#include "core/integration.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
 #include "io/task_io.hpp"

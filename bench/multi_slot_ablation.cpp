@@ -19,8 +19,8 @@
 
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/general_frame.hpp"
-#include "core/integration.hpp"
 #include "core/paper_example.hpp"
 
 using namespace flexrt;
@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   const bool csv = argc > 1 && std::strcmp(argv[1], "--csv") == 0;
   const core::ModeTaskSystem sys = core::paper_example();
   const core::Overheads ov{0.05 / 3, 0.05 / 3, 0.05 / 3};
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
 
   std::cout << "E12a: feasibility vs period for k slots per mode "
             << "(Table-1 system, EDF, O_k = 0.0167 per switch)\n\n";
@@ -58,10 +59,7 @@ int main(int argc, char** argv) {
   for (const double p : {1.0, 2.0, 2.9, 3.2, 4.0, 6.0, 8.0, 12.0}) {
     a.row().cell(p, 1);
     // k = 1 via the paper's own feasibility condition (Eq. 15).
-    a.cell(core::feasibility_margin(sys, hier::Scheduler::EDF, p) >=
-                   ov.total()
-               ? "yes"
-               : "no");
+    a.cell(engine.feasibility_margin(p) >= ov.total() ? "yes" : "no");
     for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                                 std::size_t{4}}) {
       a.cell(attempt(sys, p, k, ov).feasible ? "yes" : "no");

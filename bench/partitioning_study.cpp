@@ -25,7 +25,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/integration.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
@@ -49,13 +49,11 @@ Outcome evaluate(const core::ModeTaskSystem& sys, double o_tot) {
   core::SearchOptions opts;
   opts.grid_step = 2e-3;
   opts.p_max = 10.0;
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   Outcome out;
   try {
-    out.p_max = core::max_feasible_period(sys, hier::Scheduler::EDF, o_tot,
-                                          opts);
-    out.slack_bw =
-        core::max_slack_period(sys, hier::Scheduler::EDF, o_tot, opts)
-            .slack_bandwidth;
+    out.p_max = engine.max_feasible_period(o_tot, opts);
+    out.slack_bw = engine.max_slack_period(o_tot, opts).slack_bandwidth;
     out.feasible = true;
   } catch (const InfeasibleError&) {
   }

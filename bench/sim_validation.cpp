@@ -12,6 +12,7 @@
 
 #include "bench_args.hpp"
 #include "common/table.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "sim/simulator.hpp"
@@ -38,8 +39,9 @@ int main(int argc, char** argv) {
            "total", "miss_per_1k"});
   for (const hier::Scheduler alg : {hier::Scheduler::EDF,
                                     hier::Scheduler::FP}) {
+    const analysis::BatchEngine engine(sys, alg);
     const core::Design d =
-        core::solve_design(sys, alg, ov, core::DesignGoal::MaxSlackBandwidth);
+        core::solve_design(engine, ov, core::DesignGoal::MaxSlackBandwidth);
     for (const double scale : {1.2, 1.0, 0.9, 0.8, 0.6, 0.4}) {
       core::ModeSchedule s = d.schedule;
       s.ft.usable *= scale;

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 
@@ -19,6 +20,7 @@ int main(int argc, char** argv) {
   const core::ModeTaskSystem sys = core::paper_example();
   const core::PaperReference ref;
   const core::Overheads ov{ref.o_tot / 3, ref.o_tot / 3, ref.o_tot / 3};
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
 
   Table t({"row", "P", "O_tot", "Q~FT", "Q~FS", "Q~NF", "slack", "slack/P"});
   t.row()
@@ -32,8 +34,7 @@ int main(int argc, char** argv) {
       .cell("-");
 
   auto add_design = [&](const char* label, core::DesignGoal goal) {
-    const core::Design d = core::solve_design(sys, hier::Scheduler::EDF, ov,
-                                              goal);
+    const core::Design d = core::solve_design(engine, ov, goal);
     t.row()
         .cell(label)
         .cell(d.schedule.period, 3)

@@ -9,6 +9,7 @@
 // that the G1 (min-overhead) design rejects the very first arrival.
 #include <iostream>
 
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "hier/min_quantum.hpp"
@@ -27,17 +28,15 @@ bool admit(core::ModeTaskSystem& sys, core::ModeSchedule& schedule,
                               candidate.partitions(rt::Mode::NF).end());
   nf[0].add(task);
   candidate.set_partitions(rt::Mode::NF, std::move(nf));
+  const analysis::BatchEngine engine(candidate, hier::Scheduler::EDF);
 
-  const double needed = core::mode_min_quantum(
-      candidate, rt::Mode::NF, hier::Scheduler::EDF, schedule.period);
+  const double needed = engine.mode_min_quantum(rt::Mode::NF, schedule.period);
   const double growth = needed - schedule.nf.usable;
   if (growth > schedule.slack() + 1e-12) return false;  // not enough slack
 
   core::ModeSchedule grown = schedule;
   grown.nf.usable = needed;
-  if (!core::verify_schedule(candidate, grown, hier::Scheduler::EDF)) {
-    return false;
-  }
+  if (!engine.verify(grown)) return false;
   sys = std::move(candidate);
   schedule = grown;
   return true;
@@ -48,15 +47,15 @@ bool admit(core::ModeTaskSystem& sys, core::ModeSchedule& schedule,
 int main() {
   const core::Overheads ov{0.05 / 3, 0.05 / 3, 0.05 / 3};
 
-  // The rigid design: quanta maxed out, nothing can grow.
   core::ModeTaskSystem rigid_sys = core::paper_example();
+  core::ModeTaskSystem flex_sys = rigid_sys;
+  const analysis::BatchEngine engine(rigid_sys, hier::Scheduler::EDF);
+  // The rigid design: quanta maxed out, nothing can grow.
   core::Design g1 =
-      core::solve_design(rigid_sys, hier::Scheduler::EDF, ov,
-                         core::DesignGoal::MinOverheadBandwidth);
+      core::solve_design(engine, ov, core::DesignGoal::MinOverheadBandwidth);
   // The flexible design: 12.1% of the bandwidth is redistributable.
-  core::ModeTaskSystem flex_sys = core::paper_example();
-  core::Design g2 = core::solve_design(flex_sys, hier::Scheduler::EDF, ov,
-                                       core::DesignGoal::MaxSlackBandwidth);
+  core::Design g2 =
+      core::solve_design(engine, ov, core::DesignGoal::MaxSlackBandwidth);
 
   std::cout << "G1 design: " << g1.schedule << "\n";
   std::cout << "G2 design: " << g2.schedule << "\n\n";

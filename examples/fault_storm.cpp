@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "gen/taskset_gen.hpp"
 #include "sim/simulator.hpp"
@@ -36,9 +37,9 @@ int main() {
                "0.1/unit over 20000 units\n\n";
   for (const rt::Mode mode : {rt::Mode::FT, rt::Mode::FS, rt::Mode::NF}) {
     const core::ModeTaskSystem sys = uniform_system(mode);
-    const core::Design d =
-        core::solve_design(sys, hier::Scheduler::EDF, {0.02, 0.02, 0.02},
-                           core::DesignGoal::MaxSlackBandwidth);
+    const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
+    const core::Design d = core::solve_design(
+        engine, {0.02, 0.02, 0.02}, core::DesignGoal::MaxSlackBandwidth);
     sim::SimOptions opt;
     opt.horizon = 20000.0;
     opt.faults = {0.1, 1.0};

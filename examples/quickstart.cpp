@@ -9,6 +9,7 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <iostream>
 
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "gen/taskset_gen.hpp"
 #include "sim/simulator.hpp"
@@ -35,11 +36,12 @@ int main() {
   }
 
   // 3. Solve the design problem: here we want run-time flexibility, so we
-  //    maximize the redistributable slack (the paper's goal G2).
+  //    maximize the redistributable slack (the paper's goal G2). The engine
+  //    answers every analysis question about one system.
+  const analysis::BatchEngine engine(*sys, hier::Scheduler::EDF);
   const core::Overheads overheads{0.02, 0.02, 0.02};  // switch-out costs
-  const core::Design design =
-      core::solve_design(*sys, hier::Scheduler::EDF, overheads,
-                         core::DesignGoal::MaxSlackBandwidth);
+  const core::Design design = core::solve_design(
+      engine, overheads, core::DesignGoal::MaxSlackBandwidth);
   std::cout << "solved: " << design.schedule << "\n";
   std::cout << "  FT gets " << design.schedule.allocated_bandwidth(rt::Mode::FT)
             << " of the timeline, FS "

@@ -296,11 +296,10 @@ bool BatchEngine::verify(const core::ModeSchedule& schedule,
                          bool use_exact_supply) const {
   schedule.validate();
   for (const rt::Mode mode : kAllModes) {
-    if (!mode_used_[static_cast<std::size_t>(mode)]) continue;
-    if (schedule.slot(mode).usable <= 0.0) return false;
+    if (mode_used(mode) && schedule.slot(mode).usable <= 0.0) return false;
   }
   for (const rt::Mode mode : kAllModes) {
-    if (!mode_used_[static_cast<std::size_t>(mode)]) continue;
+    if (!mode_used(mode)) continue;
     const bool ok = use_exact_supply
                         ? schedulable(mode, schedule.exact_supply(mode))
                         : schedulable(mode, schedule.supply(mode));
@@ -430,6 +429,8 @@ double BatchEngine::wcet_scale_margin(const core::ModeSchedule& schedule,
                                       const std::string& task_name,
                                       double lambda_max,
                                       double tolerance) const {
+  // An empty name would silently select the global (all-tasks) margin.
+  FLEXRT_REQUIRE(!task_name.empty(), "task name must be non-empty");
   return margin_impl(schedule, task_name, lambda_max, tolerance,
                      verify(schedule));
 }
@@ -442,7 +443,7 @@ std::vector<core::TaskMargin> BatchEngine::sensitivity_report(
   std::vector<core::TaskMargin> out = task_rows_;
   for (core::TaskMargin& row : out) {
     // An empty name would silently select the global (all-tasks) margin;
-    // reject it like the one-task front always has.
+    // reject it like wcet_scale_margin does.
     FLEXRT_REQUIRE(!row.name.empty(), "task name must be non-empty");
     row.scale_margin =
         margin_impl(schedule, row.name, lambda_max, 1e-4, base_feasible);

@@ -7,7 +7,6 @@
 #include "core/integration.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
 #include "hier/sched_test.hpp"
 #include "rt/analysis_context.hpp"
 
@@ -27,10 +26,10 @@ namespace flexrt::analysis {
 /// the calling thread -- one probe costs well under a thread start, so
 /// parallelism lives one level up, across the fleet entries of svc.
 ///
-/// The free functions in core/integration.hpp, core/sensitivity.hpp and
-/// core/general_frame.hpp and core::verify_schedule are one-shot
-/// conveniences that build a throwaway engine; hold a BatchEngine when
-/// issuing many queries against one system.
+/// The engine is the one front for questions about one system: hold one
+/// per (system, scheduler) and ask it everything. A fleet goes through
+/// svc::AnalysisService, which caches one engine per (entry, scheduler,
+/// budget).
 class BatchEngine {
  public:
   /// `dl_opts` controls the QPA bounding/condensation of every partition's
@@ -71,67 +70,95 @@ class BatchEngine {
 
   // --- period-side kernels (Eq. 15) --------------------------------------
 
-  /// max over the mode's channels of minQ(T_k^i, alg, P); FP channels are
-  /// analysed in deadline-monotonic order (== core::mode_min_quantum).
+  /// Per-mode minimum usable quantum: max over the mode's channels of
+  /// minQ(T_k^i, alg, P) (the inner max of Eq. 15); 0 for an unused mode.
+  /// For FP the channels are analysed in deadline-monotonic order
+  /// (== rate-monotonic for implicit deadlines, the paper's "RM").
   double mode_min_quantum(rt::Mode mode, double period,
                           bool use_exact_supply = false) const;
 
-  /// lhs(P) = P - sum_k mode_min_quantum(k, P)  (== core::feasibility_margin).
+  /// Left-hand side of the paper's Eq. (15):
+  ///   lhs(P) = P - sum_k max_i minQ(T_k^i, alg, P).
+  /// The period P admits a feasible slot assignment iff lhs(P) >= O_tot.
   double feasibility_margin(double period, bool use_exact_supply = false) const;
 
-  /// Figure-4 series over [p_min, p_max].
+  /// Samples lhs(P) over [p_min, p_max] with grid_step (the Figure 4
+  /// series).
   std::vector<core::RegionSample> sample_region(
       const core::SearchOptions& opts = {}) const;
 
-  /// sup { P : lhs(P) >= o_tot }: a downward scan of the accumulated grid
-  /// p_max, p_max - grid_step, ..., then a bisection between the first
-  /// feasible candidate and its predecessor. Runs of candidates that a
-  /// supply-dominance bound on minQ proves infeasible are jumped in closed
-  /// form (flexrt::walk_down_grid) without a probe, so a search costs its
-  /// probes, not the grid's length; the answer is bit-identical to probing
-  /// every candidate (tests/period_search_test.cpp). Throws ModelError on
-  /// a grid whose step cannot move p_max (see resolve) and InfeasibleError
-  /// when no candidate is feasible.
+  /// Largest feasible period, sup { P : lhs(P) >= o_tot }, refined to
+  /// opts.tolerance: design goal G1 (minimum overhead bandwidth O_tot/P).
+  /// A downward scan of the accumulated grid p_max, p_max - grid_step, ...,
+  /// then a bisection between the first feasible candidate and its
+  /// predecessor. Runs of candidates that a supply-dominance bound on minQ
+  /// proves infeasible are jumped in closed form (flexrt::walk_down_grid)
+  /// without a probe, so a search costs its probes, not the grid's length;
+  /// the answer is bit-identical to probing every candidate
+  /// (tests/period_search_test.cpp). Throws ModelError on a grid whose step
+  /// cannot move p_max (see resolve) and InfeasibleError when no candidate
+  /// is feasible.
   double max_feasible_period(double o_tot,
                              const core::SearchOptions& opts = {}) const;
 
-  /// argmax_P lhs(P)  (== core::max_admissible_overhead).
+  /// Maximum admissible total overhead and the period attaining it,
+  /// argmax_P lhs(P) (points 3 and 4 of Figure 4).
   core::OverheadLimit max_admissible_overhead(
       const core::SearchOptions& opts = {}) const;
 
-  /// argmax_P (lhs(P) - o_tot)/P  (== core::max_slack_period).
+  /// Period maximizing the redistributable slack bandwidth
+  /// (lhs(P) - o_tot)/P over the feasible region: design goal G2. Throws
+  /// InfeasibleError when the slack is negative everywhere.
   core::SlackOptimum max_slack_period(double o_tot,
                                       const core::SearchOptions& opts = {}) const;
 
   // --- schedule-side kernels (Eq. 12-14, sensitivity) ---------------------
+
+  /// Whether `mode` has at least one task.
+  bool mode_used(rt::Mode mode) const noexcept {
+    return mode_used_[static_cast<std::size_t>(mode)];
+  }
 
   /// True iff every channel of `mode` passes Theorem 1 (FP) or 2 (EDF)
   /// under `supply` (any shape, e.g. a core::GeneralFrame's multi-slot
   /// supply); true for an unused mode.
   bool schedulable(rt::Mode mode, const hier::SupplyFunction& supply) const;
 
-  /// Eq. (12)-(14): every used mode has a usable quantum and is
-  /// schedulable() under the schedule's linear (or exact slot) supply.
-  /// core::verify_schedule is this call on a one-shot engine.
+  /// Checks Eq. (12)-(14): every used mode has a usable quantum and every
+  /// channel is schedulable() under the schedule's linear supply (or exact
+  /// slot supply when `use_exact_supply`). A channel whose deadline set or
+  /// scheduling points exceed the engine's budgets gets the conservative
+  /// (sufficient) verdict.
   bool verify(const core::ModeSchedule& schedule,
               bool use_exact_supply = false) const;
 
-  /// Largest lambda keeping every partition schedulable when the WCETs of
-  /// tasks named `task_name` (every task when empty) scale by lambda. The
-  /// probe scales the cached demand curves in place -- no ModeTaskSystem
-  /// copy, no point re-derivation -- so one bisection step is a pass over
-  /// cached points.
+  // Sensitivity of a finished design: how much can the workload grow
+  // before the schedule breaks? The slack row (c) of Table 2 says how much
+  // *bandwidth* is redistributable; these say how much *each task* can
+  // grow. The schedule is not re-solved: the quanta are fixed hardware
+  // configuration.
+
+  /// Largest factor lambda such that scaling the WCET of the task named
+  /// `task_name` by lambda keeps every partition schedulable under
+  /// `schedule`. Found by bisection on lambda in [1, lambda_max]; returns
+  /// 1.0 when the task is already at the edge and `lambda_max` when even
+  /// that scale fits. Throws ModelError on an empty name (the all-tasks
+  /// margin is global_scale_margin). The probe scales the cached demand
+  /// curves in place -- no ModeTaskSystem copy, no point re-derivation --
+  /// so one bisection step is a pass over cached points.
   double wcet_scale_margin(const core::ModeSchedule& schedule,
                            const std::string& task_name,
                            double lambda_max = 16.0,
                            double tolerance = 1e-4) const;
 
-  /// Margins for every task (system iteration order), with the lambda=1
-  /// feasibility check hoisted out of the per-task loop.
+  /// Margins for every task of the system, in system iteration order, with
+  /// the lambda=1 feasibility check hoisted out of the per-task loop.
   std::vector<core::TaskMargin> sensitivity_report(
       const core::ModeSchedule& schedule, double lambda_max = 16.0) const;
 
-  /// Margin when every task scales together (task_name = "").
+  /// Largest factor by which EVERY task's WCET can grow simultaneously
+  /// while the schedule stays feasible -- a single-number robustness
+  /// metric for the whole design.
   double global_scale_margin(const core::ModeSchedule& schedule,
                              double lambda_max = 16.0,
                              double tolerance = 1e-4) const;

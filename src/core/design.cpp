@@ -12,13 +12,6 @@ const char* to_string(DesignGoal goal) noexcept {
                                                   : "max-slack-bandwidth";
 }
 
-Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
-                    const Overheads& overheads, DesignGoal goal,
-                    const SearchOptions& opts) {
-  // One engine serves the period search and the three quantum queries.
-  return solve_design(analysis::BatchEngine(sys, alg), overheads, goal, opts);
-}
-
 Design solve_design(const analysis::BatchEngine& engine,
                     const Overheads& overheads, DesignGoal goal,
                     const SearchOptions& opts) {

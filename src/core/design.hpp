@@ -3,6 +3,7 @@
 #include "core/integration.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
+#include "hier/sched_test.hpp"
 
 namespace flexrt::analysis {
 class BatchEngine;
@@ -34,22 +35,15 @@ struct Design {
   double min_quantum_nf = 0.0;
 };
 
-/// Solves the design problem of §3.3/§4: picks the period according to the
-/// goal, then sets every usable quantum to its minimum minQ(T_k, alg, P*)
-/// (Eq. 12-14 tight) and leaves the remaining time as slack. The returned
-/// schedule always passes verify_schedule().
+/// Solves the design problem of §3.3/§4 for the engine's system under the
+/// engine's scheduler: picks the period according to the goal, then sets
+/// every usable quantum to its minimum minQ(T_k, alg, P*) (Eq. 12-14
+/// tight) and leaves the remaining time as slack. The returned schedule
+/// always passes engine.verify(). A sweep over overheads or goals reuses
+/// the engine's per-partition caches.
 ///
 /// Throws InfeasibleError when no period in the search range admits the
 /// requested total overhead.
-Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
-                    const Overheads& overheads, DesignGoal goal,
-                    const SearchOptions& opts = {});
-
-/// Engine-threaded variant: solves against an existing BatchEngine (whose
-/// scheduler decides the analysis), so a sweep over overheads/goals -- the
-/// grid refinement pattern of the sensitivity studies -- reuses one set of
-/// per-partition caches instead of rebuilding them per call. The TaskSystem
-/// front above is a one-shot convenience over a throwaway engine.
 Design solve_design(const analysis::BatchEngine& engine,
                     const Overheads& overheads, DesignGoal goal,
                     const SearchOptions& opts = {});

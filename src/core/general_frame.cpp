@@ -81,18 +81,17 @@ GeneralFrame GeneralFrame::from_schedule(const ModeSchedule& schedule) {
   return GeneralFrame(schedule.period, std::move(slots));
 }
 
-namespace {
-
-/// verify_frame against a caller-held engine of the same system.
-bool frame_schedulable(const analysis::BatchEngine& engine,
-                       const ModeTaskSystem& sys, const GeneralFrame& frame) {
+bool verify_frame(const analysis::BatchEngine& engine,
+                  const GeneralFrame& frame) {
   for (const rt::Mode mode : kAllModes) {
-    if (sys.mode_tasks(mode).empty()) continue;
+    if (!engine.mode_used(mode)) continue;
     if (frame.total_usable(mode) <= 0.0) return false;
     if (!engine.schedulable(mode, frame.supply(mode))) return false;
   }
   return true;
 }
+
+namespace {
 
 /// Round-robin layout: visit j gives each mode budget[mode]/k followed by
 /// its full switch-out overhead.
@@ -112,11 +111,6 @@ GeneralFrame layout(double period, const Overheads& overheads,
 }
 
 }  // namespace
-
-bool verify_frame(const ModeTaskSystem& sys, const GeneralFrame& frame,
-                  hier::Scheduler alg) {
-  return frame_schedulable(analysis::BatchEngine(sys, alg), sys, frame);
-}
 
 GeneralFrame interleave(const ModeSchedule& base, std::size_t k) {
   FLEXRT_REQUIRE(k >= 1, "need at least one visit per mode");
@@ -195,7 +189,7 @@ GeneralFrame solve_interleaved(const ModeTaskSystem& sys, hier::Scheduler alg,
   }
 
   const GeneralFrame frame = layout(period, overheads, budgets, k);
-  if (!frame_schedulable(engine, sys, frame)) {
+  if (!verify_frame(engine, frame)) {
     throw InfeasibleError(
         "coordinate descent did not converge to a feasible frame");
   }

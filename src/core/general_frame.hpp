@@ -9,6 +9,10 @@
 #include "hier/multi_slot_supply.hpp"
 #include "hier/sched_test.hpp"
 
+namespace flexrt::analysis {
+class BatchEngine;
+}  // namespace flexrt::analysis
+
 namespace flexrt::core {
 
 /// One visit of a mode within a generalized frame: usable time followed by
@@ -60,11 +64,11 @@ class GeneralFrame {
   std::vector<GeneralSlot> slots_;
 };
 
-/// Checks every channel of every mode against the mode's multi-slot supply
-/// (analysis::BatchEngine::schedulable on a one-shot engine, so the default
-/// condensation budgets bound the work).
-bool verify_frame(const ModeTaskSystem& sys, const GeneralFrame& frame,
-                  hier::Scheduler alg);
+/// Checks every channel of every used mode of the engine's system against
+/// the mode's multi-slot supply (analysis::BatchEngine::schedulable, so the
+/// engine's condensation budgets bound the work).
+bool verify_frame(const analysis::BatchEngine& engine,
+                  const GeneralFrame& frame);
 
 /// Splits each mode's slot of `base` into `k` equal visits, interleaved
 /// round-robin (FT FS NF FT FS NF ...). Every visit pays the full

@@ -1,11 +1,13 @@
 #pragma once
 
-#include <vector>
+#include <string>
 
 #include "core/mode_system.hpp"
-#include "hier/min_quantum.hpp"
 
 namespace flexrt::core {
+
+// Options and answers of the questions analysis::BatchEngine answers about
+// one system: the Eq. 15 period searches and the WCET sensitivity margins.
 
 /// Options for the 1-D searches over the period P. The lhs curve is
 /// continuous and piecewise smooth; searches sample a grid then refine by
@@ -18,36 +20,11 @@ struct SearchOptions {
   bool use_exact_supply = false;  ///< minQ against exact Z instead of Z'
 };
 
-/// Per-mode minimum usable quantum: max over the mode's channels of
-/// minQ(T_k^i, alg, P) (the inner max of Eq. 15). For FP the channels are
-/// analysed in deadline-monotonic order (== rate-monotonic for implicit
-/// deadlines, the paper's "RM").
-double mode_min_quantum(const ModeTaskSystem& sys, rt::Mode mode,
-                        hier::Scheduler alg, double period,
-                        bool use_exact_supply = false);
-
-/// Left-hand side of the paper's Eq. (15):
-///   lhs(P) = P - sum_k max_i minQ(T_k^i, alg, P).
-/// The period P admits a feasible slot assignment iff lhs(P) >= O_tot.
-double feasibility_margin(const ModeTaskSystem& sys, hier::Scheduler alg,
-                          double period, bool use_exact_supply = false);
-
 /// One sample of the Figure-4 curve.
 struct RegionSample {
   double period = 0.0;
   double margin = 0.0;  ///< lhs(period)
 };
-
-/// Samples lhs(P) over [p_min, p_max] with grid_step (the Figure 4 series).
-std::vector<RegionSample> sample_region(const ModeTaskSystem& sys,
-                                        hier::Scheduler alg,
-                                        const SearchOptions& opts = {});
-
-/// Largest feasible period: sup { P : lhs(P) >= o_tot }, refined to
-/// opts.tolerance. Throws InfeasibleError when no sampled period qualifies.
-/// This is design goal G1 (minimum overhead bandwidth O_tot/P).
-double max_feasible_period(const ModeTaskSystem& sys, hier::Scheduler alg,
-                           double o_tot, const SearchOptions& opts = {});
 
 /// Maximum admissible total overhead and the period attaining it:
 /// argmax_P lhs(P) (points 3 and 4 of Figure 4).
@@ -55,9 +32,6 @@ struct OverheadLimit {
   double period = 0.0;
   double max_overhead = 0.0;
 };
-OverheadLimit max_admissible_overhead(const ModeTaskSystem& sys,
-                                      hier::Scheduler alg,
-                                      const SearchOptions& opts = {});
 
 /// Period maximizing the redistributable slack bandwidth
 /// (lhs(P) - o_tot)/P over the feasible region: design goal G2.
@@ -66,8 +40,15 @@ struct SlackOptimum {
   double slack = 0.0;            ///< lhs(P*) - o_tot (time per period)
   double slack_bandwidth = 0.0;  ///< slack / P*
 };
-SlackOptimum max_slack_period(const ModeTaskSystem& sys, hier::Scheduler alg,
-                              double o_tot, const SearchOptions& opts = {});
+
+/// One row of a sensitivity report: how far one task's WCET can grow
+/// before a finished design breaks.
+struct TaskMargin {
+  std::string name;
+  rt::Mode mode = rt::Mode::NF;
+  double wcet = 0.0;
+  double scale_margin = 0.0;  ///< wcet_scale_margin of this task
+};
 
 /// Default automatic upper bound of the period search (3x the largest
 /// deadline in the system; beyond that every mode's minQ grows ~linearly in

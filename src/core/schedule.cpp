@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/analysis_engine.hpp"
 
 namespace flexrt::core {
 
@@ -54,11 +53,6 @@ void ModeSchedule::validate() const {
   }
   FLEXRT_REQUIRE(slack() >= -1e-9 * period,
                  "slots exceed the period: no valid frame");
-}
-
-bool verify_schedule(const ModeTaskSystem& sys, const ModeSchedule& schedule,
-                     hier::Scheduler alg, bool use_exact_supply) {
-  return analysis::BatchEngine(sys, alg).verify(schedule, use_exact_supply);
 }
 
 std::ostream& operator<<(std::ostream& os, const ModeSchedule& schedule) {

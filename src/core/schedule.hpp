@@ -3,7 +3,6 @@
 #include <iosfwd>
 
 #include "core/mode_system.hpp"
-#include "hier/sched_test.hpp"
 #include "hier/supply.hpp"
 
 namespace flexrt::core {
@@ -62,14 +61,6 @@ struct ModeSchedule {
   /// usable length is non-negative.
   void validate() const;
 };
-
-/// Checks Eq. (12)-(14): every channel of every mode schedulable under the
-/// schedule's linear supply (or exact slot supply when `use_exact_supply`).
-/// A one-shot analysis::BatchEngine::verify at the default condensation
-/// budgets: a channel whose deadline set or scheduling points exceed them
-/// gets the conservative (sufficient) verdict.
-bool verify_schedule(const ModeTaskSystem& sys, const ModeSchedule& schedule,
-                     hier::Scheduler alg, bool use_exact_supply = false);
 
 /// Human-readable one-schedule summary (period, slots, bandwidths).
 std::ostream& operator<<(std::ostream& os, const ModeSchedule& schedule);

@@ -55,8 +55,8 @@ struct SimOptions {
 /// frame. Time is integer ticks; runs are deterministic for a given seed.
 class Simulator {
  public:
-  /// The schedule must pass verify_schedule-style validation (slots fit in
-  /// the period); schedulability is *not* required — unschedulable inputs
+  /// The schedule must pass ModeSchedule::validate (slots fit in the
+  /// period); schedulability is *not* required — unschedulable inputs
   /// simply produce deadline misses, which is what experiment E5 measures.
   Simulator(const core::ModeTaskSystem& system,
             const core::ModeSchedule& schedule, const SimOptions& options);

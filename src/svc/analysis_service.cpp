@@ -40,17 +40,20 @@ bool record_probe(const analysis::BatchEngine& eng, std::size_t round,
 
 /// Drives the accuracy ladder for one entry: probe at the initial budget,
 /// then (adaptive only) re-probe at doubled budgets until the answer is
-/// exact, stops moving (move <= tol), or the cap is reached. `move` returns
-/// the distance between consecutive answers; +inf means "not comparable,
-/// keep refining" (e.g. the feasibility verdict flipped).
+/// exact, settled, stops moving (move <= tol), or the cap is reached.
+/// `move` returns the distance between consecutive answers; +inf means
+/// "not comparable, keep refining" (e.g. the feasibility verdict flipped).
+/// `settled(value)` says a condensed answer is already definitive (verify's
+/// "schedulable": the condensed test is sufficient), so no larger budget
+/// can change it.
 ///
 /// Gap semantics: prov.gap is set only when the final answer is trustworthy
-/// at the requested accuracy -- 0 when the probe turned exact, the last
-/// inter-round move when the ladder converged (<= tol). A ladder that
-/// exhausts the budget cap while the answer is still moving reports
-/// nullopt: the last measured move bounds nothing about the distance to the
-/// exact answer, so reporting it as "the gap" would overstate the capped
-/// answer's accuracy.
+/// at the requested accuracy -- 0 when the probe turned exact or the answer
+/// settled, the last inter-round move when the ladder converged (<= tol).
+/// A ladder that exhausts the budget cap while the answer is still moving
+/// reports nullopt: the last measured move bounds nothing about the
+/// distance to the exact answer, so reporting it as "the gap" would
+/// overstate the capped answer's accuracy.
 ///
 /// Deadline semantics: an active pol.deadline is checked *after* the other
 /// stop conditions and only between rungs, so a ladder that would finish
@@ -64,10 +67,11 @@ bool record_probe(const analysis::BatchEngine& eng, std::size_t round,
 /// the deterministic injection point the executor-hardening tests hook
 /// (AnalysisService::ProbeHook) to throw or stall at a chosen entry/round.
 template <typename Value, typename EngineAt, typename Probe, typename Move,
-          typename Notify>
+          typename Settled, typename Notify>
 Value run_ladder(const EngineAt& engine_at, const AccuracyPolicy& pol,
                  hier::Scheduler alg, const Probe& probe, const Move& move,
-                 const Notify& notify, Provenance& prov) {
+                 const Settled& settled, const Notify& notify,
+                 Provenance& prov) {
   const par::StopWatch clock;
   std::size_t budget = resolve_budget(pol.initial_points, alg);
   const std::size_t cap = std::max(budget, pol.max_points);
@@ -81,7 +85,7 @@ Value run_ladder(const EngineAt& engine_at, const AccuracyPolicy& pol,
         engine_at(budget);
     const analysis::BatchEngine& eng = *pinned;
     value = probe(eng);
-    if (record_probe(eng, round, budget, prov)) {
+    if (record_probe(eng, round, budget, prov) || settled(value)) {
       prov.gap = 0.0;
       break;
     }
@@ -110,6 +114,10 @@ Value run_ladder(const EngineAt& engine_at, const AccuracyPolicy& pol,
   }
   return value;
 }
+
+/// The `settled` of every request whose condensed answers all stay open to
+/// refinement.
+constexpr auto kNeverSettled = [](const auto&) { return false; };
 
 double array_move(const std::array<double, 3>& a, const std::array<double, 3>& b) {
   double m = 0.0;
@@ -169,13 +177,6 @@ void hash_request(rt::HashStream& h, const RegionSweepRequest& r) {
   h.u64(3);
   hash_policy(h, r.accuracy, r.alg);
   hash_search(h, r.search);
-}
-
-void hash_request(rt::HashStream& h, const SensitivityRequest& r) {
-  h.u64(4);
-  hash_policy(h, r.accuracy, r.alg);
-  hash_schedule(h, r.schedule);
-  h.str(r.task).boolean(r.include_global).f64(r.lambda_max).f64(r.tolerance);
 }
 
 void hash_request(rt::HashStream& h, const VerifyRequest& r) {
@@ -404,7 +405,7 @@ std::optional<core::Design> AnalysisService::design_ladder(
         if (!a || !b) return kInf;  // verdict flipped / still infeasible
         return std::abs(a->schedule.period - b->schedule.period);
       },
-      probe_round(i), prov);
+      kNeverSettled, probe_round(i), prov);
   if (!design) infeasible = std::move(why);
   return design;
 }
@@ -435,7 +436,7 @@ MinQuantumResult AnalysisService::min_quantum_one(
           }
           return q;
         },
-        array_move, probe_round(i), out.prov);
+        array_move, kNeverSettled, probe_round(i), out.prov);
     out.margin = req.period - out.mode_quantum[0] - out.mode_quantum[1] -
                  out.mode_quantum[2];
   });
@@ -461,90 +462,24 @@ RegionSweepResult AnalysisService::region_sweep_one(
           }
           return m;
         },
-        probe_round(i), out.prov);
-  });
-}
-
-SensitivityResult AnalysisService::sensitivity_one(
-    std::size_t i, const SensitivityRequest& req) const {
-  return memoized<SensitivityResult>(i, req, [&](SensitivityResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
-    using Value = std::pair<std::vector<core::TaskMargin>, double>;
-    const Value value = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
-        [&](const analysis::BatchEngine& eng) -> Value {
-          if (!req.task.empty()) {
-            core::TaskMargin row{req.task, rt::Mode::NF, 0.0,
-                                 eng.wcet_scale_margin(req.schedule, req.task,
-                                                       req.lambda_max,
-                                                       req.tolerance)};
-            // Fill mode/wcet from the fleet entry for a self-contained row.
-            for (const rt::Mode mode : core::kAllModes) {
-              for (const rt::TaskSet& ts : system(i).partitions(mode)) {
-                for (const rt::Task& t : ts) {
-                  if (t.name == req.task) {
-                    row.mode = t.mode;
-                    row.wcet = t.wcet;
-                  }
-                }
-              }
-            }
-            return {{row}, 0.0};
-          }
-          return {eng.sensitivity_report(req.schedule, req.lambda_max),
-                  req.include_global
-                      ? eng.global_scale_margin(req.schedule, req.lambda_max,
-                                                req.tolerance)
-                      : 0.0};
-        },
-        [](const Value& a, const Value& b) {
-          if (a.first.size() != b.first.size()) return kInf;
-          double m = std::abs(a.second - b.second);
-          for (std::size_t k = 0; k < a.first.size(); ++k) {
-            m = std::max(m, std::abs(a.first[k].scale_margin -
-                                     b.first[k].scale_margin));
-          }
-          return m;
-        },
-        probe_round(i), out.prov);
-    out.margins = value.first;
-    out.global_margin = value.second;
+        kNeverSettled, probe_round(i), out.prov);
   });
 }
 
 VerifyResult AnalysisService::verify_one(std::size_t i,
                                          const VerifyRequest& req) const {
   return memoized<VerifyResult>(i, req, [&](VerifyResult& out) {
-    // Hand-rolled ladder: a condensed "schedulable" is already safe and
-    // definitive, so adaptive accuracy only escalates a condensed "no".
-    // Deadline handling mirrors run_ladder: checked last, between rungs.
-    const par::StopWatch clock;
-    const auto notify = probe_round(i);
-    std::size_t budget = resolve_budget(req.accuracy.initial_points, req.alg);
-    const std::size_t cap = std::max(budget, req.accuracy.max_points);
-    bool exact = false;
-    for (std::size_t round = 1;; ++round) {
-      notify(round);
-      const std::shared_ptr<const analysis::BatchEngine> pinned =
-          engine_ptr(i, req.alg, budget);
-      const analysis::BatchEngine& eng = *pinned;
-      out.schedulable = eng.verify(req.schedule, req.use_exact_supply);
-      exact = record_probe(eng, round, budget, out.prov);
-      if (out.schedulable || exact || !req.accuracy.is_adaptive ||
-          budget >= cap) {
-        break;
-      }
-      if (req.accuracy.deadline.active() &&
-          clock.elapsed_ms() >= req.accuracy.deadline.wall_ms) {
-        out.prov.degraded = true;  // conservative "no" of the finished rung
-        break;
-      }
-      budget = rt::next_budget_rung(budget, cap);
-    }
-    out.prov.gap = (out.schedulable || exact) ? std::optional<double>(0.0)
-                                              : std::nullopt;
+    // A condensed "schedulable" is already safe and definitive, so adaptive
+    // accuracy only escalates a condensed "no"; two verdicts never compare.
+    out.schedulable = run_ladder<bool>(
+        [&](std::size_t budget) { return engine_ptr(i, req.alg, budget); },
+        req.accuracy, req.alg,
+        [&](const analysis::BatchEngine& eng) {
+          return eng.verify(req.schedule, req.use_exact_supply);
+        },
+        [](bool, bool) { return kInf; },
+        [](bool schedulable) { return schedulable; }, probe_round(i),
+        out.prov);
   });
 }
 

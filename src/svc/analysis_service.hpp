@@ -21,7 +21,6 @@
 #include "core/design.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
 #include "core/study_runner.hpp"
 #include "fault/fault_model.hpp"
 #include "hier/sched_test.hpp"
@@ -37,8 +36,9 @@ namespace flexrt::svc {
 /// An AnalysisService holds a fleet of mode-task systems -- added directly,
 /// parsed from files, or generated as a sharded trial study -- and executes
 /// *typed requests* (SolveRequest, MinQuantumRequest, RegionSweepRequest,
-/// SensitivityRequest, VerifyRequest, FaultSweepRequest) against every
-/// system on par::parallel_for's workers, through one execution path
+/// VerifyRequest, FaultSweepRequest -- one per analysis command of the
+/// net/proto command table) against every system on par::parallel_for's
+/// workers, through one execution path
 /// (run: ordered streaming into a sink; its collecting overload returns the
 /// vector). Results are typed structs that carry the answer
 /// plus *provenance*: whether the deadline-set analysis was exact, the
@@ -56,13 +56,13 @@ namespace flexrt::svc {
 /// per-task FP scheduling-point budget (rt::FpPointOptions) -- so the
 /// ladder is scheduler-agnostic.
 ///
-/// BatchEngine is the per-system probe engine underneath; the service adds
-/// the fleet, the accuracy ladder, the process-wide answer memo
+/// BatchEngine is the per-system probe engine underneath, and the front
+/// for one system; the service is the front for a fleet. It adds the
+/// fleet, the accuracy ladder, the process-wide answer memo
 /// (svc::MemoCache) and an engine cache keyed by (system, scheduler,
 /// budget) so a request menu (e.g. an overhead sweep) reuses each
-/// system's caches. The one-system free functions of core/ (integration,
-/// sensitivity, solve_design(sys, ...)) sit below this layer: they probe
-/// a local BatchEngine and never read the memo.
+/// system's caches. A question no request covers (sensitivity margins,
+/// max_admissible_overhead, ...) goes to the cached engine, engine_ptr().
 
 /// Per-entry wall-time budget of a request. When active, every entry's
 /// accuracy ladder checks the elapsed wall time after each completed rung:
@@ -197,7 +197,7 @@ struct ResultBase {
 
 // --- requests -------------------------------------------------------------
 
-/// Solve the §3.3/§4 design problem (== core::solve_design).
+/// Solve the §3.3/§4 design problem (core::solve_design on the engine).
 struct SolveRequest {
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::Overheads overheads{};
@@ -224,11 +224,12 @@ struct MinQuantumRequest {
 struct MinQuantumResult : ResultBase {
   /// minQ per mode, indexed FT, FS, NF (core::kAllModes order).
   std::array<double, 3> mode_quantum{};
-  /// lhs(P) = P - sum of the quanta (== core::feasibility_margin).
+  /// lhs(P) = P - sum of the quanta (== BatchEngine::feasibility_margin).
   double margin = 0.0;
 };
 
-/// The Figure-4 curve lhs(P) over a period grid (== core::sample_region).
+/// The Figure-4 curve lhs(P) over a period grid (==
+/// BatchEngine::sample_region).
 struct RegionSweepRequest {
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::SearchOptions search{};
@@ -237,29 +238,6 @@ struct RegionSweepRequest {
 
 struct RegionSweepResult : ResultBase {
   std::vector<core::RegionSample> samples;
-};
-
-/// WCET scale margins of a finished schedule (== core::sensitivity_report /
-/// wcet_scale_margin / global_scale_margin).
-struct SensitivityRequest {
-  hier::Scheduler alg = hier::Scheduler::EDF;
-  core::ModeSchedule schedule{};
-  /// Non-empty: only this task's margin (global margin is skipped).
-  std::string task;
-  /// Also compute the all-tasks-simultaneously margin (ignored for a
-  /// named task). Off when the caller only wants the per-task report.
-  bool include_global = true;
-  double lambda_max = 16.0;
-  double tolerance = 1e-4;  ///< bisection tolerance (named task / global)
-  AccuracyPolicy accuracy{};
-};
-
-struct SensitivityResult : ResultBase {
-  /// One row per task (system iteration order), or a single row for a
-  /// named task.
-  std::vector<core::TaskMargin> margins;
-  /// All-tasks-simultaneously margin; computed only when `task` is empty.
-  double global_margin = 0.0;
 };
 
 /// Eq. 12-14 schedulability of an explicit schedule (== BatchEngine::verify).
@@ -438,8 +416,6 @@ class AnalysisService {
                                    const MinQuantumRequest& req) const;
   RegionSweepResult region_sweep_one(std::size_t i,
                                      const RegionSweepRequest& req) const;
-  SensitivityResult sensitivity_one(std::size_t i,
-                                    const SensitivityRequest& req) const;
   VerifyResult verify_one(std::size_t i, const VerifyRequest& req) const;
   FaultSweepResult fault_sweep_one(std::size_t i,
                                    const FaultSweepRequest& req) const;
@@ -455,10 +431,6 @@ class AnalysisService {
   RegionSweepResult run_one(std::size_t i,
                             const RegionSweepRequest& req) const {
     return region_sweep_one(i, req);
-  }
-  SensitivityResult run_one(std::size_t i,
-                            const SensitivityRequest& req) const {
-    return sensitivity_one(i, req);
   }
   VerifyResult run_one(std::size_t i, const VerifyRequest& req) const {
     return verify_one(i, req);

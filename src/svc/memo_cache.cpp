@@ -20,11 +20,6 @@ std::size_t extra_bytes(const MinQuantumResult& r) { return base_bytes(r); }
 std::size_t extra_bytes(const RegionSweepResult& r) {
   return base_bytes(r) + r.samples.size() * sizeof(core::RegionSample);
 }
-std::size_t extra_bytes(const SensitivityResult& r) {
-  std::size_t n = base_bytes(r) + r.margins.size() * sizeof(core::TaskMargin);
-  for (const core::TaskMargin& m : r.margins) n += string_bytes(m.name);
-  return n;
-}
 std::size_t extra_bytes(const VerifyResult& r) { return base_bytes(r); }
 std::size_t extra_bytes(const FaultSweepResult& r) {
   return base_bytes(r) + string_bytes(r.infeasible) +

@@ -20,7 +20,7 @@ namespace flexrt::svc {
 /// entry that asks, not the one that computed) and wall-free provenance.
 using MemoPayload =
     std::variant<SolveResult, MinQuantumResult, RegionSweepResult,
-                 SensitivityResult, VerifyResult, FaultSweepResult>;
+                 VerifyResult, FaultSweepResult>;
 
 /// The system half of every memo key: the raw bits of every task (name,
 /// C, T, D) in mode, channel and entry order. Two systems share it only

@@ -1,7 +1,7 @@
 // The library has one schedulability path: Theorems 1-2 on a budgeted
 // rt::AnalysisContext. This harness compares it with the frozen
 // full-enumeration reference (bench/legacy_kernels.hpp) over generated
-// fleets -- the baselines' per-bin dedicated test, verify_schedule at
+// fleets -- the baselines' per-bin dedicated test, the engine's verify at
 // scaled quanta under linear and exact supply, and verify_frame on
 // interleaved frames -- and asserts that every context it compares is
 // exact, so a generator change that condenses bins fails here instead of
@@ -124,7 +124,7 @@ TEST_P(BoundedParity, VerdictsMatchTheFullEnumeration) {
       const ModeSchedule s = scaled(design->schedule, factor);
       for (const bool exact : {false, true}) {
         const std::optional<bool> ok = verdict(
-            [&] { return verify_schedule(*sys, s, alg, exact); });
+            [&] { return engine.verify(s, exact); });
         EXPECT_EQ(ok, verdict([&] {
                     return legacy::verify_schedule(*sys, s, alg, exact);
                   }))
@@ -134,7 +134,7 @@ TEST_P(BoundedParity, VerdictsMatchTheFullEnumeration) {
       if (factor > 1.0) continue;  // the frame would overflow its period
       for (std::size_t k = 1; k <= 3; ++k) {
         const GeneralFrame frame = interleave(s, k);
-        const bool ok = verify_frame(*sys, frame, alg);
+        const bool ok = verify_frame(engine, frame);
         EXPECT_EQ(ok, legacy::verify_frame(*sys, frame, alg))
             << "trial " << trial << " x" << factor << " k=" << k;
         (ok ? passes : fails)++;
@@ -173,19 +173,18 @@ ModeTaskSystem mixed_period_system() {
 }
 
 TEST(BoundedAnalysis, VerifyScheduleReturnsOnMixedPeriods) {
-  const ModeTaskSystem sys = mixed_period_system();
-  const Design d = solve_design(sys, Scheduler::EDF, {0.0, 0.0, 0.0},
+  const analysis::BatchEngine engine(mixed_period_system(), Scheduler::EDF);
+  const Design d = solve_design(engine, {0.0, 0.0, 0.0},
                                 DesignGoal::MinOverheadBandwidth);
-  EXPECT_FALSE(analysis::BatchEngine(sys, Scheduler::EDF).dl_exact());
-  EXPECT_TRUE(verify_schedule(sys, d.schedule, Scheduler::EDF));
+  EXPECT_TRUE(engine.verify(d.schedule));
+  EXPECT_FALSE(engine.dl_exact());
 }
 
 TEST(BoundedAnalysis, VerifyFrameReturnsOnMixedPeriods) {
-  const ModeTaskSystem sys = mixed_period_system();
-  const Design d = solve_design(sys, Scheduler::EDF, {0.0, 0.0, 0.0},
+  const analysis::BatchEngine engine(mixed_period_system(), Scheduler::EDF);
+  const Design d = solve_design(engine, {0.0, 0.0, 0.0},
                                 DesignGoal::MinOverheadBandwidth);
-  EXPECT_TRUE(verify_frame(sys, GeneralFrame::from_schedule(d.schedule),
-                           Scheduler::EDF));
+  EXPECT_TRUE(verify_frame(engine, GeneralFrame::from_schedule(d.schedule)));
 }
 
 }  // namespace

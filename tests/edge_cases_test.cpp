@@ -6,8 +6,8 @@
 
 #include "baseline/static_config.hpp"
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
-#include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "hier/min_quantum.hpp"
 #include "rt/demand.hpp"
@@ -60,10 +60,9 @@ TEST(EdgeCases, MinQuantumDominatedByShortDeadlineTask) {
 }
 
 TEST(EdgeCases, SolverWithZeroOverheadHitsRegionBoundary) {
-  const core::ModeTaskSystem sys = core::paper_example();
-  const core::Design d =
-      core::solve_design(sys, Scheduler::EDF, {0.0, 0.0, 0.0},
-                         core::DesignGoal::MinOverheadBandwidth);
+  const analysis::BatchEngine engine(core::paper_example(), Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.0, 0.0, 0.0}, core::DesignGoal::MinOverheadBandwidth);
   EXPECT_NEAR(d.schedule.period, 3.177, 2e-3);
   EXPECT_NEAR(d.schedule.slack(), 0.0, 1e-3);
   EXPECT_DOUBLE_EQ(d.schedule.overhead_bandwidth(), 0.0);
@@ -113,12 +112,12 @@ TEST(EdgeCases, FeasibilityMarginNegativeForOverloadedSystem) {
   rt::TaskSet ft{make_task("f", 4.5, 10, Mode::FT)};
   rt::TaskSet fs{make_task("s", 4.5, 10, Mode::FS)};
   rt::TaskSet nf{make_task("n", 4.5, 10, Mode::NF)};
-  core::ModeTaskSystem sys({ft}, {fs}, {nf});
+  const analysis::BatchEngine engine(core::ModeTaskSystem({ft}, {fs}, {nf}),
+                                     Scheduler::EDF);
   for (const double p : {0.5, 1.0, 2.0, 5.0}) {
-    EXPECT_LT(core::feasibility_margin(sys, Scheduler::EDF, p), 0.0) << p;
+    EXPECT_LT(engine.feasibility_margin(p), 0.0) << p;
   }
-  EXPECT_THROW(core::max_feasible_period(sys, Scheduler::EDF, 0.0),
-               InfeasibleError);
+  EXPECT_THROW(engine.max_feasible_period(0.0), InfeasibleError);
 }
 
 TEST(EdgeCases, OverheadOnlySlotsConsumeWithoutSupplying) {
@@ -131,7 +130,7 @@ TEST(EdgeCases, OverheadOnlySlotsConsumeWithoutSupplying) {
   s.ft = {0.0, 1.0};  // overhead-only slot
   s.fs = {1.0, 0.0};
   s.nf = {1.0, 0.0};
-  EXPECT_FALSE(core::verify_schedule(sys, s, Scheduler::EDF));
+  EXPECT_FALSE(analysis::BatchEngine(sys, Scheduler::EDF).verify(s));
   sim::SimOptions opt;
   opt.horizon = 100.0;
   const sim::SimResult r = sim::simulate(sys, s, opt);

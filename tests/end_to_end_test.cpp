@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/general_frame.hpp"
-#include "core/sensitivity.hpp"
 #include "hier/response_time.hpp"
 #include "io/task_io.hpp"
 #include "rt/priority.hpp"
@@ -29,11 +29,10 @@ const char* kMixedWorkload =
 TEST(EndToEnd, FileToDesignToSimulation) {
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
-  const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.02, 0.02, 0.021},
-                         core::DesignGoal::MinOverheadBandwidth);
-  EXPECT_TRUE(core::verify_schedule(parsed.system, d.schedule,
-                                    Scheduler::EDF));
+  const analysis::BatchEngine engine(parsed.system, Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.02, 0.02, 0.021}, core::DesignGoal::MinOverheadBandwidth);
+  EXPECT_TRUE(engine.verify(d.schedule));
   sim::SimOptions opt;
   opt.horizon = 2000.0;
   const sim::SimResult r = sim::simulate(parsed.system, d.schedule, opt);
@@ -50,7 +49,8 @@ TEST(EndToEnd, FileToInterleavedFrameToSimulationWithFaults) {
   std::vector<core::GeneralSlot> padded(f.slots().begin(), f.slots().end());
   for (core::GeneralSlot& s : padded) s.usable *= 1.02;
   const core::GeneralFrame safe(f.period(), std::move(padded));
-  ASSERT_TRUE(core::verify_frame(parsed.system, safe, Scheduler::EDF));
+  ASSERT_TRUE(core::verify_frame(
+      analysis::BatchEngine(parsed.system, Scheduler::EDF), safe));
 
   sim::SimOptions opt;
   opt.horizon = 5000.0;
@@ -72,13 +72,12 @@ TEST(EndToEnd, SensitivityMarginSurvivesSimulation) {
   // still simulate miss-free under the same (slack-distributed) schedule.
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
-  const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.02, 0.02, 0.02},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const analysis::BatchEngine engine(parsed.system, Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.02, 0.02, 0.02}, core::DesignGoal::MaxSlackBandwidth);
   const core::ModeSchedule schedule = core::distribute_slack(d);
 
-  const double margin = core::wcet_scale_margin(parsed.system, schedule,
-                                                Scheduler::EDF, "sensorA");
+  const double margin = engine.wcet_scale_margin(schedule, "sensorA");
   ASSERT_GT(margin, 1.0);
   const double scale = 1.0 + (margin - 1.0) * 0.9;
   std::string grown_file = kMixedWorkload;
@@ -87,7 +86,8 @@ TEST(EndToEnd, SensitivityMarginSurvivesSimulation) {
                      "sensorA " + std::to_string(0.6 * scale));
   const io::ParsedSystem grown =
       io::parse_mode_task_system_string(grown_file);
-  ASSERT_TRUE(core::verify_schedule(grown.system, schedule, Scheduler::EDF));
+  ASSERT_TRUE(
+      analysis::BatchEngine(grown.system, Scheduler::EDF).verify(schedule));
 
   sim::SimOptions opt;
   opt.horizon = 3000.0;
@@ -100,9 +100,9 @@ TEST(EndToEnd, ResponseBoundsHoldUnderSporadicArrivals) {
   // response bounds must keep dominating simulated responses.
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
-  const core::Design d =
-      core::solve_design(parsed.system, Scheduler::FP, {0.02, 0.02, 0.021},
-                         core::DesignGoal::MinOverheadBandwidth);
+  const core::Design d = core::solve_design(
+      analysis::BatchEngine(parsed.system, Scheduler::FP), {0.02, 0.02, 0.021},
+      core::DesignGoal::MinOverheadBandwidth);
   sim::SimOptions opt;
   opt.horizon = 4000.0;
   opt.scheduler = Scheduler::FP;
@@ -134,13 +134,12 @@ TEST(EndToEnd, ModesWithoutTasksAreHandledThroughout) {
   const io::ParsedSystem parsed = io::parse_mode_task_system_string(
       "a 1 8 FS\n"
       "b 1 10 FS\n");
-  const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.0, 0.01, 0.0},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const analysis::BatchEngine engine(parsed.system, Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.0, 0.01, 0.0}, core::DesignGoal::MaxSlackBandwidth);
   EXPECT_DOUBLE_EQ(d.schedule.ft.usable, 0.0);
   EXPECT_DOUBLE_EQ(d.schedule.nf.usable, 0.0);
-  EXPECT_TRUE(core::verify_schedule(parsed.system, d.schedule,
-                                    Scheduler::EDF));
+  EXPECT_TRUE(engine.verify(d.schedule));
   sim::SimOptions opt;
   opt.horizon = 1000.0;
   const sim::SimResult r = sim::simulate(parsed.system, d.schedule, opt);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "sim/simulator.hpp"
@@ -71,28 +72,28 @@ TEST(Interleave, SplitsBudgetsAndRepeatsOverheads) {
 }
 
 TEST(Interleave, VerifiesOnPaperSystemWhenSlackAllows) {
-  const ModeTaskSystem sys = paper_example();
+  const analysis::BatchEngine engine(paper_example(), Scheduler::EDF);
   // A comfortable design with plenty of slack survives doubling overheads.
-  const Design d = solve_design(sys, Scheduler::EDF, {0.005, 0.005, 0.005},
+  const Design d = solve_design(engine, {0.005, 0.005, 0.005},
                                 DesignGoal::MaxSlackBandwidth);
   const GeneralFrame doubled = interleave(d.schedule, 2);
-  EXPECT_TRUE(verify_frame(sys, doubled, Scheduler::EDF));
+  EXPECT_TRUE(verify_frame(engine, doubled));
 }
 
 TEST(VerifyFrame, SingleSlotAgreesWithVerifySchedule) {
-  const ModeTaskSystem sys = paper_example();
-  const Design d = solve_design(sys, Scheduler::EDF, {0.02, 0.02, 0.02},
+  const analysis::BatchEngine engine(paper_example(), Scheduler::EDF);
+  const Design d = solve_design(engine, {0.02, 0.02, 0.02},
                                 DesignGoal::MaxSlackBandwidth);
   const GeneralFrame f = GeneralFrame::from_schedule(d.schedule);
   // The multi-slot verifier uses the exact supply, which dominates the
   // linear bound the solver used: feasibility must carry over.
-  EXPECT_TRUE(verify_frame(sys, f, Scheduler::EDF));
+  EXPECT_TRUE(verify_frame(engine, f));
   // A starved FT slot must fail.
   GeneralFrame starved(d.schedule.period,
                        {{Mode::FT, 0.01, 0.0},
                         {Mode::FS, d.schedule.fs.usable, 0.0},
                         {Mode::NF, d.schedule.nf.usable, 0.0}});
-  EXPECT_FALSE(verify_frame(sys, starved, Scheduler::EDF));
+  EXPECT_FALSE(verify_frame(engine, starved));
 }
 
 TEST(SolveInterleaved, FindsFeasibleFrameAtLargePeriod) {
@@ -101,11 +102,12 @@ TEST(SolveInterleaved, FindsFeasibleFrameAtLargePeriod) {
   // deadline of 4 cannot absorb a delay of P - Q~. Splitting every mode
   // into 3 visits shrinks the delays enough to recover feasibility.
   const ModeTaskSystem sys = paper_example();
+  const analysis::BatchEngine engine(sys, Scheduler::EDF);
   const double period = 6.0;
-  EXPECT_LT(feasibility_margin(sys, Scheduler::EDF, period), 0.015);
+  EXPECT_LT(engine.feasibility_margin(period), 0.015);
   const GeneralFrame f =
       solve_interleaved(sys, Scheduler::EDF, {0.005, 0.005, 0.005}, period, 3);
-  EXPECT_TRUE(verify_frame(sys, f, Scheduler::EDF));
+  EXPECT_TRUE(verify_frame(engine, f));
   EXPECT_EQ(f.visits(Mode::FT), 3u);
   EXPECT_GE(f.slack(), 0.0);
 }
@@ -125,7 +127,7 @@ TEST(SolveInterleaved, SimulationOfSolvedFrameIsMissFree) {
   std::vector<GeneralSlot> padded(f.slots().begin(), f.slots().end());
   for (GeneralSlot& s : padded) s.usable *= 1.01;
   const GeneralFrame safe(f.period(), std::move(padded));
-  ASSERT_TRUE(verify_frame(sys, safe, Scheduler::EDF));
+  ASSERT_TRUE(verify_frame(analysis::BatchEngine(sys, Scheduler::EDF), safe));
   sim::SimOptions opt;
   opt.horizon = 2000.0;
   opt.scheduler = Scheduler::EDF;

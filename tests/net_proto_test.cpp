@@ -422,7 +422,9 @@ TEST(NetProto, NearMissVerifyInASecondSessionGetsTheColdVerdict) {
   svc::global_memo().clear();
   const double o = 0.05 / 3;
   const core::Design d = core::solve_design(
-      io::parse_mode_task_system_string(kPaperTasks).system, Scheduler::EDF,
+      analysis::BatchEngine(
+          io::parse_mode_task_system_string(kPaperTasks).system,
+          Scheduler::EDF),
       {o, o, o}, core::DesignGoal::MinOverheadBandwidth);
   const auto verify = [&](double q_fs) {
     char cmd[160];

@@ -269,7 +269,7 @@ TEST(PeriodSearchRange, ATrillionPeriodRangeSolvesAndVerifies) {
   for (const Scheduler alg : {Scheduler::EDF, Scheduler::FP}) {
     SCOPED_TRACE(hier::to_string(alg));
     const core::Design alone =
-        core::solve_design(long_deadline_system("1e12"), alg, {},
+        core::solve_design(BatchEngine(long_deadline_system("1e12"), alg), {},
                            core::DesignGoal::MinOverheadBandwidth);
     EXPECT_GT(alone.schedule.period, 0.0);
     // DesignRoundTrip.TrillionDeadlineNfTask verifies that design, whose NF

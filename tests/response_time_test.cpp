@@ -4,6 +4,7 @@
 
 #include "baseline/static_config.hpp"
 #include "common/rng.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "rt/demand.hpp"
@@ -134,9 +135,9 @@ TEST(FpResponseTime, BoundsSimulatedResponseOnPaperSystem) {
   // The analytical response bound must dominate every simulated response
   // time, task by task (FP, Table-1 system under a solved design).
   const core::ModeTaskSystem sys = core::paper_example();
-  const core::Design d =
-      core::solve_design(sys, Scheduler::FP, {0.02, 0.02, 0.021},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const core::Design d = core::solve_design(
+      analysis::BatchEngine(sys, Scheduler::FP), {0.02, 0.02, 0.021},
+      core::DesignGoal::MaxSlackBandwidth);
   sim::SimOptions opt;
   opt.horizon = 3000.0;
   opt.scheduler = Scheduler::FP;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "gen/taskset_gen.hpp"
@@ -23,14 +24,16 @@ constexpr double kEps = 1e-3;
 class SimAnalysis : public ::testing::Test {
  protected:
   core::ModeTaskSystem sys_ = core::paper_example();
+  analysis::BatchEngine edf_{sys_, Scheduler::EDF};
+  analysis::BatchEngine fp_{sys_, Scheduler::FP};
   core::Overheads ov_{0.02, 0.02, 0.01};
 };
 
 TEST_F(SimAnalysis, PaperDesignRunsWithoutMissesEdf) {
   core::Overheads padded = ov_;
   padded.nf += kEps;
-  const auto d = core::solve_design(sys_, Scheduler::EDF, padded,
-                                    core::DesignGoal::MinOverheadBandwidth);
+  const auto d =
+      core::solve_design(edf_, padded, core::DesignGoal::MinOverheadBandwidth);
   sim::SimOptions opt;
   opt.horizon = 2000.0;
   opt.scheduler = Scheduler::EDF;
@@ -42,8 +45,8 @@ TEST_F(SimAnalysis, PaperDesignRunsWithoutMissesEdf) {
 TEST_F(SimAnalysis, PaperDesignRunsWithoutMissesRm) {
   core::Overheads padded = ov_;
   padded.nf += kEps;
-  const auto d = core::solve_design(sys_, Scheduler::FP, padded,
-                                    core::DesignGoal::MaxSlackBandwidth);
+  const auto d =
+      core::solve_design(fp_, padded, core::DesignGoal::MaxSlackBandwidth);
   sim::SimOptions opt;
   opt.horizon = 2000.0;
   opt.scheduler = Scheduler::FP;
@@ -52,8 +55,8 @@ TEST_F(SimAnalysis, PaperDesignRunsWithoutMissesRm) {
 }
 
 TEST_F(SimAnalysis, EveryTaskCompletesExpectedJobCount) {
-  const auto d = core::solve_design(sys_, Scheduler::EDF, ov_,
-                                    core::DesignGoal::MaxSlackBandwidth);
+  const auto d =
+      core::solve_design(edf_, ov_, core::DesignGoal::MaxSlackBandwidth);
   sim::SimOptions opt;
   opt.horizon = 1200.0;  // hyperperiod of Table 1 = 120
   opt.scheduler = Scheduler::EDF;
@@ -66,8 +69,8 @@ TEST_F(SimAnalysis, EveryTaskCompletesExpectedJobCount) {
 }
 
 TEST_F(SimAnalysis, ShrunkenQuantaCauseMisses) {
-  const auto d = core::solve_design(sys_, Scheduler::EDF, ov_,
-                                    core::DesignGoal::MaxSlackBandwidth);
+  const auto d =
+      core::solve_design(edf_, ov_, core::DesignGoal::MaxSlackBandwidth);
   core::ModeSchedule crippled = d.schedule;
   // Cut the FS quantum to 60%: tau9 (C=1, T=4) can no longer fit.
   crippled.fs.usable *= 0.6;
@@ -87,8 +90,8 @@ TEST_F(SimAnalysis, ShrunkenQuantaCauseMisses) {
 TEST_F(SimAnalysis, MeasuredSupplyDominatesLinearBound) {
   core::Overheads padded = ov_;
   padded.nf += kEps;
-  const auto d = core::solve_design(sys_, Scheduler::EDF, padded,
-                                    core::DesignGoal::MinOverheadBandwidth);
+  const auto d =
+      core::solve_design(edf_, padded, core::DesignGoal::MinOverheadBandwidth);
   sim::SimOptions opt;
   opt.horizon = 600.0;
   opt.record_supply = true;
@@ -130,7 +133,8 @@ TEST_P(RandomDesignSim, FeasibleDesignsAreMissFreeInSimulation) {
   if (!sys) GTEST_SKIP() << "packing failed";
   core::Design d;
   try {
-    d = core::solve_design(*sys, Scheduler::EDF, {0.01, 0.01, 0.01 + kEps},
+    d = core::solve_design(analysis::BatchEngine(*sys, Scheduler::EDF),
+                           {0.01, 0.01, 0.01 + kEps},
                            core::DesignGoal::MaxSlackBandwidth);
   } catch (const InfeasibleError&) {
     GTEST_SKIP() << "no feasible period";

@@ -17,7 +17,6 @@
 #include "core/design.hpp"
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
-#include "core/sensitivity.hpp"
 #include "gen/taskset_gen.hpp"
 #include "svc/jsonl.hpp"
 
@@ -46,7 +45,8 @@ TEST_F(ServiceOnPaperExample, SolveMatchesSolveDesignBitForBit) {
       const SolveResult r = service_.solve_one(0, {alg, ov, goal, {}, {}});
       ASSERT_TRUE(r.ok()) << r.error;
       ASSERT_TRUE(r.feasible);
-      const core::Design d = core::solve_design(sys_, alg, ov, goal);
+      const core::Design d =
+          core::solve_design(analysis::BatchEngine(sys_, alg), ov, goal);
       EXPECT_EQ(r.design.schedule.period, d.schedule.period);
       EXPECT_EQ(r.design.schedule.ft.usable, d.schedule.ft.usable);
       EXPECT_EQ(r.design.schedule.fs.usable, d.schedule.fs.usable);
@@ -68,8 +68,6 @@ TEST_F(ServiceOnPaperExample, MinQuantumMatchesEngineBitForBit) {
                   engine.mode_min_quantum(core::kAllModes[m], period));
       }
       EXPECT_EQ(r.margin, engine.feasibility_margin(period));
-      // ... and the core:: one-shot, over its own engine, agrees.
-      EXPECT_EQ(r.margin, core::feasibility_margin(sys_, alg, period));
     }
   }
 }
@@ -91,37 +89,9 @@ TEST_F(ServiceOnPaperExample, RegionSweepMatchesEngineBitForBit) {
   }
 }
 
-TEST_F(ServiceOnPaperExample, SensitivityMatchesEngineBitForBit) {
-  const core::Design d = core::solve_design(
-      sys_, Scheduler::EDF, {0.01, 0.01, 0.01},
-      core::DesignGoal::MaxSlackBandwidth);
-  SensitivityRequest req;
-  req.alg = Scheduler::EDF;
-  req.schedule = d.schedule;
-  const SensitivityResult r = service_.sensitivity_one(0, req);
-  ASSERT_TRUE(r.ok());
-  const analysis::BatchEngine engine(sys_, Scheduler::EDF);
-  const std::vector<core::TaskMargin> want =
-      engine.sensitivity_report(d.schedule);
-  ASSERT_EQ(r.margins.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(r.margins[i].name, want[i].name);
-    EXPECT_EQ(r.margins[i].scale_margin, want[i].scale_margin);
-  }
-  EXPECT_EQ(r.global_margin, engine.global_scale_margin(d.schedule));
-
-  // Single-task form: one row, matching the all-tasks report.
-  req.task = want.at(2).name;
-  const SensitivityResult one = service_.sensitivity_one(0, req);
-  ASSERT_EQ(one.margins.size(), 1u);
-  EXPECT_EQ(one.margins[0].name, want[2].name);
-  EXPECT_EQ(one.margins[0].scale_margin, want[2].scale_margin);
-  EXPECT_EQ(one.margins[0].wcet, want[2].wcet);
-}
-
 TEST_F(ServiceOnPaperExample, VerifyRoundTrip) {
   const core::Design d = core::solve_design(
-      sys_, Scheduler::EDF, {0.0, 0.0, 0.0},
+      analysis::BatchEngine(sys_, Scheduler::EDF), {0.0, 0.0, 0.0},
       core::DesignGoal::MaxSlackBandwidth);
   const VerifyResult good =
       service_.verify_one(0, {Scheduler::EDF, d.schedule, false, {}});

@@ -133,14 +133,9 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
   opts.grid_step = 0.5;
   expect_ordered(RegionSweepRequest{Scheduler::EDF, opts, {}});
 
-  const core::Design d =
-      core::solve_design(core::paper_example(), Scheduler::EDF, {0.0, 0.0, 0.0},
-                         core::DesignGoal::MaxSlackBandwidth);
-  SensitivityRequest sreq;
-  sreq.alg = Scheduler::EDF;
-  sreq.schedule = d.schedule;
-  sreq.include_global = false;
-  expect_ordered(sreq);
+  const core::Design d = core::solve_design(
+      analysis::BatchEngine(core::paper_example(), Scheduler::EDF),
+      {0.0, 0.0, 0.0}, core::DesignGoal::MaxSlackBandwidth);
 
   expect_ordered(VerifyRequest{Scheduler::EDF, d.schedule, false, {}});
 

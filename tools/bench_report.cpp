@@ -68,6 +68,15 @@ double time_ns(const std::function<double()>& fn) {
   }
 }
 
+/// Rounds of a fleet row too short or too noisy to time once: the row
+/// reports their median.
+constexpr int kFleetRounds = 5;
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 /// Builds every entry of a generated fleet now, so that the rows time the
 /// requests and not the generation that add_fleet leaves to first use.
 void materialize(const svc::AnalysisService& service) {
@@ -122,11 +131,11 @@ int run(const std::string& out_path, const std::string& argv0) {
   svc::global_memo().set_enabled(false);
 
   const core::ModeTaskSystem& sys = core::paper_example();
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   const core::ModeSchedule schedule =
-      core::solve_design(sys, hier::Scheduler::EDF, {0.02, 0.02, 0.02},
+      core::solve_design(engine, {0.02, 0.02, 0.02},
                          core::DesignGoal::MaxSlackBandwidth)
           .schedule;
-  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
 
   Rng rng(1246);
   gen::GenParams gp;
@@ -429,6 +438,9 @@ int run(const std::string& out_path, const std::string& argv0) {
   // crash-safe journal (append + atomic rename; the fsync variant upgrades
   // each entry to a durable write). The delta against streamed_ms above is
   // what --output costs; the fsync column is what --fsync adds on top.
+  // Every run ends in the commit's fsync and rename, whose cost swings by
+  // tens of milliseconds with the disk, so journal_ms is the median of
+  // kFleetRounds runs, each on a fresh journal.
   std::size_t journal_entries = 0;
   double journal_ms = 0.0, journal_fsync_ms = 0.0;
   {
@@ -462,7 +474,11 @@ int run(const std::string& out_path, const std::string& argv0) {
       fs::remove_file(path);
       return std::chrono::duration<double, std::milli>(t1 - t0).count();
     };
-    journal_ms = timed_run(false);
+    std::vector<double> rounds;
+    for (int round = 0; round < kFleetRounds; ++round) {
+      rounds.push_back(timed_run(false));
+    }
+    journal_ms = median(rounds);
     journal_fsync_ms = timed_run(true);
   }
 
@@ -547,12 +563,11 @@ int run(const std::string& out_path, const std::string& argv0) {
   // stored under the exact (system, request) key). Warm = the identical
   // request repeated: every entry's inputs are bit-identical, so it resolves
   // by memo lookup instead of an adaptive ladder. Both are sub-millisecond
-  // fleet loops, so each is the median of kMemoRounds rounds, every round
+  // fleet loops, so each is the median of kFleetRounds rounds, every round
   // from a cleared memo. The wall-free
   // JSONL renderings of both runs must be byte-identical in every round
   // (cache_hit only ever renders next to wall_ms), which is what
   // bytes_identical certifies.
-  constexpr int kMemoRounds = 5;
   std::size_t memo_entries = 0;
   double memo_cold_ms = 0.0, memo_warm_ms = 0.0;
   std::size_t memo_hits = 0;
@@ -574,7 +589,7 @@ int run(const std::string& out_path, const std::string& argv0) {
       return text;
     };
     std::vector<double> cold_rounds, warm_rounds;
-    for (int round = 0; round < kMemoRounds; ++round) {
+    for (int round = 0; round < kFleetRounds; ++round) {
       // A fresh service per round: cold includes the engine builds.
       svc::AnalysisService service;
       service.add_fleet(study, [](std::size_t, Rng& fleet_rng) {
@@ -596,10 +611,6 @@ int run(const std::string& out_path, const std::string& argv0) {
       memo_bytes_identical =
           memo_bytes_identical && render(cold) == render(warm);
     }
-    const auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
     memo_cold_ms = median(cold_rounds);
     memo_warm_ms = median(warm_rounds);
     svc::global_memo().set_enabled(false);

@@ -336,13 +336,12 @@ class HumanReport {
     if (inv_.sensitivity) {
       std::cout << "\nsensitivity (max WCET scale keeping the design "
                    "feasible, cap 16x):\n";
-      svc::SensitivityRequest req;
-      req.alg = common_.alg;
-      req.schedule = d.schedule;
-      req.accuracy = common_.accuracy();
-      const svc::SensitivityResult s = service_.sensitivity_one(r.system, req);
+      // The engine the design's final rung probed: the margins of the
+      // design's own budget.
+      const std::shared_ptr<const analysis::BatchEngine> engine =
+          service_.engine_ptr(r.system, common_.alg, r.prov.budget);
       Table st({"task", "mode", "wcet", "scale_margin"});
-      for (const core::TaskMargin& m : s.margins) {
+      for (const core::TaskMargin& m : engine->sensitivity_report(d.schedule)) {
         st.row()
             .cell(m.name)
             .cell(rt::to_string(m.mode))
@@ -351,7 +350,8 @@ class HumanReport {
       }
       table(st);
       std::cout << "global simultaneous scale margin: "
-                << format_fixed(s.global_margin, 3) << "\n";
+                << format_fixed(engine->global_scale_margin(d.schedule), 3)
+                << "\n";
     }
 
     if (inv_.response_times) {

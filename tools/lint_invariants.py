@@ -53,9 +53,8 @@ generic bug patterns; this script enforces the invariants that are about
                   Layers form no cycles. Nothing under src/common, rt,
                   hier, core, gen, io, part, fault, baseline, sim or
                   platform may include svc/ or net/, and src/svc may not
-                  include net/. The core:: one-shots probe a local
-                  BatchEngine, so no library call reads the service's
-                  process-wide memo.
+                  include net/. A BatchEngine query never reads the
+                  service's process-wide memo.
 
 Suppress a finding with a justification comment on the same line or the
 line above:  // lint: allow(<rule>) <why>
