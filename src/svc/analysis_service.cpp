@@ -268,14 +268,12 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   EngineShard& shard = engine_shard(key);
   {
     sys::MutexLock lock(shard.mu);
-    const auto it = shard.engines.find(key);
-    if (it != shard.engines.end()) return it->second;
+    if (auto cached = shard.find(key)) return cached;
   }
   // Construct outside the lock -- fleet requests hit this from every
   // worker at once, and serializing the task-set snapshots would bottleneck
-  // the fan-out. A losing duplicate is simply discarded. The one budget
-  // feeds whichever condensation the scheduler consults (dlSet under EDF,
-  // per-task scheduling points under FP).
+  // the fan-out. The one budget feeds whichever condensation the scheduler
+  // consults (dlSet under EDF, per-task scheduling points under FP).
   rt::DlBoundOptions dl_opts;
   dl_opts.max_points = budget;
   rt::FpPointOptions fp_opts;
@@ -283,19 +281,17 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   auto built =
       std::make_shared<const analysis::BatchEngine>(sys, alg, dl_opts,
                                                     fp_opts);
+  // `built` outlives the lock: a losing duplicate, or the engine this build
+  // evicts once swapped into it, is freed after the lock is released, so
+  // no worker waits on a destructor.
   sys::MutexLock lock(shard.mu);
-  const auto [it, inserted] = shard.engines.emplace(key, std::move(built));
-  if (inserted) {
-    shard.order.push_back(key);
-    // Oldest-first eviction keeps a long-lived session's engine memory
-    // bounded; in-flight ladders hold their own shared_ptr pins.
-    while (shard.order.size() > kEngineShardCapacity) {
-      shard.engines.erase(shard.order.front());
-      shard.order.pop_front();
-      engine_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return it->second;
+  if (auto cached = shard.find(key)) return cached;
+  EngineShard::Slot& slot = shard.slots[shard.oldest];
+  shard.oldest = (shard.oldest + 1) % kEngineShardCapacity;
+  if (slot.engine) engine_evictions_.fetch_add(1, std::memory_order_relaxed);
+  slot.key = key;
+  std::swap(slot.engine, built);
+  return slot.engine;
 }
 
 AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
@@ -303,7 +299,9 @@ AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
   out.evictions = engine_evictions_.load(std::memory_order_relaxed);
   for (EngineShard& shard : engine_shards_) {
     sys::MutexLock lock(shard.mu);
-    out.entries += shard.engines.size();
+    for (const EngineShard::Slot& slot : shard.slots) {
+      out.entries += slot.engine ? 1 : 0;
+    }
   }
   return out;
 }

@@ -4,14 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>  // std::once_flag, std::call_once
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -59,10 +58,19 @@ namespace flexrt::svc {
 /// BatchEngine is the per-system probe engine underneath, and the front
 /// for one system; the service is the front for a fleet. It adds the
 /// fleet, the accuracy ladder, the process-wide answer memo
-/// (svc::MemoCache) and an engine cache keyed by (system, scheduler,
-/// budget) so a request menu (e.g. an overhead sweep) reuses each
-/// system's caches. A question no request covers (sensitivity margins,
+/// (svc::MemoCache) and an engine cache keyed by (entry, scheduler,
+/// budget). A question no request covers (sensitivity margins,
 /// max_admissible_overhead, ...) goes to the cached engine, engine_ptr().
+///
+/// The engine cache serves one system asked many questions: a designer's
+/// loop of solve, minq, verify and sweep on one entry builds its engine
+/// once. It is not a fleet store. It keeps the kEngineShardCapacity most
+/// recently built engines of each of its kEngineShards stripes, a constant
+/// that does not grow with the fleet; a fleet entry's engine lives while
+/// its ladder pins it (engine_ptr returns shared ownership) and is evicted
+/// once later entries have replaced it. A fleet run therefore holds the
+/// engines of its in-flight entries plus that constant, and a re-run of a
+/// fleet rebuilds its engines, with the same bits.
 
 /// Per-entry wall-time budget of a request. When active, every entry's
 /// accuracy ladder checks the elapsed wall time after each completed rung:
@@ -468,6 +476,11 @@ class AnalysisService {
   };
   EngineCacheStats engine_cache_stats() const;
 
+  /// The engine cache's stripes, and the engines each keeps: at most
+  /// kEngineShards * kEngineShardCapacity are resident.
+  static constexpr std::size_t kEngineShards = 16;
+  static constexpr std::size_t kEngineShardCapacity = 2;
+
  private:
   /// What add_fleet records for each of its trials, shared by them.
   struct Recipe {
@@ -495,22 +508,29 @@ class AnalysisService {
   /// (entry, scheduler, dlSet budget) -> engine.
   using EngineKey = std::tuple<std::size_t, int, std::size_t>;
 
-  /// One stripe of the engine cache: fleet workers used to serialize on a
-  /// single service-wide mutex at every entry start; striping by key
-  /// spreads them across kEngineShards independent locks. Each shard is
-  /// bounded (kEngineShardCapacity resident engines, oldest evicted
-  /// first) so a long-lived daemon session cannot grow engine memory
-  /// without bound; shared_ptr ownership keeps an engine alive for any
-  /// ladder that pinned it before eviction.
+  /// One stripe of the engine cache: striping by key spreads the fleet
+  /// workers that start entries at once across kEngineShards locks. A
+  /// stripe is a ring of kEngineShardCapacity slots in build order; the
+  /// next build replaces the oldest. shared_ptr ownership keeps an engine
+  /// alive for any ladder that pinned it before its eviction.
   struct EngineShard {
+    struct Slot {
+      EngineKey key{};
+      std::shared_ptr<const analysis::BatchEngine> engine;  ///< null: free
+    };
     sys::Mutex mu;
-    std::map<EngineKey, std::shared_ptr<const analysis::BatchEngine>> engines
-        GUARDED_BY(mu);
-    /// insertion order; front evicts first
-    std::deque<EngineKey> order GUARDED_BY(mu);
+    std::array<Slot, kEngineShardCapacity> slots GUARDED_BY(mu);
+    std::size_t oldest GUARDED_BY(mu) = 0;  ///< the slot the next build takes
+
+    /// The resident engine of `key`, or null.
+    std::shared_ptr<const analysis::BatchEngine> find(const EngineKey& key)
+        const REQUIRES(mu) {
+      for (const Slot& slot : slots) {
+        if (slot.engine && slot.key == key) return slot.engine;
+      }
+      return nullptr;
+    }
   };
-  static constexpr std::size_t kEngineShards = 16;
-  static constexpr std::size_t kEngineShardCapacity = 512;
 
   EngineShard& engine_shard(const EngineKey& key) const noexcept {
     const auto [entry, alg, budget] = key;

@@ -19,11 +19,25 @@
 #include "core/paper_example.hpp"
 #include "gen/taskset_gen.hpp"
 #include "svc/jsonl.hpp"
+#include "svc/memo_cache.hpp"
 
 namespace flexrt::svc {
 namespace {
 
 using hier::Scheduler;
+
+/// Turns the process-wide answer memo off for one test, so that every
+/// request reaches the engine cache.
+class MemoOff {
+ public:
+  MemoOff() : was_(global_memo().enabled()) { global_memo().set_enabled(false); }
+  ~MemoOff() { global_memo().set_enabled(was_); }
+  MemoOff(const MemoOff&) = delete;
+  MemoOff& operator=(const MemoOff&) = delete;
+
+ private:
+  bool was_;
+};
 
 class ServiceOnPaperExample : public ::testing::Test {
  protected:
@@ -446,6 +460,55 @@ TEST(ServiceFleet, GeneratorExceptionFailsTheRun) {
   EXPECT_THROW((void)service.run(req), std::runtime_error);
   EXPECT_THROW((void)service.has_system(13), std::runtime_error);
   EXPECT_TRUE(service.has_system(12));
+}
+
+// The designer's loop on one system -- solve, then minq, verify and sweep
+// at the design -- asks one engine every question: one build, no eviction.
+TEST_F(ServiceOnPaperExample, DesignerLoopBuildsOneEngine) {
+  const MemoOff memo_off;
+  const SolveResult solved = service_.solve_one(
+      0, {Scheduler::EDF, {0.05, 0.05, 0.05}, {}, {}, {}});
+  ASSERT_TRUE(solved.ok() && solved.feasible) << solved.error;
+  const core::ModeSchedule& design = solved.design.schedule;
+  EXPECT_TRUE(
+      service_.min_quantum_one(0, {Scheduler::EDF, design.period, false, {}})
+          .ok());
+  const VerifyResult verified =
+      service_.verify_one(0, {Scheduler::EDF, design, false, {}});
+  EXPECT_TRUE(verified.ok() && verified.schedulable);
+  EXPECT_TRUE(service_.region_sweep_one(0, {Scheduler::EDF, {}, {}}).ok());
+  const AnalysisService::EngineCacheStats stats = service_.engine_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+// A fleet run holds the engines of its in-flight entries plus a constant,
+// however long the fleet: every entry builds one engine, and all but the
+// last few are evicted. The ctest engine_cache_bounded_at_1_and_4_threads
+// runs this case at FLEXRT_THREADS 1 and 4.
+TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
+  const MemoOff memo_off;
+  core::StudyOptions study;
+  study.trials = 2000;
+  study.base_seed = 0xCAC4E;
+  AnalysisService service;
+  service.add_fleet(
+      study,
+      [](std::size_t, Rng& rng) -> std::optional<core::ModeTaskSystem> {
+        for (int draw = 0; draw < 64; ++draw) {
+          if (auto sys = gen::study_system(rng)) return sys;
+        }
+        return std::nullopt;
+      });
+  std::size_t answered = 0;
+  service.run(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
+              [&](const MinQuantumResult& r) { answered += r.ok() ? 1 : 0; });
+  ASSERT_EQ(answered, study.trials) << "an entry built no engine";
+  const std::size_t bound =
+      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
+  const AnalysisService::EngineCacheStats stats = service.engine_cache_stats();
+  EXPECT_LE(stats.entries, bound);
+  EXPECT_GE(stats.evictions, study.trials - bound);
 }
 
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {

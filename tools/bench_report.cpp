@@ -415,7 +415,9 @@ int run(const std::string& out_path, const std::string& argv0) {
     fleet_entries = service.size();
     materialize(service);
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.run(req);  // warm the engine cache for both paths
+    // A warm-up run. The engine cache keeps only the last few engines a
+    // fleet built, so both timed paths build each entry's engine again.
+    (void)service.run(req);
     const auto t0 = Clock::now();
     std::vector<svc::MinQuantumResult> buffered;
     for (std::size_t i = 0; i < service.size(); ++i) {
@@ -452,7 +454,9 @@ int run(const std::string& out_path, const std::string& argv0) {
     journal_entries = service.size();
     materialize(service);
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.run(req);  // warm the engine cache
+    // A warm-up run; as in stream_fleet, every timed run builds each
+    // entry's engine again.
+    (void)service.run(req);
     const std::string path = out_path + ".journal_bench.jsonl";
     const auto timed_run = [&](bool fsync_per_entry) {
       svc::Journal journal(path);
