@@ -5,7 +5,9 @@
 // the batched analysis engine stays measurable, and as the exact oracle the
 // tests compare the bounded analysis against. These are verbatim ports of
 // the seed implementations:
-//  - supply inversion by exponential search + bisection from lo = 0,
+//  - supply inversion by exponential search + bisection from lo = 0, and
+//    its later hardened form (bracketed from the delay), the oracle of the
+//    closed-form SupplyFunction::inverse overrides,
 //  - Theorems 1-2 over the full scheduling-point and hyperperiod deadline
 //    sets (unbounded: a hyperperiod-hostile set exhausts memory), and
 //    verify_schedule / verify_frame on them,
@@ -47,6 +49,7 @@
 #include "core/schedule.hpp"
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
+#include "hier/supply.hpp"
 #include "io/task_io.hpp"
 #include "rt/demand.hpp"
 #include "rt/priority.hpp"
@@ -65,6 +68,40 @@ inline double supply_inverse(const hier::SupplyFunction& supply,
     FLEXRT_REQUIRE(++guard < 128, "supply cannot cover the demand");
   }
   double lo = 0.0;  // seed bug kept: never re-bracketed above the delay
+  while (hi - lo > tolerance) {
+    const double mid = 0.5 * (lo + hi);
+    if (supply.value(mid) >= demand) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+/// Generic pseudo-inverse by exponential bracketing + bisection, as the
+/// library's SupplyFunction::inverse_by_bisection had it: the bracket
+/// starts at [delay(), delay() + demand/rate()] -- Z is 0 up to the delay
+/// -- and the low edge follows the doubling, so the bisection never
+/// re-scans a range the search already excluded. Throws ModelError when
+/// the supply can never cover the demand. Its loop ends only when
+/// hi - lo <= tolerance: a tolerance below the spacing of doubles at the
+/// answer never ends.
+inline double inverse_by_bisection(const hier::SupplyFunction& supply,
+                                   double demand,
+                                   double tolerance = hier::kInverseTolerance) {
+  FLEXRT_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
+  if (demand <= 0.0) return 0.0;
+  double lo = supply.delay();
+  double gap = demand / supply.rate();
+  double hi = lo + gap;
+  int guard = 0;
+  while (supply.value(hi) < demand) {
+    lo = hi;
+    gap *= 2.0;
+    hi = lo + gap;
+    FLEXRT_REQUIRE(++guard < 128, "supply cannot cover the demand");
+  }
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
     if (supply.value(mid) >= demand) {

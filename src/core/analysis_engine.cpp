@@ -209,15 +209,20 @@ double BatchEngine::max_feasible_period(double o_tot,
     throw InfeasibleError(
         "no feasible period found in the search range (O_tot too large?)");
   }
+  // The refinement stops after an update whose midpoint was an end (no
+  // double lies between them, as above 5e8 at the default tolerance),
+  // returning the feasible lo; see hier::min_quantum_exact.
   double lo = feasible;
   double hi = infeasible_above;
   while (hi - lo > opts.tolerance) {
     const double mid = 0.5 * (lo + hi);
+    const bool last = mid == lo || mid == hi;
     if (feasibility_margin(mid, opts.use_exact_supply) >= o_tot) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (last) break;
   }
   return lo;
 }
@@ -413,14 +418,18 @@ double BatchEngine::margin_impl(const core::ModeSchedule& schedule,
   };
 
   if (feasible(lambda_max)) return lambda_max;
+  // Ends like max_feasible_period's refinement when no double lies
+  // between lo and hi.
   double lo = 1.0, hi = lambda_max;
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
+    const bool last = mid == lo || mid == hi;
     if (feasible(mid)) {
       lo = mid;
     } else {
       hi = mid;
     }
+    if (last) break;
   }
   return lo;
 }

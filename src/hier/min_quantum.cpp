@@ -96,14 +96,22 @@ double min_quantum_exact(const rt::AnalysisContext& ctx, Scheduler alg,
       return std::numeric_limits<double>::infinity();
     }
   }
+  // Once no double lies strictly between lo and hi, the midpoint rounds to
+  // one of them and the bracket stops shrinking, however large `tolerance`
+  // leaves it: at a quantum of 1e8, adjacent doubles are 1.5e-8 apart. The
+  // loop then stops after that update, returning the hi it has certified.
+  // A loop that meets the tolerance never reaches that state, so it ends
+  // as it always did, with the same bits.
   double lo = 0.0;
   while (hi - lo > tolerance) {
     const double mid = 0.5 * (lo + hi);
+    const bool last = mid == lo || mid == hi;
     if (schedulable(ctx, alg, SlotSupply(period, mid))) {
       hi = mid;
     } else {
       lo = mid;
     }
+    if (last) break;
   }
   return hi;
 }

@@ -48,10 +48,9 @@ class MultiSlotSupply final : public SupplyFunction {
   /// of the inverted cumulative curve. For demands landing exactly on a
   /// plateau level (whole multiples of the frame budget) this returns the
   /// plateau edge, whose supply covers the demand within the library's
-  /// 1e-9 leq_tol regime; the strict bisection fallback can drift one gap
-  /// later there on ulp noise (per-start curves differ by rounding).
-  /// inverse_by_bisection remains the documented fallback and the
-  /// property-test oracle.
+  /// 1e-9 leq_tol regime; the strict bisection can drift one gap
+  /// later there on ulp noise (per-start curves differ by rounding). The
+  /// bisection (legacy::inverse_by_bisection) is the property-test oracle.
   double inverse(double demand, double tolerance = kInverseTolerance) const override;
 
   double period() const noexcept { return period_; }

@@ -10,8 +10,8 @@ namespace flexrt::hier {
 /// Pseudo-inverse of a supply function: the smallest window length t such
 /// that Z(t) >= demand. Delegates to SupplyFunction::inverse(), which is an
 /// exact closed form for every shape shipped with the library; `tolerance`
-/// only applies to shapes that fall back to the generic bisection (see
-/// SupplyFunction::inverse_by_bisection). demand <= 0 yields 0.
+/// only applies to a shape whose inverse refines to one. demand <= 0
+/// yields 0.
 double supply_inverse(const SupplyFunction& supply, double demand,
                       double tolerance = kInverseTolerance);
 

@@ -8,41 +8,6 @@
 
 namespace flexrt::hier {
 
-double SupplyFunction::inverse(double demand, double tolerance) const {
-  return inverse_by_bisection(demand, tolerance);
-}
-
-double SupplyFunction::inverse_by_bisection(double demand,
-                                            double tolerance) const {
-  FLEXRT_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
-  if (demand <= 0.0) return 0.0;
-  // Z(t) = 0 up to the delay, so the search bracket starts there; the
-  // linear bound guarantees Z(delay + demand/rate) >= demand for our
-  // shapes, and exotic shapes get the doubling loop. `lo` tracks the last
-  // insufficient probe so bisection never re-scans an excluded prefix, and
-  // the doubling grows the gap beyond the delay (not the absolute time) so
-  // large-delay supplies don't blow the bracket up to ~2*delay wide.
-  double lo = delay();
-  double gap = demand / rate();
-  double hi = lo + gap;
-  int guard = 0;
-  while (value(hi) < demand) {
-    lo = hi;
-    gap *= 2.0;
-    hi = lo + gap;
-    FLEXRT_REQUIRE(++guard < 128, "supply cannot cover the demand");
-  }
-  while (hi - lo > tolerance) {
-    const double mid = 0.5 * (lo + hi);
-    if (value(mid) >= demand) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
-
 LinearSupply::LinearSupply(double alpha, double delta)
     : alpha_(alpha), delta_(delta) {
   FLEXRT_REQUIRE(alpha > 0.0 && alpha <= 1.0 + 1e-12,

@@ -5,8 +5,8 @@
 namespace flexrt::hier {
 
 /// Default refinement tolerance of SupplyFunction::inverse (and of the
-/// bisection loops built on it, e.g. min_quantum_exact). The closed-form
-/// overrides ignore it; the bisection fallback refines to it. One named
+/// bisection loops of the analysis, e.g. min_quantum_exact). The shipped
+/// closed forms ignore it; a bisection refines to it. One named
 /// constant instead of a 1e-9 literal repeated across every override and
 /// call site -- it must match the library-wide 1e-9 snapping regime of
 /// math_util (leq_tol / floor_ratio), so change them together or not at all.
@@ -40,22 +40,12 @@ class SupplyFunction {
   virtual double floor_delay() const noexcept { return delay(); }
 
   /// Pseudo-inverse: the smallest t with Z(t) >= demand (0 for demand <= 0).
-  /// Every shape shipped with the library overrides this with an exact
-  /// closed form (tolerance unused); the base implementation is the
-  /// documented bisection fallback for exotic shapes, refined to
-  /// `tolerance`. This is the kernel inside every RTA fixed-point iterate,
-  /// so exactness of the closed forms is property-tested against the
-  /// fallback.
-  virtual double inverse(double demand, double tolerance = kInverseTolerance) const;
-
-  /// Generic pseudo-inverse by exponential bracketing + bisection. The
-  /// bracket starts at [delay(), delay() + demand/rate()] -- Z is 0 up to
-  /// the delay, so scanning [0, delay) would be wasted work -- and the low
-  /// edge follows the doubling so the bisection never re-scans a range the
-  /// search already excluded. Throws ModelError when the supply can never
-  /// cover the demand. Exposed for tests and as the fallback for shapes
-  /// with no closed form.
-  double inverse_by_bisection(double demand, double tolerance = kInverseTolerance) const;
+  /// Every shape shipped with the library implements it in exact closed
+  /// form (tolerance unused). This is the kernel inside every RTA
+  /// fixed-point iterate, so the closed forms are property-tested against
+  /// the generic bisection kept with the frozen oracles
+  /// (legacy::inverse_by_bisection in bench/legacy_kernels.hpp).
+  virtual double inverse(double demand, double tolerance = kInverseTolerance) const = 0;
 };
 
 /// Linear lower bound Z'(t) = max(0, alpha * (t - delta)) (paper Eq. 3).

@@ -351,6 +351,22 @@ TEST(NetProto, FailedSweepEntryIsAnErrorRowWithRcOne) {
   EXPECT_NE(got.bytes.find("}\nok rc=1\n"), std::string::npos) << got.bytes;
 }
 
+// A bisection whose tolerance lies below the spacing of doubles at its
+// answer still ends: the exact minimum quantum of tasks written in
+// nanoseconds (~2.5e7 here, where doubles lie 3.7e-9 apart) gets its row
+// instead of spinning the session thread.
+TEST(NetProto, ExactMinqAtNanosecondUnitsGetsItsRow) {
+  const SessionOutput got = run_script(
+      "add ns\nt1 1e8 4e8 FT 0\nt2 1e8 4e8 FS 0\nt3 1e8 4e8 NF 0\n.\n"
+      "minq --period 1e8 --exact-supply\nquit\n");
+  EXPECT_EQ(got.rc, 0);
+  const std::vector<std::string> rows = lines_of(data_rows(got.bytes));
+  ASSERT_EQ(rows.size(), 1u) << got.bytes;
+  EXPECT_EQ(svc::json_string_field(rows[0], "kind").value_or(""),
+            "min_quantum");
+  EXPECT_FALSE(svc::json_string_field(rows[0], "error").has_value());
+}
+
 // --- wire-only surface ----------------------------------------------------
 
 TEST(NetProto, OfflineOutputFlagsAreAcceptedAsNoOps) {

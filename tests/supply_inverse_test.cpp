@@ -1,6 +1,7 @@
 // Property tests for the closed-form SupplyFunction::inverse()
-// implementations against the generic bisection fallback, plus regression
-// coverage for the fallback's bracketing.
+// implementations against the generic bisection kept with the frozen
+// oracles (legacy::inverse_by_bisection), plus regression coverage for its
+// bracketing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "hier/multi_slot_supply.hpp"
 #include "hier/response_time.hpp"
 #include "hier/supply.hpp"
+#include "legacy_kernels.hpp"
 
 namespace flexrt::hier {
 namespace {
@@ -23,7 +25,7 @@ namespace {
 /// closed form returns the exact boundary and bisection the plateau edge.
 void check_inverse(const SupplyFunction& supply, double demand) {
   const double closed = supply.inverse(demand);
-  const double bisect = supply.inverse_by_bisection(demand, 1e-12);
+  const double bisect = legacy::inverse_by_bisection(supply, demand, 1e-12);
   EXPECT_NEAR(closed, bisect, 1e-9 * (1.0 + 2.0 * std::abs(bisect)))
       << "demand=" << demand << " rate=" << supply.rate()
       << " delay=" << supply.delay();
@@ -78,7 +80,7 @@ TEST(SupplyInverseProperty, PeriodicResourceMatchesBisection) {
 /// leq_tol regime every schedulability consumer uses), and it is minimal.
 void check_multi_slot_inverse(const MultiSlotSupply& supply, double demand) {
   const double closed = supply.inverse(demand);
-  const double bisect = supply.inverse_by_bisection(demand, 1e-12);
+  const double bisect = legacy::inverse_by_bisection(supply, demand, 1e-12);
   EXPECT_LE(closed, bisect + 1e-9 * (1.0 + 2.0 * std::abs(bisect)))
       << "demand=" << demand << " rate=" << supply.rate()
       << " delay=" << supply.delay();
@@ -139,7 +141,7 @@ TEST(SupplyInverse, NonPositiveDemandIsZero) {
   const SlotSupply slot(2.0, 0.5);
   EXPECT_DOUBLE_EQ(slot.inverse(0.0), 0.0);
   EXPECT_DOUBLE_EQ(slot.inverse(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(slot.inverse_by_bisection(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(legacy::inverse_by_bisection(slot, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(LinearSupply(0.5, 1.0).inverse(-3.0), 0.0);
   EXPECT_DOUBLE_EQ(PeriodicResource(2.0, 1.0).inverse(0.0), 0.0);
 }
@@ -161,7 +163,7 @@ TEST(SupplyInverse, SupplyInverseFreeFunctionDelegatesToClosedForm) {
 }
 
 /// Exotic staircase whose long-run rate overestimates the early supply, so
-/// the fallback's doubling loop must actually run; counts value() calls to
+/// the bisection's doubling loop must actually run; counts value() calls to
 /// pin down the bracketing regression (the seed version restarted the
 /// bisection at lo = 0, re-scanning [0, delay) it had already excluded).
 class CountingStaircase final : public SupplyFunction {
@@ -174,6 +176,9 @@ class CountingStaircase final : public SupplyFunction {
   }
   double rate() const noexcept override { return 1.0 / step_; }
   double delay() const noexcept override { return delay_; }
+  double inverse(double demand, double tolerance) const override {
+    return legacy::inverse_by_bisection(*this, demand, tolerance);
+  }
   int calls() const noexcept { return calls_; }
 
  private:
@@ -186,7 +191,7 @@ TEST(SupplyInverse, BisectionBracketsFromTheDelay) {
   // Smallest t with floor((t - delay)/10) >= 2.5 is delay + 30.
   const double delay = 1e6;
   CountingStaircase supply(delay, 10.0);
-  const double t = supply.inverse(2.5);  // base class: bisection fallback
+  const double t = legacy::inverse_by_bisection(supply, 2.5);
   EXPECT_NEAR(t, delay + 30.0, 1e-6);
   // Bracketing from the delay keeps the search interval ~ demand/rate wide.
   // The seed version bisected [0, ~delay], needing log2(1e6/1e-9) ~ 50
@@ -203,7 +208,8 @@ TEST(SupplyInverse, BisectionMatchesClosedFormThroughBaseClass) {
     const SlotSupply slot(period, usable);
     const SupplyFunction& base = slot;
     const double d = rng.uniform(0.01, 20.0);
-    EXPECT_NEAR(base.inverse(d), slot.inverse_by_bisection(d, 1e-12), 1e-9);
+    EXPECT_NEAR(base.inverse(d), legacy::inverse_by_bisection(slot, d, 1e-12),
+                1e-9);
   }
 }
 

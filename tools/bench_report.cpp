@@ -174,7 +174,7 @@ int run(const std::string& out_path, const std::string& argv0) {
                   time_ns([&] {
                     double acc = 0.0;
                     for (int d = 1; d <= 16; ++d) {
-                      acc += slot.inverse_by_bisection(0.33 * d);
+                      acc += legacy::inverse_by_bisection(slot, 0.33 * d);
                     }
                     return acc;
                   }),
