@@ -222,7 +222,7 @@ const std::vector<Flag> kCommonFlags = {
 
 /// The command table: every analysis command, defined once.
 const Command kCommands[] = {
-    {CommandId::Solve, "solve", "solve", "solve", false, "feasible", false,
+    {CommandId::Solve, "solve", "solve", "solve", false, "feasible", true,
      {{"--sensitivity", Flag::Report, false, set<&Invocation::sensitivity>},
       {"--response-times", Flag::Report, false,
        set<&Invocation::response_times>},
@@ -230,7 +230,7 @@ const Command kCommands[] = {
       {"--fault-rate", Flag::Report, true, num<&Invocation::fault_rate>},
       {"--trace", Flag::Report, true, count<&Invocation::trace>}},
      svc::SolveRequest{}, {}, nullptr},
-    {CommandId::Minq, "minq", "minq", "min_quantum", false, nullptr, false,
+    {CommandId::Minq, "minq", "minq", "min_quantum", false, nullptr, true,
      {{"--period", Flag::Forward, true, num<&svc::MinQuantumRequest::period>},
       {"--exact-supply", Flag::Forward, false,
        set<&svc::MinQuantumRequest::use_exact_supply>}},
@@ -258,7 +258,7 @@ const Command kCommands[] = {
          .search = {.p_min = 0.05, .p_max = 3.5, .grid_step = 0.05}},
      {}, nullptr},
     {CommandId::Verify, "verify", "verify", "verify", false, "schedulable",
-     false,
+     true,
      {{"--period", Flag::Forward, true,
        [](Invocation& c, const char* flag, Str v) {
          target<&svc::VerifyRequest::schedule>(c).period = parse_num(flag, v);
@@ -460,13 +460,11 @@ std::string Rows::entry(const svc::SolveResult& r) {
   if (inv_.command->id == CommandId::Study) {
     return close(svc::study_trial_row(r, q.alg, q.goal) + '\n');
   }
-  if (!r.ok()) throw ModelError(r.error);
   return close(one_row(svc::solve_row(r, q.alg, q.goal, with_wall_)));
 }
 
 std::string Rows::entry(const svc::MinQuantumResult& r) {
   const auto& q = std::get<svc::MinQuantumRequest>(inv_.request);
-  if (!r.ok()) throw ModelError(r.error);
   return close(one_row(svc::min_quantum_row(r, q.alg, q.period, with_wall_)));
 }
 
@@ -484,7 +482,6 @@ std::string Rows::entry(const svc::RegionSweepResult& r) {
 
 std::string Rows::entry(const svc::VerifyResult& r) {
   const auto& q = std::get<svc::VerifyRequest>(inv_.request);
-  if (!r.ok()) throw ModelError(r.error);
   return close(
       one_row(svc::verify_row(r, q.alg, q.schedule.period, with_wall_)));
 }

@@ -167,8 +167,8 @@ struct Command {
   const char* terminal;  ///< kind of the row that closes each entry
   bool journal;          ///< takes --output/--resume/--fsync
   /// Exit-code rule, read off each terminal row: `verdict` false exits 1,
-  /// and so does an error row when `error_rows` (a failed solve, minq or
-  /// verify entry stops the command instead; study rows are data).
+  /// and so does an error row when `error_rows` (every analysis command
+  /// but study, whose failed trials are `packed: false` data rows).
   const char* verdict;  ///< "feasible", "schedulable", or nullptr
   bool error_rows;
   std::vector<Flag> flags;     ///< beyond the common ones
@@ -223,9 +223,8 @@ class Rows {
 
   /// One entry's rows as one block, each row '\n'-terminated, terminal row
   /// last; folded into rc() (and, for study, the summary aggregate). A
-  /// failed solve, minq or verify entry throws ModelError: those commands
-  /// stop (exit 2, wire `error`). A failed sweep, fault-sweep or study
-  /// entry renders its error row.
+  /// failed entry renders its error row (a study's, its `packed: false`
+  /// study_trial row), and the fleet goes on.
   std::string entry(const svc::SolveResult& r);
   std::string entry(const svc::MinQuantumResult& r);
   std::string entry(const svc::RegionSweepResult& r);

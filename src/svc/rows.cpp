@@ -12,18 +12,22 @@ JsonRow solve_row(const SolveResult& r, hier::Scheduler alg,
   row.field("kind", "solve")
       .field("name", r.name)
       .field("alg", hier::to_string(alg))
-      .field("goal", core::to_string(goal))
-      .field("feasible", r.feasible);
-  if (r.feasible) {
-    row.field("period", r.design.schedule.period)
-        .field("q_ft", r.design.schedule.ft.usable)
-        .field("q_fs", r.design.schedule.fs.usable)
-        .field("q_nf", r.design.schedule.nf.usable)
-        .field("slack", r.design.schedule.slack())
-        .field("slack_bw", r.design.schedule.slack_bandwidth())
-        .field("overhead_bw", r.design.schedule.overhead_bandwidth());
+      .field("goal", core::to_string(goal));
+  if (!r.ok()) {
+    row.field("error", r.error);
   } else {
-    row.field("infeasible", r.infeasible);
+    row.field("feasible", r.feasible);
+    if (r.feasible) {
+      row.field("period", r.design.schedule.period)
+          .field("q_ft", r.design.schedule.ft.usable)
+          .field("q_fs", r.design.schedule.fs.usable)
+          .field("q_nf", r.design.schedule.nf.usable)
+          .field("slack", r.design.schedule.slack())
+          .field("slack_bw", r.design.schedule.slack_bandwidth())
+          .field("overhead_bw", r.design.schedule.overhead_bandwidth());
+    } else {
+      row.field("infeasible", r.infeasible);
+    }
   }
   provenance_fields(row, r.prov, with_wall);
   return row;
@@ -61,8 +65,12 @@ JsonRow verify_row(const VerifyResult& r, hier::Scheduler alg, double period,
   row.field("kind", "verify")
       .field("name", r.name)
       .field("alg", hier::to_string(alg))
-      .field("period", period)
-      .field("schedulable", r.schedulable);
+      .field("period", period);
+  if (r.ok()) {
+    row.field("schedulable", r.schedulable);
+  } else {
+    row.field("error", r.error);
+  }
   provenance_fields(row, r.prov, with_wall);
   return row;
 }
@@ -73,11 +81,15 @@ JsonRow min_quantum_row(const MinQuantumResult& r, hier::Scheduler alg,
   row.field("kind", "min_quantum")
       .field("name", r.name)
       .field("alg", hier::to_string(alg))
-      .field("period", period)
-      .field("q_ft", r.mode_quantum[0])
-      .field("q_fs", r.mode_quantum[1])
-      .field("q_nf", r.mode_quantum[2])
-      .field("margin", r.margin);
+      .field("period", period);
+  if (r.ok()) {
+    row.field("q_ft", r.mode_quantum[0])
+        .field("q_fs", r.mode_quantum[1])
+        .field("q_nf", r.mode_quantum[2])
+        .field("margin", r.margin);
+  } else {
+    row.field("error", r.error);
+  }
   provenance_fields(row, r.prov, with_wall);
   return row;
 }

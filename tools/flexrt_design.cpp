@@ -187,7 +187,9 @@ std::string provenance_note(const svc::Provenance& p) {
 
 /// The offline human/CSV report, one printer per command. Rows and exit
 /// codes come from the command table (proto::Rows); the report adds only
-/// solve's simulated deadline misses (rc() 1).
+/// solve's simulated deadline misses (rc() 1). A failed solve, minq or
+/// verify entry has no line in it: it stops the report (exit 2), where the
+/// JSONL report renders its error row and goes on.
 class HumanReport {
  public:
   HumanReport(const proto::Invocation& inv, const svc::AnalysisService& service)
@@ -195,11 +197,13 @@ class HumanReport {
 
   void print(const svc::SolveResult& r) {
     if (inv_.command->id == proto::CommandId::Study) return;  // finish()
+    if (!r.ok()) throw ModelError(r.error);
     if (r.system) std::cout << "\n";
     print_solve(r);
   }
 
   void print(const svc::MinQuantumResult& r) {
+    if (!r.ok()) throw ModelError(r.error);
     std::cout << r.name << ": P = "
               << std::get<svc::MinQuantumRequest>(inv_.request).period
               << ": minQ FT " << format_fixed(r.mode_quantum[0], 4) << ", FS "
@@ -227,6 +231,7 @@ class HumanReport {
   }
 
   void print(const svc::VerifyResult& r) {
+    if (!r.ok()) throw ModelError(r.error);
     std::cout << r.name << ": "
               << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
               << provenance_note(r.prov) << ")\n";
