@@ -49,11 +49,11 @@ struct TrialResult {
 
 int main(int argc, char** argv) {
   bool csv = false;
-  int trials = 100;
+  std::size_t trials = 100;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = static_cast<int>(bench::parse_count("--trials", argv[++i]));
+      trials = bench::parse_count("--trials", argv[++i]);
     }
   }
 
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
     // the four analyses per trial fan out over the parallel_for runner,
     // each trial probing two persistent BatchEngines (EDF + RM).
     std::vector<std::optional<core::ModeTaskSystem>> systems;
-    systems.reserve(static_cast<std::size_t>(trials));
-    for (int k = 0; k < trials; ++k) {
+    systems.reserve(trials);
+    for (std::size_t k = 0; k < trials; ++k) {
       gen::GenParams gp;
       gp.num_tasks = 10;
       gp.total_utilization = u;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                     accepted(edf, true, o_tot), accepted(rm, false, o_tot),
                     accepted(rm, true, o_tot)};
     });
-    int n_edf = 0, n_edf_x = 0, n_rm = 0, n_rm_x = 0, n_valid = 0;
+    std::size_t n_edf = 0, n_edf_x = 0, n_rm = 0, n_rm_x = 0, n_valid = 0;
     for (const TrialResult& r : results) {
       n_valid += r.valid;
       n_edf += r.edf;
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       n_rm += r.rm;
       n_rm_x += r.rm_x;
     }
-    const double denom = trials;
+    const double denom = static_cast<double>(trials);
     t.row()
         .cell(u, 2)
         .cell(n_edf / denom, 3)

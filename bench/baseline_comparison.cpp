@@ -51,11 +51,11 @@ bool flexible_accepts(const rt::TaskSet& ts, double o_tot) {
 
 int main(int argc, char** argv) {
   bool csv = false;
-  int trials = 300;
+  std::size_t trials = 300;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = static_cast<int>(bench::parse_count("--trials", argv[++i]));
+      trials = bench::parse_count("--trials", argv[++i]);
     }
   }
   const double o_tot = 0.05;
@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
   for (const double prot : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     for (const double u : {0.6, 1.0, 1.4, 1.8, 2.2}) {
       Rng rng(0xBA5E ^ static_cast<std::uint64_t>(prot * 100 + u * 10));
-      int n_flex = 0, n_ft = 0, n_fs = 0, n_nf = 0, n_pb = 0;
-      for (int k = 0; k < trials; ++k) {
+      std::size_t n_flex = 0, n_ft = 0, n_fs = 0, n_nf = 0, n_pb = 0;
+      for (std::size_t k = 0; k < trials; ++k) {
         gen::GenParams gp;
         gp.num_tasks = 10;
         gp.total_utilization = u;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                     .schedulable;
         n_pb += baseline::try_primary_backup(ts, alg);
       }
-      const double denom = trials;
+      const double denom = static_cast<double>(trials);
       t.row()
           .cell(prot, 2)
           .cell(u, 1)

@@ -124,27 +124,37 @@ TEST_F(SimAnalysis, MeasuredSupplyDominatesLinearBound) {
 class RandomDesignSim : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDesignSim, FeasibleDesignsAreMissFreeInSimulation) {
+  // Every seed simulates one design: it draws from its stream until a
+  // system packs and has a design, and the draws it passed over are
+  // recorded as the `draws_rejected` property. A seed that runs out of
+  // draws fails.
+  constexpr int kMaxDraws = 32;
   Rng rng(GetParam());
-  gen::GenParams gp;
-  gp.num_tasks = 10;
-  gp.total_utilization = rng.uniform(0.8, 1.6);
-  const rt::TaskSet ts = gen::generate_task_set(gp, rng);
-  const auto sys = gen::build_system(ts);
-  if (!sys) GTEST_SKIP() << "packing failed";
-  core::Design d;
-  try {
-    d = core::solve_design(analysis::BatchEngine(*sys, Scheduler::EDF),
-                           {0.01, 0.01, 0.01 + kEps},
-                           core::DesignGoal::MaxSlackBandwidth);
-  } catch (const InfeasibleError&) {
-    GTEST_SKIP() << "no feasible period";
+  for (int draw = 0; draw < kMaxDraws; ++draw) {
+    gen::GenParams gp;
+    gp.num_tasks = 10;
+    gp.total_utilization = rng.uniform(0.8, 1.6);
+    const rt::TaskSet ts = gen::generate_task_set(gp, rng);
+    const auto sys = gen::build_system(ts);
+    if (!sys) continue;  // packing failed
+    core::Design d;
+    try {
+      d = core::solve_design(analysis::BatchEngine(*sys, Scheduler::EDF),
+                             {0.01, 0.01, 0.01 + kEps},
+                             core::DesignGoal::MaxSlackBandwidth);
+    } catch (const InfeasibleError&) {
+      continue;  // no feasible period
+    }
+    RecordProperty("draws_rejected", draw);
+    sim::SimOptions opt;
+    opt.horizon = 1000.0;
+    opt.scheduler = Scheduler::EDF;
+    const sim::SimResult r = sim::simulate(*sys, d.schedule, opt);
+    EXPECT_EQ(r.total_misses(), 0u)
+        << "U=" << ts.utilization() << " P=" << d.schedule.period;
+    return;
   }
-  sim::SimOptions opt;
-  opt.horizon = 1000.0;
-  opt.scheduler = Scheduler::EDF;
-  const sim::SimResult r = sim::simulate(*sys, d.schedule, opt);
-  EXPECT_EQ(r.total_misses(), 0u)
-      << "U=" << ts.utilization() << " P=" << d.schedule.period;
+  FAIL() << "no system in " << kMaxDraws << " draws packed and had a design";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDesignSim,
