@@ -99,7 +99,9 @@ int main(int argc, char** argv) {
   }
 
   if (study.trials > 0) {
-    svc::AnalysisService service;
+    // Holds one engine per entry and scheduler, so each overhead level's
+    // run probes the engines the first level built.
+    svc::AnalysisService service(2 * study.trials);
     service.add_fleet(study, [](std::size_t, Rng& rng) {
       return gen::study_system(rng);
     });

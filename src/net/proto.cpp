@@ -535,7 +535,7 @@ int write_rows(const Invocation& inv, const svc::AnalysisService& service,
 Session::Session(std::ostream& out, std::size_t max_line)
     : out_(out),
       max_line_(max_line),
-      service_(std::make_unique<svc::AnalysisService>()) {}
+      service_(std::make_unique<svc::AnalysisService>(kSessionHeldEngines)) {}
 
 Session::~Session() = default;
 
@@ -598,7 +598,7 @@ int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
   if (cmd == "gen-fleet") return cmd_gen_fleet(args);
   if (cmd == "status") return cmd_status(args);
   if (cmd == "drop") {
-    service_ = std::make_unique<svc::AnalysisService>();
+    service_ = std::make_unique<svc::AnalysisService>(kSessionHeldEngines);
     generated_ = false;
     study_ = core::StudyOptions{};
     ok_line(0, "fleet=0");

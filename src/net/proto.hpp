@@ -73,6 +73,12 @@ inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 16;
 /// Hard cap on the task lines of one `add` block.
 inline constexpr std::size_t kMaxAddLines = std::size_t{1} << 20;
 
+/// The engines a session's fleet keeps across its commands (the held
+/// engines of svc::AnalysisService): a client that asks its fleet several
+/// questions probes the engines its first command built, up to this many,
+/// and no client keeps more than this plus the cache's ring (~5 KB each).
+inline constexpr std::size_t kSessionHeldEngines = 512;
+
 /// Strict numeric flag values: the whole token must parse, so typos like
 /// "--budget 64k" or "--adaptive xyz" are input errors (offline exit 2 /
 /// wire `error`), not silently truncated values.

@@ -286,6 +286,9 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   // no worker waits on a destructor.
   sys::MutexLock lock(shard.mu);
   if (auto cached = shard.find(key)) return cached;
+  if (shard.held.size() < held_per_shard_) {
+    return shard.held.emplace(key, std::move(built)).first->second;
+  }
   EngineShard::Slot& slot = shard.slots[shard.oldest];
   shard.oldest = (shard.oldest + 1) % kEngineShardCapacity;
   if (slot.engine) engine_evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -299,6 +302,7 @@ AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
   out.evictions = engine_evictions_.load(std::memory_order_relaxed);
   for (EngineShard& shard : engine_shards_) {
     sys::MutexLock lock(shard.mu);
+    out.entries += shard.held.size();
     for (const EngineShard::Slot& slot : shard.slots) {
       out.entries += slot.engine ? 1 : 0;
     }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>  // std::once_flag, std::call_once
 #include <optional>
@@ -64,13 +65,17 @@ namespace flexrt::svc {
 ///
 /// The engine cache serves one system asked many questions: a designer's
 /// loop of solve, minq, verify and sweep on one entry builds its engine
-/// once. It is not a fleet store. It keeps the kEngineShardCapacity most
-/// recently built engines of each of its kEngineShards stripes, a constant
-/// that does not grow with the fleet; a fleet entry's engine lives while
-/// its ladder pins it (engine_ptr returns shared ownership) and is evicted
-/// once later entries have replaced it. A fleet run therefore holds the
-/// engines of its in-flight entries plus that constant, and a re-run of a
-/// fleet rebuilds its engines, with the same bits.
+/// once. It keeps the kEngineShardCapacity most recently built engines of
+/// each of its kEngineShards stripes, a constant that does not grow with
+/// the fleet; a fleet entry's engine lives while its ladder pins it
+/// (engine_ptr returns shared ownership) and is evicted once later entries
+/// have replaced it. A one-pass fleet run therefore holds the engines of
+/// its in-flight entries plus that constant. A service that will ask its
+/// fleet a menu of requests (an overhead sweep, a daemon session's
+/// commands) is built with held engines: the cache keeps its first
+/// `held_engines` builds for the service's lifetime, so each later request
+/// probes the engines the first one built, and builds past them go through
+/// the ring. A rebuilt engine gives the same bits.
 
 /// Per-entry wall-time budget of a request. When active, every entry's
 /// accuracy ladder checks the elapsed wall time after each completed rung:
@@ -343,7 +348,13 @@ class AnalysisService {
       std::function<std::optional<core::ModeTaskSystem>(std::size_t trial,
                                                         Rng& rng)>;
 
-  AnalysisService() = default;
+  /// `held_engines`: how many of its first engine builds the engine cache
+  /// keeps for the service's lifetime, beyond its bounded ring (spread over
+  /// its stripes, at most ceil(held_engines / kEngineShards) each). 0, the
+  /// default, keeps none: the service makes one pass over its fleet.
+  explicit AnalysisService(std::size_t held_engines = 0)
+      : held_per_shard_(held_engines / kEngineShards +
+                        (held_engines % kEngineShards != 0 ? 1 : 0)) {}
   AnalysisService(const AnalysisService&) = delete;
   AnalysisService& operator=(const AnalysisService&) = delete;
 
@@ -469,15 +480,18 @@ class AnalysisService {
   std::shared_ptr<const analysis::BatchEngine> engine_ptr(
       std::size_t i, hier::Scheduler alg, std::size_t max_points = 0) const;
 
-  /// Occupancy and eviction counters of the bounded engine cache.
+  /// Occupancy and eviction counters of the bounded engine cache: the held
+  /// and ring engines it keeps, and the engines its ring dropped, so
+  /// entries + evictions is the number of engines built.
   struct EngineCacheStats {
     std::size_t entries = 0;
     std::uint64_t evictions = 0;
   };
   EngineCacheStats engine_cache_stats() const;
 
-  /// The engine cache's stripes, and the engines each keeps: at most
-  /// kEngineShards * kEngineShardCapacity are resident.
+  /// The engine cache's stripes, and the engines each keeps in its ring: at
+  /// most kEngineShards * kEngineShardCapacity are resident beyond the
+  /// held ones.
   static constexpr std::size_t kEngineShards = 16;
   static constexpr std::size_t kEngineShardCapacity = 2;
 
@@ -510,21 +524,25 @@ class AnalysisService {
 
   /// One stripe of the engine cache: striping by key spreads the fleet
   /// workers that start entries at once across kEngineShards locks. A
-  /// stripe is a ring of kEngineShardCapacity slots in build order; the
-  /// next build replaces the oldest. shared_ptr ownership keeps an engine
-  /// alive for any ladder that pinned it before its eviction.
+  /// stripe keeps its first held_per_shard_ builds in `held` and the
+  /// kEngineShardCapacity most recent of the rest in a ring of slots in
+  /// build order; the next build replaces the oldest. shared_ptr ownership
+  /// keeps an engine alive for any ladder that pinned it before its
+  /// eviction.
   struct EngineShard {
+    using Engine = std::shared_ptr<const analysis::BatchEngine>;
     struct Slot {
       EngineKey key{};
-      std::shared_ptr<const analysis::BatchEngine> engine;  ///< null: free
+      Engine engine;  ///< null: free
     };
     sys::Mutex mu;
+    std::map<EngineKey, Engine> held GUARDED_BY(mu);
     std::array<Slot, kEngineShardCapacity> slots GUARDED_BY(mu);
     std::size_t oldest GUARDED_BY(mu) = 0;  ///< the slot the next build takes
 
     /// The resident engine of `key`, or null.
-    std::shared_ptr<const analysis::BatchEngine> find(const EngineKey& key)
-        const REQUIRES(mu) {
+    Engine find(const EngineKey& key) const REQUIRES(mu) {
+      if (const auto it = held.find(key); it != held.end()) return it->second;
       for (const Slot& slot : slots) {
         if (slot.engine && slot.key == key) return slot.engine;
       }
@@ -568,6 +586,7 @@ class AnalysisService {
 
   std::vector<Entry> entries_;
   ProbeHook probe_hook_;
+  std::size_t held_per_shard_;  ///< see the constructor
   mutable std::array<EngineShard, kEngineShards> engine_shards_;
   mutable std::atomic<std::uint64_t> engine_evictions_{0};
 };

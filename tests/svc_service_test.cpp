@@ -511,6 +511,71 @@ TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
   EXPECT_GE(stats.evictions, study.trials - bound);
 }
 
+// A service built with held engines keeps its first builds: a menu of
+// requests over one fleet (two overhead levels here) builds each entry's
+// engine once, where a one-pass service rebuilds all but the ring's few.
+TEST(ServiceFleet, HeldEnginesServeAMenuOverOneFleet) {
+  const MemoOff memo_off;
+  core::StudyOptions study;
+  study.trials = 96;
+  study.base_seed = 0x4E1D;
+  const auto packs = [](std::size_t, Rng& rng)
+      -> std::optional<core::ModeTaskSystem> {
+    for (int draw = 0; draw < 64; ++draw) {
+      if (auto sys = gen::study_system(rng)) return sys;
+    }
+    return std::nullopt;
+  };
+  const auto menu = [](const AnalysisService& service) {
+    for (const double o : {0.0, 0.05}) {
+      std::size_t answered = 0;
+      service.run(SolveRequest{Scheduler::EDF, {o, o, o}, {}, {}, {}},
+                  [&](const SolveResult& r) { answered += r.ok() ? 1 : 0; });
+      ASSERT_EQ(answered, service.size());
+    }
+  };
+  AnalysisService held(study.trials);
+  held.add_fleet(study, packs);
+  menu(held);
+  const AnalysisService::EngineCacheStats kept = held.engine_cache_stats();
+  EXPECT_EQ(kept.entries, study.trials);
+  EXPECT_EQ(kept.evictions, 0u);
+
+  AnalysisService one_pass;
+  one_pass.add_fleet(study, packs);
+  menu(one_pass);
+  const std::size_t ring =
+      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
+  const AnalysisService::EngineCacheStats rebuilt =
+      one_pass.engine_cache_stats();
+  EXPECT_EQ(rebuilt.entries, ring);
+  EXPECT_EQ(rebuilt.entries + rebuilt.evictions, 2 * study.trials);
+}
+
+// The held engines are bounded too: past them, builds go through the ring.
+TEST(ServiceFleet, HeldEnginesAreBounded) {
+  const MemoOff memo_off;
+  core::StudyOptions study;
+  study.trials = 200;
+  study.base_seed = 0xB0DE;
+  AnalysisService service(AnalysisService::kEngineShards);  // one per stripe
+  service.add_fleet(
+      study,
+      [](std::size_t, Rng& rng) -> std::optional<core::ModeTaskSystem> {
+        for (int draw = 0; draw < 64; ++draw) {
+          if (auto sys = gen::study_system(rng)) return sys;
+        }
+        return std::nullopt;
+      });
+  service.run(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
+              [](const MinQuantumResult& r) { ASSERT_TRUE(r.ok()) << r.error; });
+  const std::size_t ring =
+      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
+  const AnalysisService::EngineCacheStats stats = service.engine_cache_stats();
+  EXPECT_EQ(stats.entries, AnalysisService::kEngineShards + ring);
+  EXPECT_EQ(stats.entries + stats.evictions, study.trials);
+}
+
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {
   const analysis::BatchEngine* a = service_.engine_ptr(0, Scheduler::EDF).get();
   const analysis::BatchEngine* b = service_.engine_ptr(0, Scheduler::EDF).get();
