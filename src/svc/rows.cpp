@@ -14,20 +14,20 @@ JsonRow solve_row(const SolveResult& r, hier::Scheduler alg,
       .field("alg", hier::to_string(alg))
       .field("goal", core::to_string(goal));
   if (!r.ok()) {
-    row.field("error", r.error);
+    row.field("error", r.error);  // no answer, so no provenance
+    return row;
+  }
+  row.field("feasible", r.feasible);
+  if (r.feasible) {
+    row.field("period", r.design.schedule.period)
+        .field("q_ft", r.design.schedule.ft.usable)
+        .field("q_fs", r.design.schedule.fs.usable)
+        .field("q_nf", r.design.schedule.nf.usable)
+        .field("slack", r.design.schedule.slack())
+        .field("slack_bw", r.design.schedule.slack_bandwidth())
+        .field("overhead_bw", r.design.schedule.overhead_bandwidth());
   } else {
-    row.field("feasible", r.feasible);
-    if (r.feasible) {
-      row.field("period", r.design.schedule.period)
-          .field("q_ft", r.design.schedule.ft.usable)
-          .field("q_fs", r.design.schedule.fs.usable)
-          .field("q_nf", r.design.schedule.nf.usable)
-          .field("slack", r.design.schedule.slack())
-          .field("slack_bw", r.design.schedule.slack_bandwidth())
-          .field("overhead_bw", r.design.schedule.overhead_bandwidth());
-    } else {
-      row.field("infeasible", r.infeasible);
-    }
+    row.field("infeasible", r.infeasible);
   }
   provenance_fields(row, r.prov, with_wall);
   return row;
@@ -66,11 +66,11 @@ JsonRow verify_row(const VerifyResult& r, hier::Scheduler alg, double period,
       .field("name", r.name)
       .field("alg", hier::to_string(alg))
       .field("period", period);
-  if (r.ok()) {
-    row.field("schedulable", r.schedulable);
-  } else {
-    row.field("error", r.error);
+  if (!r.ok()) {
+    row.field("error", r.error);  // no answer, so no provenance
+    return row;
   }
+  row.field("schedulable", r.schedulable);
   provenance_fields(row, r.prov, with_wall);
   return row;
 }
@@ -82,14 +82,14 @@ JsonRow min_quantum_row(const MinQuantumResult& r, hier::Scheduler alg,
       .field("name", r.name)
       .field("alg", hier::to_string(alg))
       .field("period", period);
-  if (r.ok()) {
-    row.field("q_ft", r.mode_quantum[0])
-        .field("q_fs", r.mode_quantum[1])
-        .field("q_nf", r.mode_quantum[2])
-        .field("margin", r.margin);
-  } else {
-    row.field("error", r.error);
+  if (!r.ok()) {
+    row.field("error", r.error);  // no answer, so no provenance
+    return row;
   }
+  row.field("q_ft", r.mode_quantum[0])
+      .field("q_fs", r.mode_quantum[1])
+      .field("q_nf", r.mode_quantum[2])
+      .field("margin", r.margin);
   provenance_fields(row, r.prov, with_wall);
   return row;
 }

@@ -19,7 +19,7 @@ namespace flexrt::svc {
 /// rows and journaled rows are always wall-free (deterministic bytes);
 /// stdout rows keep wall_ms unless the user passes --no-wall.
 
-/// "solve" row: design answer (or error) + provenance.
+/// "solve" row: design answer + provenance, or the error alone.
 JsonRow solve_row(const SolveResult& r, hier::Scheduler alg,
                   core::DesignGoal goal, bool with_wall);
 
@@ -31,13 +31,13 @@ JsonRow sweep_sample_row(const RegionSweepResult& r, hier::Scheduler alg,
 JsonRow sweep_summary_row(const RegionSweepResult& r, hier::Scheduler alg,
                           bool with_wall);
 
-/// "verify" row: schedulability verdict of an explicit schedule (or
-/// error).
+/// "verify" row: schedulability verdict of an explicit schedule +
+/// provenance, or the error alone.
 JsonRow verify_row(const VerifyResult& r, hier::Scheduler alg, double period,
                    bool with_wall);
 
 /// "min_quantum" row: per-mode minimum quanta + Eq. 15 margin at `period`
-/// (or error).
+/// + provenance, or the error alone.
 JsonRow min_quantum_row(const MinQuantumResult& r, hier::Scheduler alg,
                         double period, bool with_wall);
 
