@@ -1,6 +1,5 @@
 #include "baseline/static_config.hpp"
 
-#include "rt/analysis_context.hpp"
 #include "rt/priority.hpp"
 
 namespace flexrt::baseline {
@@ -52,9 +51,9 @@ std::size_t num_static_channels(StaticConfig config) noexcept {
 }  // namespace
 
 bool dedicated_schedulable(const rt::TaskSet& ts, hier::Scheduler alg) {
-  const rt::AnalysisContext ctx(
-      alg == hier::Scheduler::FP ? rt::sort_deadline_monotonic(ts) : ts);
-  return hier::schedulable(ctx, alg, hier::LinearSupply(1.0, 0.0));
+  return hier::schedulable(
+      alg == hier::Scheduler::FP ? rt::sort_deadline_monotonic(ts) : ts, alg,
+      hier::LinearSupply(1.0, 0.0));
 }
 
 std::optional<std::vector<rt::TaskSet>> static_partition(

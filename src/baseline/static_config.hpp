@@ -37,8 +37,12 @@ bool satisfies(StaticConfig config, rt::Mode required) noexcept;
 
 /// Dedicated-processor schedulability of one channel, the test both
 /// baselines run: Theorem 1 (deadline-monotonic) or 2 under
-/// hier::LinearSupply(1, 0) on a default-budget rt::AnalysisContext, so a
-/// channel over the budgets gets the conservative (sufficient) verdict.
+/// hier::LinearSupply(1, 0), through the one-shot
+/// hier::schedulable(rt::TaskSet, ...). Under EDF its certificate settles
+/// an implicit-deadline channel with U < 1 and a small hyperperiod from
+/// no deadline at all (the cut-off L = c / (1 - U) is 0); otherwise it is
+/// the verdict of a default-budget rt::AnalysisContext, so a channel over
+/// the budgets gets the conservative (sufficient) verdict.
 bool dedicated_schedulable(const rt::TaskSet& ts, hier::Scheduler alg);
 
 /// Result of a static-configuration admission attempt.

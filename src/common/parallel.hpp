@@ -10,6 +10,7 @@
 #include <optional>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/annotations.hpp"
 
@@ -96,30 +97,39 @@ std::size_t default_stream_window() noexcept;
 
 /// Ordered streaming loop: computes make(i) for every i in [0, n) on
 /// parallel_for's workers and delivers each result to emit(i, value) in
-/// strict index order, buffering at most `window` out-of-order results
-/// (window 0 = default_stream_window()). This is the bounded-memory
-/// counterpart of the preallocated-results-vector pattern: peak buffering
-/// is O(window), not O(n).
+/// strict index order, buffering at most `window` results that are
+/// computed but not yet emitted (window 0 = default_stream_window()). This
+/// is the bounded-memory counterpart of the preallocated-results-vector
+/// pattern: peak buffering is O(window), not O(n).
 ///
 /// How the bound is enforced without deadlock: indices are handed out one
 /// at a time through an atomic ticket (so issue order == index order), and
-/// a worker blocks before computing index i until i < next_emit + window.
-/// The head index (next_emit) is always held by a worker that is past the
-/// gate, so the stream always progresses for any window >= 1.
+/// a worker blocks before computing index i until i < emitted + window,
+/// where `emitted` counts the results emit has returned from. The head
+/// index is always held by a worker past the gate, or sits ready for the
+/// emitter, so the stream always progresses for any window >= 1.
 ///
-/// emit runs under the stream lock: exactly one emission at a time, in
-/// order -- safe to write an ostream from. An exception thrown by make(i)
-/// drops that index from the stream and is rethrown (first one wins) after
-/// the loop drains; exceptions from emit propagate the same way. A make(i)
-/// that merely *stalls* (finite delay) never wedges the gate: entries past
+/// emit runs outside the stream lock, one emitter at a time: the worker
+/// that finishes the head index while no one is emitting becomes the
+/// emitter. It takes every ready result in order under the lock, emits them
+/// with the lock released, and repeats until the next index is not ready.
+/// Workers that finish meanwhile only file their result under the lock and
+/// take their next ticket, so none queues behind a render or a journal
+/// write(). Emission stays serialized and in order -- safe to write an
+/// ostream from -- and index 0 is emitted as soon as it finishes. An
+/// exception thrown by make(i) drops that index from the stream and is
+/// rethrown (first one wins) after the loop drains; so is one thrown by
+/// emit, and no later result is emitted after either. A make(i) that
+/// merely *stalls* (finite delay) never wedges the gate: entries past
 /// i + window wait, buffering stays <= window, and the stream resumes the
 /// moment the stalled entry completes -- the fault-injection executor tests
 /// pin this down. (Callers that must never lose an entry to an exception --
 /// svc::AnalysisService -- catch inside make and return an error-valued
 /// result instead.)
 ///
-/// Returns the reorder buffer's high-water mark (<= window), the number
-/// the stream_fleet bench row reports against the fleet size.
+/// Returns the high-water mark of computed-but-unemitted results
+/// (<= window), the number the stream_fleet bench row reports against the
+/// fleet size.
 template <typename Make, typename Emit>
 std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
                            Emit&& emit) {
@@ -129,15 +139,18 @@ std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
     std::optional<Value> value;
     std::exception_ptr error;
   };
+  using Pending = std::map<std::size_t, Slot>;
   // The reassembly state lives in one struct so every member carries an
   // explicit GUARDED_BY contract on the stream mutex -- the thread-safety
   // analysis then proves no worker touches the buffer or the emission
-  // cursor outside the critical sections below.
+  // cursors outside the critical sections below.
   struct State {
     sys::Mutex mu;
     sys::CondVar gate;
-    std::map<std::size_t, Slot> pending GUARDED_BY(mu);
-    std::size_t next_emit GUARDED_BY(mu) = 0;
+    Pending pending GUARDED_BY(mu);
+    std::size_t next_emit GUARDED_BY(mu) = 0;  ///< next index to take
+    std::size_t emitted GUARDED_BY(mu) = 0;    ///< indices emit is done with
+    bool emitting GUARDED_BY(mu) = false;      ///< an emitter is active
     std::size_t high_water GUARDED_BY(mu) = 0;
     std::exception_ptr first_error GUARDED_BY(mu);
   };
@@ -147,7 +160,7 @@ std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
     const std::size_t i = ticket.fetch_add(1, std::memory_order_relaxed);
     {
       sys::MutexLock lock(st.mu);
-      while (i >= st.next_emit + window) st.gate.wait(st.mu);
+      while (i >= st.emitted + window) st.gate.wait(st.mu);
     }
     Slot slot;
     try {
@@ -157,23 +170,50 @@ std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
       // stream head and deadlock the gated workers behind it.
       slot.error = std::current_exception();
     }
-    sys::MutexLock lock(st.mu);
-    st.pending.emplace(i, std::move(slot));
-    st.high_water = std::max(st.high_water, st.pending.size());
-    while (!st.pending.empty() && st.pending.begin()->first == st.next_emit) {
-      auto node = st.pending.extract(st.pending.begin());
-      ++st.next_emit;
-      if (node.mapped().error) {
-        if (!st.first_error) st.first_error = node.mapped().error;
-      } else if (!st.first_error) {
+    {
+      sys::MutexLock lock(st.mu);
+      st.pending.emplace(i, std::move(slot));
+      st.high_water = std::max(st.high_water,
+                               st.next_emit - st.emitted + st.pending.size());
+      if (st.emitting) return;  // the active emitter takes this result
+      st.emitting = true;
+    }
+    // This worker is the emitter until it finds the next index not ready:
+    // each round takes the ready run under the lock and emits it without.
+    std::vector<typename Pending::node_type> ready;
+    std::size_t done = 0;  // the previous round's results
+    std::exception_ptr error;
+    for (;;) {
+      {
+        sys::MutexLock lock(st.mu);
+        if (!st.first_error) st.first_error = error;
+        if (done != 0) {
+          st.emitted += done;
+          st.gate.notify_all();
+        }
+        while (!st.pending.empty() &&
+               st.pending.begin()->first == st.next_emit) {
+          ready.push_back(st.pending.extract(st.pending.begin()));
+          ++st.next_emit;
+        }
+        done = ready.size();
+        if (done == 0) {
+          st.emitting = false;
+          return;
+        }
+        error = st.first_error;
+      }
+      for (auto& node : ready) {
+        if (!error) error = node.mapped().error;
+        if (error) break;
         try {
-          emit(st.next_emit - 1, std::move(*node.mapped().value));
+          emit(node.key(), std::move(*node.mapped().value));
         } catch (...) {
-          st.first_error = std::current_exception();
+          error = std::current_exception();
         }
       }
+      ready.clear();
     }
-    st.gate.notify_all();
   });
   // Every iteration has finished (a helper still alive never calls the
   // body), but the contract is on the members, so read them under the lock.

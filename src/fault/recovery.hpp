@@ -50,12 +50,16 @@ std::optional<rt::Task> recovery_task(const rt::TaskSet& channel, double gap);
 
 /// Fault-aware schedulability of one fail-silent channel under `supply`:
 /// the channel's tasks plus its recovery task, re-sorted deadline-monotonic
-/// under FP so the recovery demand takes the priority its gap earns. The
-/// test runs on a
-/// default-budget rt::AnalysisContext, so a recovery period co-prime with
-/// the task periods (gap = 1/rate rarely divides anything) cannot blow up
-/// the deadline-set enumeration: condensed answers stay safe
-/// over-approximations, exactly like every other probe in the library.
+/// under FP so the recovery demand takes the priority its gap earns. Each
+/// (channel, rate) set is seen once, so the test is the one-shot
+/// hier::schedulable(rt::TaskSet, ...): under EDF its demand-bound
+/// certificate answers "schedulable" from the deadlines before the cut-off
+/// L (often none), and every other case runs on a default-budget
+/// rt::AnalysisContext, so a recovery period co-prime with the task
+/// periods (gap = 1/rate rarely divides anything) cannot blow up the
+/// deadline-set enumeration: condensed answers stay safe
+/// over-approximations, exactly like every other probe in the library. The
+/// verdict is the context test's either way.
 /// A non-positive gap (degenerate model) is unschedulable by definition
 /// unless the channel is empty.
 bool fs_schedulable(const rt::TaskSet& channel, hier::Scheduler alg,

@@ -1,5 +1,9 @@
 #include "hier/sched_test.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 #include "common/math_util.hpp"
 #include "rt/deadline_bound.hpp"
 
@@ -59,6 +63,124 @@ bool schedulable(const rt::AnalysisContext& ctx, Scheduler alg,
                  const SupplyFunction& supply) {
   return alg == Scheduler::FP ? fp_schedulable(ctx, supply)
                               : edf_schedulable(ctx, supply);
+}
+
+namespace {
+
+// Margins of edf_certificate; the derivation below says what each covers.
+/// Relative slack on U and c in the demand line.
+constexpr double kLineSlack = 1e-8;
+/// Relative distance between a deadline D + k T and the value deadline_set
+/// accumulates for it by k additions.
+constexpr double kPointSlack = 1e-10;
+/// Slack in the job count's denominator, for the snap window.
+constexpr double kJobSlack = 2e-9;
+/// Most deadlines the certificate tests. A set that needs more goes to the
+/// context test, which pays about as much per deadline and cannot fail to
+/// settle it.
+constexpr double kMaxCertifiedDeadlines = 256.0;
+
+}  // namespace
+
+// Why a holding certificate implies edf_schedulable(ctx) on the context
+// `ctx` = rt::AnalysisContext(ts) at the default budget B:
+//
+// Exactness. bounded_deadline_set's automatic horizon is
+// min(H, B / sum(1/T_i)). With sum(H/T_i + 1) <= B the second term exceeds
+// H by n / sum(1/T_i) >= H n / B, far more than its rounding, so the horizon
+// is H and covers it. Task i adds fewer than H/T_i + 1 deadlines (D_i > 0),
+// and the rounding of the enumeration and of the sum adds under 1e-6 in
+// all, so an integer count stays <= B and no coalescing happens: the
+// context holds every deadline d_acc <= H (1 + 1e-12) that deadline_set
+// enumerates, and its test is exact.
+//
+// Points. deadline_set computes task i's k-th deadline by k additions of
+// T_i, k <= B = 2^16, so d_acc lies within 2^16 * 2^-53 ~ 7.3e-12
+// (relative) of d = D_i + k T_i < kPointSlack. Its merge of near-equal
+// deadlines keeps the first of each run, itself such a d_acc: it only drops
+// points. So every point p of the context lies within kPointSlack of a
+// task deadline d, and each d <= min(H (1 + 2e-12), cut) / (1 - kPointSlack)
+// is tested below, which covers every p <= min(H (1 + 1e-12), cut).
+//
+// Tested points. edf_demand_curve counts job k of task j at p once
+// D_j + k T_j - 1e-9 (k+1) T_j <= p (its snap window), i.e. for
+// k + 1 <= (p + T_j - D_j) / (T_j (1 - 1e-9)), and its event times round by
+// ~3 ulps. The count below, floor((hi + T_j - D_j) / (T_j (1 - kJobSlack)))
+// at hi = d (1 + kPointSlack) >= p, is at least that. Supply is read at
+// lo = d (1 - kPointSlack) <= p, and Z does not decrease. So the context's
+// demand at p exceeds the tested demand only by its summation rounding
+// (< 1e-11 relative over B events) and its Z(p) is at least the tested
+// Z(lo); the test below uses no tolerance, so leq_tol's 1e-9 absorbs both.
+//
+// The tail. With every D_j <= T_j, the count above gives
+// dbf(p) <= (U p + c) / (1 - 1e-9) for c = sum C_j (T_j - D_j) / T_j >= 0.
+// For p > cut = (c (1 + s) + rate * floor_delay) / (rate - U (1 + s)),
+// s = kLineSlack, (U p + c)(1 + s) < rate (p - floor_delay) <= Z(p) by the
+// floor every SupplyFunction guarantees, and s = 1e-8 leaves ~9e-9 of
+// rate * (p - floor_delay) beyond the demand, the snap window and every
+// rounding. So every point past cut passes, and U (1 + s) < rate passes the
+// context's U <= rate + 1e-12.
+//
+// Hence a holding certificate means the context test answers "schedulable".
+// A failing one proves nothing: the tested demand is an over-count.
+EdfCertificate edf_certificate(const rt::TaskSet& ts,
+                               const SupplyFunction& supply) {
+  EdfCertificate out;
+  const double rate = supply.rate();
+  const double u_line = ts.utilization() * (1.0 + kLineSlack);
+  if (!(u_line < rate)) return out;
+  const double h = ts.hyperperiod_or_inf();
+  if (!std::isfinite(h)) return out;
+  double points = 0.0;
+  double c = 0.0;
+  for (const rt::Task& t : ts) {
+    if (t.deadline > t.period) return out;
+    points += h / t.period + 1.0;
+    c += t.wcet * (t.period - t.deadline) / t.period;
+  }
+  if (points > static_cast<double>(rt::kDefaultDlPointBudget)) return out;
+  const double cut = (c * (1.0 + kLineSlack) + rate * supply.floor_delay()) /
+                     (rate - u_line);
+  const double limit =
+      std::min(h * (1.0 + 2e-12), cut) / (1.0 - kPointSlack);
+  double count = 0.0;
+  for (const rt::Task& t : ts) {
+    if (t.deadline <= limit) {
+      count += std::floor((limit - t.deadline) / t.period) + 1.0;
+    }
+  }
+  if (count > kMaxCertifiedDeadlines) return out;
+
+  const auto passes = [&](double d) {
+    ++out.deadlines;
+    const double hi = d * (1.0 + kPointSlack);
+    double demand = 0.0;
+    for (const rt::Task& t : ts) {
+      demand += std::floor((hi + t.period - t.deadline) /
+                           (t.period * (1.0 - kJobSlack))) *
+                t.wcet;
+    }
+    return demand <= supply.value(d * (1.0 - kPointSlack));
+  };
+  // First deadlines first: the supply's delay makes them the likeliest to
+  // fail, so a set that will not certify is left early.
+  for (const rt::Task& t : ts) {
+    if (t.deadline <= limit && !passes(t.deadline)) return out;
+  }
+  for (const rt::Task& t : ts) {
+    for (std::int64_t k = 1;; ++k) {
+      const double d = t.deadline + static_cast<double>(k) * t.period;
+      if (d > limit) break;
+      if (!passes(d)) return out;
+    }
+  }
+  out.holds = true;
+  return out;
+}
+
+bool schedulable(rt::TaskSet ts, Scheduler alg, const SupplyFunction& supply) {
+  if (alg == Scheduler::EDF && edf_certificate(ts, supply).holds) return true;
+  return schedulable(rt::AnalysisContext(std::move(ts)), alg, supply);
 }
 
 }  // namespace flexrt::hier

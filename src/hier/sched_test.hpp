@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+
 #include "hier/supply.hpp"
 #include "rt/analysis_context.hpp"
 
@@ -38,5 +40,38 @@ bool edf_schedulable(const rt::AnalysisContext& ctx,
 /// Dispatch on the scheduler enum.
 bool schedulable(const rt::AnalysisContext& ctx, Scheduler alg,
                  const SupplyFunction& supply);
+
+/// What edf_certificate found: whether it settled the set, and how many
+/// deadlines it tested to do so (or before giving up).
+struct EdfCertificate {
+  bool holds = false;
+  std::size_t deadlines = 0;
+};
+
+/// The demand-bound cut-off (Baruah, Rosier & Howell, Real-Time Systems
+/// 2(4), 1990; the bound that closes the QPA tail in Zhang & Burns, IEEE TC
+/// 58(9), 2009) for a set seen once. `holds` is true only when
+///  1. a default-budget rt::AnalysisContext of the set would be exact:
+///     a finite hyperperiod H, sum(H/T_i + 1) <= rt::kDefaultDlPointBudget
+///     and every D_i <= T_i;
+///  2. U < rate (with a relative margin);
+///  3. every task deadline up to min(H, L) passes under a job count that
+///     covers edf_demand_curve's snap window, where
+///     L = (c + rate * floor_delay) / (rate - U) and
+///     c = sum C_i (T_i - D_i) / T_i.
+/// Past L the demand bound U t + c lies under the supply's linear floor,
+/// so every deadline there passes too. `holds` therefore implies that
+/// edf_schedulable on that context answers "schedulable"; false says
+/// nothing. The derivation is next to the code.
+EdfCertificate edf_certificate(const rt::TaskSet& ts,
+                               const SupplyFunction& supply);
+
+/// One-shot test of a task set asked once (a fault-sweep channel with its
+/// recovery task, a baseline's dedicated processor): the verdict of
+/// schedulable(rt::AnalysisContext(ts), alg, supply), which it builds only
+/// when it must. Under EDF a holding edf_certificate answers "schedulable"
+/// without the context; every other case runs the context test. FP always
+/// runs it, so `ts` must then be in priority order.
+bool schedulable(rt::TaskSet ts, Scheduler alg, const SupplyFunction& supply);
 
 }  // namespace flexrt::hier

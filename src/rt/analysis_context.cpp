@@ -77,9 +77,11 @@ AnalysisContext::AnalysisContext(TaskSet ts, const DlBoundOptions& dl_opts,
       utilization_(ts_.utilization()) {}
 
 void AnalysisContext::ensure_edf() const {
+  if (edf_ready_.load(std::memory_order_acquire)) return;
   std::call_once(edf_once_, [this] {
     dl_ = bounded_deadline_set(ts_, dl_opts_);
     edf_demand_ = edf_demand_curve(ts_, dl_.demand_times());
+    edf_ready_.store(true, std::memory_order_release);
   });
 }
 
@@ -161,6 +163,7 @@ class FpWorkloadSums {
 }  // namespace
 
 void AnalysisContext::ensure_fp() const {
+  if (fp_ready_.load(std::memory_order_acquire)) return;
   std::call_once(fp_once_, [this] {
     sched_points_.resize(ts_.size());
     fp_workloads_.resize(ts_.size());
@@ -181,6 +184,7 @@ void AnalysisContext::ensure_fp() const {
       }
       sums.add(ts_[i]);
     }
+    fp_ready_.store(true, std::memory_order_release);
   });
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <span>
@@ -47,7 +48,9 @@ std::vector<double> edf_demand_curve(const TaskSet& ts,
 ///
 /// Each side is materialized lazily on first use -- an FP-only caller
 /// never pays for (or requires) the hyperperiod. Thread-safe: concurrent
-/// readers may share one const context.
+/// readers may share one const context. Once a side is built, its
+/// accessors check one acquire-loaded flag and take no lock: a probe calls
+/// them for every partition or task.
 class AnalysisContext {
  public:
   /// Takes ownership of a snapshot of the task set. `horizon` bounds the
@@ -140,10 +143,13 @@ class AnalysisContext {
   FpPointOptions fp_opts_;
   double utilization_ = 0.0;
 
+  /// Set, with release order, once the side's state below is built.
+  mutable std::atomic<bool> edf_ready_{false};
   mutable std::once_flag edf_once_;
   mutable BoundedDeadlineSet dl_;
   mutable std::vector<double> edf_demand_;
 
+  mutable std::atomic<bool> fp_ready_{false};
   mutable std::once_flag fp_once_;
   mutable std::vector<BoundedSchedPoints> sched_points_;
   mutable std::vector<std::vector<double>> fp_workloads_;

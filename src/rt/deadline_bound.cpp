@@ -14,17 +14,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Hyperperiod, mapped to +infinity when it overflows or a period is not
-/// representable on the resolution grid -- both mean "full enumeration is
-/// intractable", which the bounded set handles the same way.
-double full_horizon_of(const TaskSet& ts) {
-  try {
-    return ts.hyperperiod();
-  } catch (const ModelError&) {
-    return kInf;
-  }
-}
-
 /// Merges sorted deadlines into at most `budget` buckets of near-equal point
 /// count. Bucket j is tested as (earliest deadline, latest deadline).
 void coalesce(const std::vector<double>& points, std::size_t budget,
@@ -58,7 +47,7 @@ BoundedDeadlineSet bounded_deadline_set(const TaskSet& ts,
   for (const Task& t : ts) {
     out.util_const += t.wcet * (t.period - t.deadline) / t.period;
   }
-  out.full_horizon = full_horizon_of(ts);
+  out.full_horizon = ts.hyperperiod_or_inf();
 
   double horizon =
       opts.horizon > 0.0 ? std::min(opts.horizon, out.full_horizon)

@@ -33,20 +33,37 @@ double TaskSet::max_utilization() const noexcept {
   return u;
 }
 
+namespace {
+
+/// t.period in units of `resolution`, when it lies on that grid.
+bool on_grid(const Task& t, double resolution, double& scaled) noexcept {
+  const double exact = t.period / resolution;
+  scaled = std::round(exact);
+  return std::fabs(exact - scaled) <= 1e-6 * std::max(1.0, exact);
+}
+
+}  // namespace
+
 double TaskSet::hyperperiod(double resolution) const {
-  std::vector<std::int64_t> scaled;
-  scaled.reserve(tasks_.size());
   for (const Task& t : tasks_) {
-    const double exact = t.period / resolution;
-    const double rounded = std::round(exact);
-    FLEXRT_REQUIRE(std::fabs(exact - rounded) <= 1e-6 * std::max(1.0, exact),
+    double scaled = 0.0;
+    FLEXRT_REQUIRE(on_grid(t, resolution, scaled),
                    "period of " + t.name +
                        " is not representable on the resolution grid");
-    scaled.push_back(static_cast<std::int64_t>(rounded));
   }
-  const std::int64_t h = lcm_saturating(scaled);
-  if (h == std::numeric_limits<std::int64_t>::max()) {
-    return std::numeric_limits<double>::infinity();
+  return hyperperiod_or_inf(resolution);
+}
+
+double TaskSet::hyperperiod_or_inf(double resolution) const noexcept {
+  constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+  std::int64_t h = 1;
+  for (const Task& t : tasks_) {
+    double scaled = 0.0;
+    if (!on_grid(t, resolution, scaled)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    h = lcm_saturating(h, static_cast<std::int64_t>(scaled));
+    if (h == kSaturated) return std::numeric_limits<double>::infinity();
   }
   return static_cast<double>(h) * resolution;
 }

@@ -37,10 +37,15 @@ class TaskSet {
   double max_utilization() const noexcept;
 
   /// Hyperperiod (lcm of periods) when every period is an integer multiple
-  /// of `resolution`; saturates to a very large value on overflow. Periods
-  /// that are not representable on the resolution grid throw ModelError —
-  /// the EDF dlSet analysis needs an exact hyperperiod.
+  /// of `resolution`; +infinity on overflow. Periods that are not
+  /// representable on the resolution grid throw ModelError — the EDF dlSet
+  /// analysis needs an exact hyperperiod.
   double hyperperiod(double resolution = 1e-6) const;
+
+  /// hyperperiod() without the throw: +infinity also when a period is not
+  /// on the grid. Either way no exact enumeration exists, and a bounded
+  /// analysis asks this of every set it builds.
+  double hyperperiod_or_inf(double resolution = 1e-6) const noexcept;
 
   /// Keeps only tasks matching the predicate, preserving order.
   template <typename Pred>

@@ -79,8 +79,8 @@ Value run_ladder(const EngineAt& engine_at, const AccuracyPolicy& pol,
   std::optional<Value> prev;
   for (std::size_t round = 1;; ++round) {
     notify(round);
-    // Pinned for the whole round: the bounded engine cache may evict
-    // concurrently, and the probe must outlive any eviction.
+    // Pinned for the whole round: an engine the cache does not keep lives
+    // only as long as this pointer.
     const std::shared_ptr<const analysis::BatchEngine> pinned =
         engine_at(budget);
     const analysis::BatchEngine& eng = *pinned;
@@ -265,10 +265,13 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   const core::ModeTaskSystem& sys = system(i);  // validates the entry
   const std::size_t budget = resolve_budget(max_points, alg);
   const EngineKey key{i, static_cast<int>(alg), budget};
-  EngineShard& shard = engine_shard(key);
-  {
-    sys::MutexLock lock(shard.mu);
-    if (auto cached = shard.find(key)) return cached;
+  // A one-pass service keeps nothing, so it neither looks up nor locks.
+  EngineShard* const shard = held_per_shard_ ? &engine_shard(key) : nullptr;
+  if (shard) {
+    sys::MutexLock lock(shard->mu);
+    if (const auto it = shard->held.find(key); it != shard->held.end()) {
+      return it->second;
+    }
   }
   // Construct outside the lock -- fleet requests hit this from every
   // worker at once, and serializing the task-set snapshots would bottleneck
@@ -281,20 +284,20 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   auto built =
       std::make_shared<const analysis::BatchEngine>(sys, alg, dl_opts,
                                                     fp_opts);
-  // `built` outlives the lock: a losing duplicate, or the engine this build
-  // evicts once swapped into it, is freed after the lock is released, so
-  // no worker waits on a destructor.
-  sys::MutexLock lock(shard.mu);
-  if (auto cached = shard.find(key)) return cached;
-  if (shard.held.size() < held_per_shard_) {
-    return shard.held.emplace(key, std::move(built)).first->second;
+  if (shard) {
+    // `built` outlives the lock: a losing duplicate is freed after the
+    // lock is released, so no worker waits on a destructor.
+    sys::MutexLock lock(shard->mu);
+    if (const auto it = shard->held.find(key); it != shard->held.end()) {
+      engine_evictions_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
+    if (shard->held.size() < held_per_shard_) {
+      return shard->held.emplace(key, std::move(built)).first->second;
+    }
   }
-  EngineShard::Slot& slot = shard.slots[shard.oldest];
-  shard.oldest = (shard.oldest + 1) % kEngineShardCapacity;
-  if (slot.engine) engine_evictions_.fetch_add(1, std::memory_order_relaxed);
-  slot.key = key;
-  std::swap(slot.engine, built);
-  return slot.engine;
+  engine_evictions_.fetch_add(1, std::memory_order_relaxed);
+  return built;
 }
 
 AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
@@ -303,9 +306,6 @@ AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
   for (EngineShard& shard : engine_shards_) {
     sys::MutexLock lock(shard.mu);
     out.entries += shard.held.size();
-    for (const EngineShard::Slot& slot : shard.slots) {
-      out.entries += slot.engine ? 1 : 0;
-    }
   }
   return out;
 }

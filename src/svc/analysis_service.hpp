@@ -63,19 +63,17 @@ namespace flexrt::svc {
 /// budget). A question no request covers (sensitivity margins,
 /// max_admissible_overhead, ...) goes to the cached engine, engine_ptr().
 ///
-/// The engine cache serves one system asked many questions: a designer's
-/// loop of solve, minq, verify and sweep on one entry builds its engine
-/// once. It keeps the kEngineShardCapacity most recently built engines of
-/// each of its kEngineShards stripes, a constant that does not grow with
-/// the fleet; a fleet entry's engine lives while its ladder pins it
-/// (engine_ptr returns shared ownership) and is evicted once later entries
-/// have replaced it. A one-pass fleet run therefore holds the engines of
-/// its in-flight entries plus that constant. A service that will ask its
-/// fleet a menu of requests (an overhead sweep, a daemon session's
-/// commands) is built with held engines: the cache keeps its first
-/// `held_engines` builds for the service's lifetime, so each later request
-/// probes the engines the first one built, and builds past them go through
-/// the ring. A rebuilt engine gives the same bits.
+/// The engine cache serves a service that asks its fleet more than one
+/// question. One built with held engines -- a daemon session, whose
+/// designer loop of solve, minq, verify and sweep on one entry builds its
+/// engine once, or an overhead sweep's menu of requests over one fleet --
+/// keeps its first `held_engines` builds for its lifetime, in
+/// kEngineShards stripes, so each later request probes the engines the
+/// first one built; builds past them are not kept. A one-pass service
+/// (held 0, every offline command) keeps no engine: each ladder builds,
+/// pins and frees its engine on its own worker (engine_ptr returns shared
+/// ownership), without a lock, so a fleet run holds only the engines of
+/// its in-flight entries. A rebuilt engine gives the same bits.
 
 /// Per-entry wall-time budget of a request. When active, every entry's
 /// accuracy ladder checks the elapsed wall time after each completed rung:
@@ -349,9 +347,9 @@ class AnalysisService {
                                                         Rng& rng)>;
 
   /// `held_engines`: how many of its first engine builds the engine cache
-  /// keeps for the service's lifetime, beyond its bounded ring (spread over
-  /// its stripes, at most ceil(held_engines / kEngineShards) each). 0, the
-  /// default, keeps none: the service makes one pass over its fleet.
+  /// keeps for the service's lifetime (spread over its stripes, at most
+  /// ceil(held_engines / kEngineShards) each). 0, the default, keeps none:
+  /// the service makes one pass over its fleet.
   explicit AnalysisService(std::size_t held_engines = 0)
       : held_per_shard_(held_engines / kEngineShards +
                         (held_engines % kEngineShards != 0 ? 1 : 0)) {}
@@ -469,31 +467,29 @@ class AnalysisService {
   using ProbeHook = std::function<void(std::size_t entry, std::size_t round)>;
   void set_probe_hook(ProbeHook hook) { probe_hook_ = std::move(hook); }
 
-  /// The cached per-(entry, scheduler, budget) probe engine -- the escape
-  /// hatch for engine-level probes the typed requests do not cover
-  /// (max_admissible_overhead, one-task margins, ...). `max_points` 0
-  /// means the scheduler's library default budget (dlSet budget for EDF,
-  /// per-task scheduling-point budget for FP). Engines are immutable and
-  /// safe to probe concurrently. Shared ownership: the engine outlives any
-  /// eviction from the bounded cache as long as the returned pointer does
-  /// (what the accuracy ladders hold across a probe).
+  /// The per-(entry, scheduler, budget) probe engine -- the escape hatch
+  /// for engine-level probes the typed requests do not cover
+  /// (max_admissible_overhead, one-task margins, ...): a held one, or a
+  /// fresh build. `max_points` 0 means the scheduler's library default
+  /// budget (dlSet budget for EDF, per-task scheduling-point budget for
+  /// FP). Engines are immutable and safe to probe concurrently. Shared
+  /// ownership: an engine the cache does not keep lives as long as the
+  /// returned pointer (what the accuracy ladders hold across a probe).
   std::shared_ptr<const analysis::BatchEngine> engine_ptr(
       std::size_t i, hier::Scheduler alg, std::size_t max_points = 0) const;
 
-  /// Occupancy and eviction counters of the bounded engine cache: the held
-  /// and ring engines it keeps, and the engines its ring dropped, so
-  /// entries + evictions is the number of engines built.
+  /// Counters of the engine cache: the held engines it keeps, and the
+  /// builds it did not keep (past the hold, a one-pass service's every
+  /// build, or a concurrent duplicate), so entries + evictions is the
+  /// number of engines built.
   struct EngineCacheStats {
     std::size_t entries = 0;
     std::uint64_t evictions = 0;
   };
   EngineCacheStats engine_cache_stats() const;
 
-  /// The engine cache's stripes, and the engines each keeps in its ring: at
-  /// most kEngineShards * kEngineShardCapacity are resident beyond the
-  /// held ones.
+  /// The held engines' stripes.
   static constexpr std::size_t kEngineShards = 16;
-  static constexpr std::size_t kEngineShardCapacity = 2;
 
  private:
   /// What add_fleet records for each of its trials, shared by them.
@@ -522,32 +518,13 @@ class AnalysisService {
   /// (entry, scheduler, dlSet budget) -> engine.
   using EngineKey = std::tuple<std::size_t, int, std::size_t>;
 
-  /// One stripe of the engine cache: striping by key spreads the fleet
+  /// One stripe of the held engines: striping by key spreads the fleet
   /// workers that start entries at once across kEngineShards locks. A
-  /// stripe keeps its first held_per_shard_ builds in `held` and the
-  /// kEngineShardCapacity most recent of the rest in a ring of slots in
-  /// build order; the next build replaces the oldest. shared_ptr ownership
-  /// keeps an engine alive for any ladder that pinned it before its
-  /// eviction.
+  /// stripe keeps its first held_per_shard_ builds.
   struct EngineShard {
-    using Engine = std::shared_ptr<const analysis::BatchEngine>;
-    struct Slot {
-      EngineKey key{};
-      Engine engine;  ///< null: free
-    };
     sys::Mutex mu;
-    std::map<EngineKey, Engine> held GUARDED_BY(mu);
-    std::array<Slot, kEngineShardCapacity> slots GUARDED_BY(mu);
-    std::size_t oldest GUARDED_BY(mu) = 0;  ///< the slot the next build takes
-
-    /// The resident engine of `key`, or null.
-    Engine find(const EngineKey& key) const REQUIRES(mu) {
-      if (const auto it = held.find(key); it != held.end()) return it->second;
-      for (const Slot& slot : slots) {
-        if (slot.engine && slot.key == key) return slot.engine;
-      }
-      return nullptr;
-    }
+    std::map<EngineKey, std::shared_ptr<const analysis::BatchEngine>> held
+        GUARDED_BY(mu);
   };
 
   EngineShard& engine_shard(const EngineKey& key) const noexcept {
@@ -588,6 +565,7 @@ class AnalysisService {
   ProbeHook probe_hook_;
   std::size_t held_per_shard_;  ///< see the constructor
   mutable std::array<EngineShard, kEngineShards> engine_shards_;
+  /// Builds not kept (EngineCacheStats::evictions).
   mutable std::atomic<std::uint64_t> engine_evictions_{0};
 };
 

@@ -18,6 +18,7 @@
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "gen/taskset_gen.hpp"
+#include "net/proto.hpp"
 #include "svc/jsonl.hpp"
 #include "svc/memo_cache.hpp"
 
@@ -43,9 +44,12 @@ class ServiceOnPaperExample : public ::testing::Test {
  protected:
   ServiceOnPaperExample() : sys_(core::paper_example()) {
     service_.add_system(sys_, "paper");
+    session_.add_system(sys_, "paper");
   }
   core::ModeTaskSystem sys_;
   AnalysisService service_;
+  /// Holds its engines as a daemon session's service does.
+  AnalysisService session_{net::proto::kSessionHeldEngines};
 };
 
 // --- fixed-policy parity: service answers == engine answers, bitwise -----
@@ -463,29 +467,30 @@ TEST(ServiceFleet, GeneratorExceptionFailsTheRun) {
 }
 
 // The designer's loop on one system -- solve, then minq, verify and sweep
-// at the design -- asks one engine every question: one build, no eviction.
+// at the design -- asks a session's held engine every question: one build,
+// none dropped.
 TEST_F(ServiceOnPaperExample, DesignerLoopBuildsOneEngine) {
   const MemoOff memo_off;
-  const SolveResult solved = service_.solve_one(
+  const SolveResult solved = session_.solve_one(
       0, {Scheduler::EDF, {0.05, 0.05, 0.05}, {}, {}, {}});
   ASSERT_TRUE(solved.ok() && solved.feasible) << solved.error;
   const core::ModeSchedule& design = solved.design.schedule;
   EXPECT_TRUE(
-      service_.min_quantum_one(0, {Scheduler::EDF, design.period, false, {}})
+      session_.min_quantum_one(0, {Scheduler::EDF, design.period, false, {}})
           .ok());
   const VerifyResult verified =
-      service_.verify_one(0, {Scheduler::EDF, design, false, {}});
+      session_.verify_one(0, {Scheduler::EDF, design, false, {}});
   EXPECT_TRUE(verified.ok() && verified.schedulable);
-  EXPECT_TRUE(service_.region_sweep_one(0, {Scheduler::EDF, {}, {}}).ok());
-  const AnalysisService::EngineCacheStats stats = service_.engine_cache_stats();
+  EXPECT_TRUE(session_.region_sweep_one(0, {Scheduler::EDF, {}, {}}).ok());
+  const AnalysisService::EngineCacheStats stats = session_.engine_cache_stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 0u);
 }
 
-// A fleet run holds the engines of its in-flight entries plus a constant,
-// however long the fleet: every entry builds one engine, and all but the
-// last few are evicted. The ctest engine_cache_bounded_at_1_and_4_threads
-// runs this case at FLEXRT_THREADS 1 and 4.
+// A one-pass service keeps no engine, however long the fleet: every entry
+// builds one engine, pins it for its ladder and frees it. The ctest
+// engine_cache_bounded_at_1_and_4_threads runs this case at FLEXRT_THREADS
+// 1 and 4.
 TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
   const MemoOff memo_off;
   core::StudyOptions study;
@@ -504,16 +509,14 @@ TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
   service.run(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
               [&](const MinQuantumResult& r) { answered += r.ok() ? 1 : 0; });
   ASSERT_EQ(answered, study.trials) << "an entry built no engine";
-  const std::size_t bound =
-      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
   const AnalysisService::EngineCacheStats stats = service.engine_cache_stats();
-  EXPECT_LE(stats.entries, bound);
-  EXPECT_GE(stats.evictions, study.trials - bound);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.evictions, study.trials);
 }
 
 // A service built with held engines keeps its first builds: a menu of
 // requests over one fleet (two overhead levels here) builds each entry's
-// engine once, where a one-pass service rebuilds all but the ring's few.
+// engine once, where a one-pass service builds it for every request.
 TEST(ServiceFleet, HeldEnginesServeAMenuOverOneFleet) {
   const MemoOff memo_off;
   core::StudyOptions study;
@@ -544,15 +547,13 @@ TEST(ServiceFleet, HeldEnginesServeAMenuOverOneFleet) {
   AnalysisService one_pass;
   one_pass.add_fleet(study, packs);
   menu(one_pass);
-  const std::size_t ring =
-      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
   const AnalysisService::EngineCacheStats rebuilt =
       one_pass.engine_cache_stats();
-  EXPECT_EQ(rebuilt.entries, ring);
+  EXPECT_EQ(rebuilt.entries, 0u);
   EXPECT_EQ(rebuilt.entries + rebuilt.evictions, 2 * study.trials);
 }
 
-// The held engines are bounded too: past them, builds go through the ring.
+// The held engines are bounded too: builds past them are not kept.
 TEST(ServiceFleet, HeldEnginesAreBounded) {
   const MemoOff memo_off;
   core::StudyOptions study;
@@ -569,20 +570,19 @@ TEST(ServiceFleet, HeldEnginesAreBounded) {
       });
   service.run(MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
               [](const MinQuantumResult& r) { ASSERT_TRUE(r.ok()) << r.error; });
-  const std::size_t ring =
-      AnalysisService::kEngineShards * AnalysisService::kEngineShardCapacity;
   const AnalysisService::EngineCacheStats stats = service.engine_cache_stats();
-  EXPECT_EQ(stats.entries, AnalysisService::kEngineShards + ring);
+  EXPECT_EQ(stats.entries, AnalysisService::kEngineShards);
   EXPECT_EQ(stats.entries + stats.evictions, study.trials);
 }
 
+// A session's held engine is the one every later question gets; another
+// budget is another engine.
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {
-  const analysis::BatchEngine* a = service_.engine_ptr(0, Scheduler::EDF).get();
-  const analysis::BatchEngine* b = service_.engine_ptr(0, Scheduler::EDF).get();
-  const analysis::BatchEngine* c =
-      service_.engine_ptr(0, Scheduler::EDF, 1u << 8).get();
+  const analysis::BatchEngine* a = session_.engine_ptr(0, Scheduler::EDF).get();
+  const analysis::BatchEngine* b = session_.engine_ptr(0, Scheduler::EDF).get();
+  const auto c = session_.engine_ptr(0, Scheduler::EDF, 1u << 8);
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
+  EXPECT_NE(a, c.get());
   EXPECT_EQ(a->dl_options().max_points, rt::kDefaultDlPointBudget);
   EXPECT_EQ(c->dl_options().max_points, std::size_t{1} << 8);
 }
