@@ -52,6 +52,30 @@ int unix_socket(const std::string& path, bool listen_side) {
   return fd;
 }
 
+/// A listening TCP socket on [::1]:port that takes IPv6 only (127.0.0.1
+/// has its own socket), or -1 with `err` set when the host gives none.
+int loopback6_listener(int port, std::string& err) {
+  const int fd = ::socket(AF_INET6, SOCK_STREAM, 0);
+  if (fd < 0) {
+    err = errno_text();
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(fd, IPPROTO_IPV6, IPV6_V6ONLY, &one, sizeof(one));
+  sockaddr_in6 sa{};
+  sa.sin6_family = AF_INET6;
+  sa.sin6_addr = in6addr_loopback;
+  sa.sin6_port = htons(static_cast<uint16_t>(port));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(fd, 64) != 0) {
+    err = errno_text();
+    close_quiet(fd);
+    return -1;
+  }
+  return fd;
+}
+
 }  // namespace
 
 // --- FdStreamBuf / FdStream ------------------------------------------------
@@ -192,10 +216,17 @@ void Server::start() {
     listen_fd_ = -1;
     throw ModelError("listen: " + err);
   }
+  if (opts_.socket_path.empty()) {
+    // net::dial resolves either family, so ::1 gets the port 127.0.0.1
+    // got; a host without an IPv6 loopback is served over IPv4 alone.
+    ipv6_error_.clear();
+    listen6_fd_ = loopback6_listener(tcp_port_, ipv6_error_);
+  }
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     close_quiet(listen_fd_);
-    listen_fd_ = -1;
+    close_quiet(listen6_fd_);
+    listen_fd_ = listen6_fd_ = -1;
     throw ModelError("pipe: " + errno_text());
   }
   wake_read_ = pipe_fds[0];
@@ -216,14 +247,17 @@ void Server::wake() {
 }
 
 void Server::accept_loop() {
+  // The wake pipe, then each listener (a negative fd is skipped by poll).
   for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
+    pollfd fds[3] = {{wake_read_, POLLIN, 0},
+                     {listen_fd_, POLLIN, 0},
+                     {listen6_fd_, POLLIN, 0}};
+    const int ready = ::poll(fds, 3, -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (fds[1].revents != 0) {
+    if (fds[0].revents != 0) {
       char buf[64];
       ssize_t n;
       do {
@@ -232,19 +266,24 @@ void Server::accept_loop() {
     }
     if (stopping_.load(std::memory_order_relaxed)) break;
     reap(/*all=*/false);
-    if (fds[0].revents == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener gone (stop() raced us)
+    bool listener_gone = false;
+    for (const pollfd& listener : {fds[1], fds[2]}) {
+      if (listener.fd < 0 || listener.revents == 0) continue;
+      const int fd = ::accept(listener.fd, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        listener_gone = true;  // stop() raced us
+        break;
+      }
+      sessions_served_.fetch_add(1, std::memory_order_relaxed);
+      auto conn = std::make_unique<Conn>();
+      Conn* raw = conn.get();
+      raw->fd = fd;
+      sys::MutexLock lock(mu_);
+      conns_.push_back(std::move(conn));
+      raw->thread = std::thread([this, raw] { serve(*raw); });
     }
-    sessions_served_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Conn>();
-    Conn* raw = conn.get();
-    raw->fd = fd;
-    sys::MutexLock lock(mu_);
-    conns_.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] { serve(*raw); });
+    if (listener_gone) break;
   }
 }
 
@@ -296,7 +335,8 @@ void Server::stop() {
   wake();
   if (accept_thread_.joinable()) accept_thread_.join();
   close_quiet(listen_fd_);
-  listen_fd_ = -1;
+  close_quiet(listen6_fd_);
+  listen_fd_ = listen6_fd_ = -1;
   if (!opts_.socket_path.empty()) ::unlink(opts_.socket_path.c_str());
   reap(/*all=*/true);
   close_quiet(wake_read_);

@@ -66,8 +66,10 @@ int dial(const std::string& address);
 struct ServerOptions {
   /// Unix-domain listening socket path; non-empty selects unix transport.
   std::string socket_path;
-  /// TCP listening port; >= 0 selects TCP (0 = kernel-assigned ephemeral
-  /// port, read back via tcp_port()). Exactly one transport must be set.
+  /// TCP listening port; >= 0 selects TCP on the loopback: 127.0.0.1, and
+  /// ::1 on the same port where the host has an IPv6 loopback (0 =
+  /// kernel-assigned ephemeral port, read back via tcp_port()). Exactly one
+  /// transport must be set.
   int port = -1;
   /// Per-line byte cap handed to each session (hostile-input bound).
   std::size_t max_line = proto::kMaxLineBytes;
@@ -99,6 +101,10 @@ class Server {
   /// how a port-0 caller learns the kernel's pick).
   int tcp_port() const noexcept { return tcp_port_; }
 
+  /// Why a TCP server listens on 127.0.0.1 alone: empty when it also
+  /// listens on ::1 (and for a unix socket).
+  const std::string& ipv6_error() const noexcept { return ipv6_error_; }
+
   const std::string& socket_path() const noexcept {
     return opts_.socket_path;
   }
@@ -124,6 +130,8 @@ class Server {
 
   ServerOptions opts_;
   int listen_fd_ = -1;
+  int listen6_fd_ = -1;  ///< [::1]:tcp_port_, when the host has it
+  std::string ipv6_error_;
   int wake_read_ = -1;
   int wake_write_ = -1;
   int tcp_port_ = -1;

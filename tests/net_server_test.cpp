@@ -5,6 +5,7 @@
 // drains connected clients without hanging, and the socket file is
 // unlinked on shutdown.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
@@ -94,6 +95,40 @@ TEST(NetServer, TcpEphemeralPortServesTheProtocol) {
   ::close(fd);
   EXPECT_EQ(got, serial_reference(1));
   server.stop();
+}
+
+/// Whether this host can listen on [::1].
+bool has_ipv6_loopback() {
+  const int fd = ::socket(AF_INET6, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  sockaddr_in6 sa{};
+  sa.sin6_family = AF_INET6;
+  sa.sin6_addr = in6addr_loopback;
+  const bool ok =
+      ::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) == 0;
+  ::close(fd);
+  return ok;
+}
+
+// A TCP daemon answers on ::1 at the port 127.0.0.1 got, so an address
+// that resolves to either family reaches it.
+TEST(NetServer, TcpServesTheIpv6LoopbackToo) {
+  if (!has_ipv6_loopback()) GTEST_SKIP() << "no IPv6 loopback on this host";
+  ServerOptions opts;
+  opts.port = 0;
+  Server server(opts);
+  server.start();
+  ASSERT_GT(server.tcp_port(), 0);
+  EXPECT_EQ(server.ipv6_error(), "");
+  const std::string port = std::to_string(server.tcp_port());
+  for (const std::string& host : {"::1", "127.0.0.1"}) {
+    const int fd = dial(host + ":" + port);
+    const std::string got = roundtrip(fd, client_script(2));
+    ::close(fd);
+    EXPECT_EQ(got, serial_reference(2)) << host;
+  }
+  server.stop();
+  EXPECT_EQ(server.sessions_served(), 2u);
 }
 
 TEST(NetServer, DialRejectsMalformedAddresses) {

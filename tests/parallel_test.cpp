@@ -261,8 +261,8 @@ TEST(OrderedStream, PeakBufferingRespectsTheWindow) {
 }
 
 TEST(OrderedStream, SinkSeesOneCallAtATime) {
-  // Emission is serialized under the stream lock: concurrent sink entries
-  // would interleave rows in an ostream-backed sink.
+  // One emitter at a time, even outside the stream lock: concurrent sink
+  // entries would interleave rows in an ostream-backed sink.
   std::atomic<int> inside{0};
   bool overlapped = false;
   ordered_stream(
@@ -364,6 +364,105 @@ TEST(OrderedStream, PropagatesTheFirstExceptionWithoutDeadlock) {
       64, 0, [](std::size_t i) { return i; },
       [&](std::size_t, std::size_t) { ++count; });
   EXPECT_EQ(count, 64u);
+}
+
+TEST(OrderedStream, RowsComeOutInIndexOrderUnderSkewedCosts) {
+  // Costs that vary by index finish entries far out of order; emission
+  // still follows the index, at every window.
+  for (const std::size_t window : {1u, 3u, 0u}) {
+    std::vector<std::size_t> order;
+    ordered_stream(
+        400, window,
+        [](std::size_t i) {
+          volatile double x = 0.0;
+          for (std::size_t k = 0; k < (i * 7919) % 23 * 2000; ++k) x = x + 1.0;
+          return i;
+        },
+        [&](std::size_t i, std::size_t v) {
+          EXPECT_EQ(i, v);
+          order.push_back(i);
+        });
+    ASSERT_EQ(order.size(), 400u);
+    for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  }
+}
+
+TEST(OrderedStream, TwoEmitsNeverOverlap) {
+  // The emitter runs outside the lock, so nothing but the one-emitter rule
+  // keeps a second worker out of emit: slow emits over cheap entries give
+  // every worker the chance to try.
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlapped{false};
+  std::size_t emitted = 0;
+  ordered_stream(
+      300, 0, [](std::size_t i) { return i; },
+      [&](std::size_t i, std::size_t) {
+        if (inside.fetch_add(1) != 0) overlapped = true;
+        if (i % 16 == 0) std::this_thread::sleep_for(100us);
+        ++emitted;
+        inside.fetch_sub(1);
+      });
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(emitted, 300u);
+}
+
+TEST(OrderedStream, ThrowingEmitEndsTheStreamWithItsError) {
+  for (const std::size_t window : {1u, 4u, 0u}) {
+    std::vector<std::size_t> seen;
+    try {
+      ordered_stream(
+          200, window, [](std::size_t i) { return i; },
+          [&](std::size_t i, std::size_t) {
+            seen.push_back(i);
+            if (i == 17) throw std::runtime_error("emit 17");
+          });
+      ADD_FAILURE() << "the stream returned";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "emit 17");
+    }
+    // Every index before the throw, the throwing one, and nothing after.
+    ASSERT_EQ(seen.size(), 18u) << "window " << window;
+    for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  }
+}
+
+TEST(OrderedStream, SlowEmitDoesNotStallTheOtherWorkers) {
+  // While one worker emits a slow row, the others must go on computing the
+  // entries the window admits. Had emit held the stream lock, each of them
+  // would finish at most one entry and then queue behind it: at most
+  // thread_count() - 1 entries during the emit.
+  const std::size_t threads = thread_count();
+  if (threads < 2) GTEST_SKIP() << "needs a second worker";
+  const std::size_t window = 2 * threads + 8;
+  const std::size_t slow = 32;  // late enough for the loop to start helpers
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> in_slow_emit{false};
+  std::atomic<bool> helper_before_slow{false};
+  std::atomic<std::size_t> made_during{0};
+  ordered_stream(
+      slow + window + 8, window,
+      [&](std::size_t i) {
+        std::this_thread::sleep_for(2ms);  // worth starting helpers for
+        if (in_slow_emit.load()) {
+          made_during.fetch_add(1);
+        } else if (i < slow && std::this_thread::get_id() != caller) {
+          helper_before_slow = true;
+        }
+        return i;
+      },
+      [&](std::size_t i, std::size_t) {
+        if (i != slow) return;
+        in_slow_emit = true;
+        // Wait for the other workers, or give up after 5 s.
+        for (int k = 0; k < 5000 && made_during.load() < threads; ++k) {
+          std::this_thread::sleep_for(1ms);
+        }
+        in_slow_emit = false;
+      });
+  if (!helper_before_slow.load()) {
+    GTEST_SKIP() << "the loop started no helper before the slow emit";
+  }
+  EXPECT_GE(made_during.load(), threads);
 }
 
 }  // namespace

@@ -187,9 +187,9 @@ std::string provenance_note(const svc::Provenance& p) {
 
 /// The offline human/CSV report, one printer per command. Rows and exit
 /// codes come from the command table (proto::Rows); the report adds only
-/// solve's simulated deadline misses (rc() 1). A failed solve, minq or
-/// verify entry has no line in it: it stops the report (exit 2), where the
-/// JSONL report renders its error row and goes on.
+/// solve's simulated deadline misses (rc() 1). A failed entry of any
+/// command prints `name: error: <why>` and the report goes on, as the JSONL
+/// report renders its error row; the fleet then exits 1.
 class HumanReport {
  public:
   HumanReport(const proto::Invocation& inv, const svc::AnalysisService& service)
@@ -197,13 +197,13 @@ class HumanReport {
 
   void print(const svc::SolveResult& r) {
     if (inv_.command->id == proto::CommandId::Study) return;  // finish()
-    if (!r.ok()) throw ModelError(r.error);
     if (r.system) std::cout << "\n";
+    if (failed(r)) return;
     print_solve(r);
   }
 
   void print(const svc::MinQuantumResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
+    if (failed(r)) return;
     std::cout << r.name << ": P = "
               << std::get<svc::MinQuantumRequest>(inv_.request).period
               << ": minQ FT " << format_fixed(r.mode_quantum[0], 4) << ", FS "
@@ -214,10 +214,7 @@ class HumanReport {
   }
 
   void print(const svc::RegionSweepResult& r) {
-    if (!r.ok()) {
-      std::cout << r.name << ": error: " << r.error << "\n";
-      return;
-    }
+    if (failed(r)) return;
     const core::SearchOptions& search =
         std::get<svc::RegionSweepRequest>(inv_.request).search;
     std::cout << r.name << ": lhs(P) over [" << search.p_min << ", "
@@ -231,17 +228,14 @@ class HumanReport {
   }
 
   void print(const svc::VerifyResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
+    if (failed(r)) return;
     std::cout << r.name << ": "
               << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
               << provenance_note(r.prov) << ")\n";
   }
 
   void print(const svc::FaultSweepResult& r) {
-    if (!r.ok()) {
-      std::cout << r.name << ": error: " << r.error << "\n";
-      return;
-    }
+    if (failed(r)) return;
     if (!r.feasible) {
       std::cout << r.name << ": infeasible: " << r.infeasible << "\n";
       return;
@@ -308,6 +302,13 @@ class HumanReport {
   }
 
  private:
+  /// Prints a failed entry's one line; true when `r` failed.
+  static bool failed(const svc::ResultBase& r) {
+    if (r.ok()) return false;
+    std::cout << r.name << ": error: " << r.error << "\n";
+    return true;
+  }
+
   void table(const Table& t) const {
     common_.csv ? t.print_csv(std::cout) : t.print(std::cout);
   }

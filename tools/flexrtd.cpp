@@ -16,8 +16,10 @@
 //           [--memo-bytes N]
 //
 //   --socket PATH   listen on a unix-domain socket at PATH
-//   --port N        listen on TCP 127.0.0.1:N (0 = kernel-assigned; the
-//                   chosen port is printed on the listening line)
+//   --port N        listen on TCP 127.0.0.1:N, and on [::1]:N where the
+//                   host has an IPv6 loopback (else stderr says so); 0 =
+//                   kernel-assigned, the chosen port is printed on the
+//                   listening line
 //   --threads N     workers per fleet command, the session's thread
 //                   included (sets FLEXRT_THREADS before the first command;
 //                   all sessions together run at most N - 1 helpers)
@@ -159,6 +161,10 @@ int main(int argc, char** argv) {
     } else {
       std::cout << "flexrtd: listening on tcp:" << server.tcp_port() << "\n"
                 << std::flush;
+      if (!server.ipv6_error().empty()) {
+        std::cerr << "flexrtd: [::1]:" << server.tcp_port() << ": "
+                  << server.ipv6_error() << " -- serving 127.0.0.1 only\n";
+      }
     }
     while (!sys::stop_requested().load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
