@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/math_util.hpp"
@@ -70,15 +71,33 @@ namespace {
 // Margins of edf_certificate; the derivation below says what each covers.
 /// Relative slack on U and c in the demand line.
 constexpr double kLineSlack = 1e-8;
-/// Relative distance between a deadline D + k T and the value deadline_set
-/// accumulates for it by k additions.
-constexpr double kPointSlack = 1e-10;
-/// Slack in the job count's denominator, for the snap window.
-constexpr double kJobSlack = 2e-9;
+/// The tolerance of the certificate's per-deadline test: leq_tol's 1e-9
+/// less the rounding by which the context's demand sum may exceed its own.
+constexpr double kDeadlineTol = 1e-9 - 2e-11;
+/// Relative widening of the window in which a job's demand event counts at
+/// a point: a few ulps, for a compiler that contracts the event time's
+/// expression into a fused multiply-add in one place and not the other.
+constexpr double kEventWindow = 1e-15;
 /// Most deadlines the certificate tests. A set that needs more goes to the
 /// context test, which pays about as much per deadline and cannot fail to
 /// settle it.
 constexpr double kMaxCertifiedDeadlines = 256.0;
+
+/// Jobs of `t` the demand curve charges at point p, or one more where an
+/// event lies within kEventWindow of p: the largest k + 1 with
+/// rt::demand_event_time(t, k) <= p (1 + kEventWindow). Events advance by
+/// T (1 - 1e-9) per job, so the estimate is off by at most one either way.
+double charged_jobs(const rt::Task& t, double p) {
+  const double reach = p + std::fabs(p) * kEventWindow;
+  const double est =
+      std::floor((reach - t.deadline + 1e-9 * t.period) /
+                 (t.period * (1.0 - 1e-9)));
+  auto k = static_cast<std::int64_t>(std::max(est, 0.0));
+  while (k > 0 && rt::demand_event_time(t, k) > reach) --k;
+  while (rt::demand_event_time(t, k + 1) <= reach) ++k;
+  return rt::demand_event_time(t, k) <= reach ? static_cast<double>(k + 1)
+                                              : 0.0;
+}
 
 }  // namespace
 
@@ -88,41 +107,41 @@ constexpr double kMaxCertifiedDeadlines = 256.0;
 // Exactness. bounded_deadline_set's automatic horizon is
 // min(H, B / sum(1/T_i)). With sum(H/T_i + 1) <= B the second term exceeds
 // H by n / sum(1/T_i) >= H n / B, far more than its rounding, so the horizon
-// is H and covers it. Task i adds fewer than H/T_i + 1 deadlines (D_i > 0),
-// and the rounding of the enumeration and of the sum adds under 1e-6 in
-// all, so an integer count stays <= B and no coalescing happens: the
-// context holds every deadline d_acc <= H (1 + 1e-12) that deadline_set
-// enumerates, and its test is exact.
+// is H itself. Task i adds fewer than H/T_i + 1 deadlines (D_i > 0), and the
+// rounding of the enumeration and of the sum adds under 1e-6 in all, so an
+// integer count stays <= B and no coalescing happens: the context's points
+// are deadline_set(ts, H), and its test is exact.
 //
-// Points. deadline_set computes task i's k-th deadline by k additions of
-// T_i, k <= B = 2^16, so d_acc lies within 2^16 * 2^-53 ~ 7.3e-12
-// (relative) of d = D_i + k T_i < kPointSlack. Its merge of near-equal
-// deadlines keeps the first of each run, itself such a d_acc: it only drops
-// points. So every point p of the context lies within kPointSlack of a
-// task deadline d, and each d <= min(H (1 + 2e-12), cut) / (1 - kPointSlack)
-// is tested below, which covers every p <= min(H (1 + 1e-12), cut).
+// Points. deadline_set computes task i's deadlines by accumulation,
+// d = D_i, d += T_i, while d <= H (1 + 1e-12), and merges near-equal ones
+// into the first of each run, itself such a d: the merge only drops points.
+// The scan below accumulates the same way, so every point p of the context
+// is a deadline it reaches bit for bit, and it tests every one up to
+// min(H (1 + 1e-12), cut).
 //
-// Tested points. edf_demand_curve counts job k of task j at p once
-// D_j + k T_j - 1e-9 (k+1) T_j <= p (its snap window), i.e. for
-// k + 1 <= (p + T_j - D_j) / (T_j (1 - 1e-9)), and its event times round by
-// ~3 ulps. The count below, floor((hi + T_j - D_j) / (T_j (1 - kJobSlack)))
-// at hi = d (1 + kPointSlack) >= p, is at least that. Supply is read at
-// lo = d (1 - kPointSlack) <= p, and Z does not decrease. So the context's
-// demand at p exceeds the tested demand only by its summation rounding
-// (< 1e-11 relative over B events) and its Z(p) is at least the tested
-// Z(lo); the test below uses no tolerance, so leq_tol's 1e-9 absorbs both.
+// Tested points. At p the context charges job k of task j once
+// rt::demand_event_time(j, k) <= p (the snap window of edf_demand_curve),
+// and sums the charges one event at a time. charged_jobs counts the same
+// events, and one more only where an event lies within a few ulps of p. So
+// the tested demand is at least the context's, less the rounding of the
+// context's longer sum (< 2e-11 relative over B events), and Z is read at p
+// itself. A pass under leq_tol at 1e-9 - 2e-11 is then a pass of the
+// context's leq_tol at 1e-9.
 //
-// The tail. With every D_j <= T_j, the count above gives
-// dbf(p) <= (U p + c) / (1 - 1e-9) for c = sum C_j (T_j - D_j) / T_j >= 0.
-// For p > cut = (c (1 + s) + rate * floor_delay) / (rate - U (1 + s)),
-// s = kLineSlack, (U p + c)(1 + s) < rate (p - floor_delay) <= Z(p) by the
-// floor every SupplyFunction guarantees, and s = 1e-8 leaves ~9e-9 of
+// The tail. The context charges job k of task j at p only if
+// D_j + k T_j - 1e-9 (k+1) T_j <= p (plus its ulps), i.e. for
+// k + 1 <= (p + T_j - D_j) / (T_j (1 - 1e-9)). With every D_j <= T_j its
+// demand is therefore at most (U p + c) (1 + 1.02e-9) for
+// c = sum C_j (T_j - D_j) / T_j >= 0. For p > cut =
+// (c (1 + s) + rate * floor_delay) / (rate - U (1 + s)), s = kLineSlack,
+// (U p + c)(1 + s) < rate (p - floor_delay) <= Z(p) by the floor every
+// SupplyFunction guarantees, and s = 1e-8 leaves ~9e-9 of
 // rate * (p - floor_delay) beyond the demand, the snap window and every
 // rounding. So every point past cut passes, and U (1 + s) < rate passes the
 // context's U <= rate + 1e-12.
 //
 // Hence a holding certificate means the context test answers "schedulable".
-// A failing one proves nothing: the tested demand is an over-count.
+// A failing one proves nothing: the context may still pass the set.
 EdfCertificate edf_certificate(const rt::TaskSet& ts,
                                const SupplyFunction& supply) {
   EdfCertificate out;
@@ -141,8 +160,8 @@ EdfCertificate edf_certificate(const rt::TaskSet& ts,
   if (points > static_cast<double>(rt::kDefaultDlPointBudget)) return out;
   const double cut = (c * (1.0 + kLineSlack) + rate * supply.floor_delay()) /
                      (rate - u_line);
-  const double limit =
-      std::min(h * (1.0 + 2e-12), cut) / (1.0 - kPointSlack);
+  // deadline_set's bound at horizon H, and the cut-off.
+  const double limit = std::min(h * (1.0 + 1e-12), cut);
   double count = 0.0;
   for (const rt::Task& t : ts) {
     if (t.deadline <= limit) {
@@ -151,16 +170,11 @@ EdfCertificate edf_certificate(const rt::TaskSet& ts,
   }
   if (count > kMaxCertifiedDeadlines) return out;
 
-  const auto passes = [&](double d) {
+  const auto passes = [&](double p) {
     ++out.deadlines;
-    const double hi = d * (1.0 + kPointSlack);
     double demand = 0.0;
-    for (const rt::Task& t : ts) {
-      demand += std::floor((hi + t.period - t.deadline) /
-                           (t.period * (1.0 - kJobSlack))) *
-                t.wcet;
-    }
-    return demand <= supply.value(d * (1.0 - kPointSlack));
+    for (const rt::Task& t : ts) demand += charged_jobs(t, p) * t.wcet;
+    return leq_tol(demand, supply.value(p), kDeadlineTol);
   };
   // First deadlines first: the supply's delay makes them the likeliest to
   // fail, so a set that will not certify is left early.
@@ -168,9 +182,7 @@ EdfCertificate edf_certificate(const rt::TaskSet& ts,
     if (t.deadline <= limit && !passes(t.deadline)) return out;
   }
   for (const rt::Task& t : ts) {
-    for (std::int64_t k = 1;; ++k) {
-      const double d = t.deadline + static_cast<double>(k) * t.period;
-      if (d > limit) break;
+    for (double d = t.deadline + t.period; d <= limit; d += t.period) {
       if (!passes(d)) return out;
     }
   }

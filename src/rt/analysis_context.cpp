@@ -28,10 +28,9 @@ std::vector<DemandEvent> demand_events(const TaskSet& ts, double last) {
     // d = D_i + k*T_i computed by multiplication (not accumulation) so the
     // event grid carries no compounding rounding error.
     for (std::int64_t k = 0;; ++k) {
-      const double d = task.deadline + static_cast<double>(k) * task.period;
-      const double snap = kSnapTol * static_cast<double>(k + 1) * task.period;
-      if (d - snap > last) break;
-      events.push_back({d - snap, task.wcet});
+      const double when = demand_event_time(task, k);
+      if (when > last) break;
+      events.push_back({when, task.wcet});
     }
   }
   std::sort(events.begin(), events.end(),

@@ -2,15 +2,28 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "rt/deadline_bound.hpp"
 #include "rt/sched_points.hpp"
 #include "rt/task_set.hpp"
 
 namespace flexrt::rt {
+
+/// When the demand curve starts charging job k of `task`: its deadline
+/// D + k T, less the snap window 1e-9 (k+1) T within which edf_demand's
+/// floor_ratio already counts the job. edf_demand_curve charges job k at
+/// every point at or after this time; one-shot tests that must count as it
+/// does (hier::edf_certificate) use the same expression.
+inline double demand_event_time(const Task& task, std::int64_t k) noexcept {
+  const double d = task.deadline + static_cast<double>(k) * task.period;
+  const double snap = kRatioSnapTol * static_cast<double>(k + 1) * task.period;
+  return d - snap;
+}
 
 /// Demand of every task at every query point in one event sweep:
 /// out[k] = edf_demand(ts, points[k]) for sorted (ascending) `points`, in

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -128,9 +129,29 @@ TEST(OneShotEdf, AgreesWithTheContextTestOnEveryVerdict) {
         check(ts, LinearSupply(1.0, 0.0), tally, what + " dedicated");
         break;
       case 1:
-      case 2:
         check(ts, LinearSupply(rate, delay), tally, what + " linear");
         break;
+      case 2: {
+        // The largest delay the context passes at this rate, as a G1 design
+        // leaves it, then nudged by a few parts in 1e9 either way: the
+        // verdicts at the edge of the tolerance.
+        const rt::AnalysisContext ctx(ts);
+        double tight = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < ctx.deadline_points().size(); ++i) {
+          tight = std::min(tight, ctx.deadline_points()[i] -
+                                      ctx.edf_demand_at_points()[i] / rate);
+        }
+        constexpr double kNudge[] = {-1e-8, -2e-9, -1e-9, -1e-10, -1e-12, 0.0,
+                                     1e-12, 1e-10, 1e-9,  2e-9,   1e-8};
+        if (ctx.dl_exact() && tight > 0.0) {
+          const double nudge = kNudge[rng.uniform_int(0, std::size(kNudge) - 1)];
+          check(ts, LinearSupply(rate, tight * (1.0 + nudge)), tally,
+                what + " tight linear");
+        } else {
+          check(ts, LinearSupply(rate, delay), tally, what + " linear");
+        }
+        break;
+      }
       default: {
         // A slot of the rate whose delay P - Q is `delay`.
         const double period = delay / (1.0 - rate);
@@ -218,12 +239,16 @@ TEST(OneShotEdf, DeadlinesAtTheCutOff) {
     const LinearSupply supply(rate, 5.0 - (1.0 + s) / rate);
     check(one, supply, tally, "Z(D) = C (1 + " + std::to_string(s) + ")");
   }
-  // Equality at L needs the context's tolerance: not certified, yet
-  // schedulable.
+  // Equality at L, as a G1 design leaves its critical deadline, passes
+  // under the tolerance both tests use.
   const LinearSupply at_l(rate, 5.0 - 1.0 / rate);
-  EXPECT_FALSE(edf_certificate(one, at_l).holds);
-  EXPECT_TRUE(schedulable(rt::TaskSet(one), Scheduler::EDF, at_l));
-  EXPECT_EQ(tally.certified, 2u);
+  EXPECT_TRUE(edf_certificate(one, at_l).holds);
+  EXPECT_EQ(tally.certified, 3u);
+  // A deficit of 0.99e-9 passes only the context's full 1e-9 tolerance:
+  // the certificate leaves it to the context, which says yes.
+  const LinearSupply in_tolerance(rate, 5.0 - (1.0 - 0.99e-9) / rate);
+  EXPECT_FALSE(edf_certificate(one, in_tolerance).holds);
+  EXPECT_TRUE(schedulable(rt::TaskSet(one), Scheduler::EDF, in_tolerance));
 
   // A set with room to spare: certified from the deadlines before L alone.
   rt::TaskSet three;

@@ -23,6 +23,8 @@
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
+#include "fault/fault_model.hpp"
+#include "fault/recovery.hpp"
 #include "gen/taskset_gen.hpp"
 #include "hier/min_quantum.hpp"
 #include "io/task_io.hpp"
@@ -243,6 +245,73 @@ int run(const std::string& out_path, const std::string& argv0) {
          time_ns([&] { return engine.max_feasible_period(kOverhead); })});
   }
 
+  // --- one-shot FS-recovery checks: the fault sweep's per-rate channel test -
+  // The five default fault rates (gaps inf, 1000, 100, 10, 1) under each
+  // system's designed linear FS supply, over the FS channels of 64 seeded
+  // study systems. Legacy is the context-built test the sweep ran before
+  // the certificate (a default-budget rt::AnalysisContext of the channel
+  // and its recovery task); engine is fault::fs_schedulable, whose EDF
+  // certificate settles most checks from a few deadlines. Both must give
+  // every verdict alike before either is timed.
+  {
+    struct Check {
+      rt::TaskSet channel;
+      hier::LinearSupply supply;
+      double gap;
+    };
+    std::vector<Check> checks;
+    Rng sys_rng(0xFA017);
+    for (int drawn = 0; drawn < 64;) {
+      const std::optional<core::ModeTaskSystem> fs_sys =
+          gen::study_system(sys_rng);
+      if (!fs_sys) continue;
+      ++drawn;
+      const analysis::BatchEngine fs_engine(*fs_sys, hier::Scheduler::EDF);
+      core::ModeSchedule designed;
+      try {
+        designed = core::solve_design(fs_engine, {},
+                                      core::DesignGoal::MinOverheadBandwidth)
+                       .schedule;
+      } catch (const InfeasibleError&) {
+        continue;
+      }
+      for (const rt::TaskSet& channel : fs_sys->partitions(rt::Mode::FS)) {
+        if (channel.empty()) continue;
+        for (const double rate : {0.0, 1e-3, 1e-2, 0.1, 1.0}) {
+          checks.push_back({channel, designed.supply(rt::Mode::FS),
+                            fault::recovery_gap({rate, 1.0})});
+        }
+      }
+    }
+    const auto context_built = [](const Check& c) {
+      for (const rt::Task& t : c.channel) {
+        if (t.wcet > c.gap) return false;
+      }
+      rt::TaskSet with_recovery = c.channel;
+      if (const auto rec = fault::recovery_task(c.channel, c.gap)) {
+        with_recovery.add(*rec);
+      }
+      const rt::AnalysisContext ctx(std::move(with_recovery));
+      return hier::schedulable(ctx, hier::Scheduler::EDF, c.supply);
+    };
+    const auto one_shot = [](const Check& c) {
+      return fault::fs_schedulable(c.channel, hier::Scheduler::EDF, c.supply,
+                                   c.gap);
+    };
+    for (const Check& c : checks) {
+      FLEXRT_REQUIRE(context_built(c) == one_shot(c),
+                     "fs_recovery_checks: the two tests disagree");
+    }
+    const auto count = [&](const auto& test) {
+      double yes = 0.0;
+      for (const Check& c : checks) yes += test(c) ? 1.0 : 0.0;
+      return yes;
+    };
+    rows.push_back({"fs_recovery_checks",
+                    time_ns([&] { return count(context_built); }),
+                    time_ns([&] { return count(one_shot); })});
+  }
+
   // --- text: the wire sweep's rows and the paper's task file --------------
   // Legacy is the frozen string-per-field renderer and istringstream/stod
   // parser (bench/legacy_kernels.hpp); the bytes and the parsed system must
@@ -433,6 +502,41 @@ int run(const std::string& out_path, const std::string& argv0) {
     fleet_peak = stats.max_buffered;
     fleet_buffered_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     fleet_streamed_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
+  }
+
+  // --- a generated fault sweep through the fleet path ----------------------
+  // 48 trials of the default fault-sweep request (a nominal design, then
+  // the five default rates' recovery checks and the baselines per entry),
+  // streamed through AnalysisService::run. CI compares it at one thread
+  // and at the default width. Each run builds its engines again (a
+  // one-pass service keeps none); the row is the median of kFleetRounds.
+  std::size_t fault_entries = 0;
+  double fault_streamed_ms = 0.0;
+  {
+    svc::AnalysisService service;
+    core::StudyOptions study;
+    study.trials = 48;
+    service.add_fleet(study, [](std::size_t, Rng& fleet_rng) {
+      return gen::study_system(fleet_rng);
+    });
+    fault_entries = service.size();
+    materialize(service);
+    svc::FaultSweepRequest req;
+    req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
+    (void)service.run(req);  // warm-up
+    std::vector<double> rounds;
+    for (int round = 0; round < kFleetRounds; ++round) {
+      std::size_t ok = 0;
+      const auto t0 = Clock::now();
+      service.run(req, [&](const svc::FaultSweepResult& r) {
+        ok += r.ok() ? 1 : 0;
+      });
+      rounds.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - t0)
+              .count());
+      g_sink = static_cast<double>(ok);
+    }
+    fault_streamed_ms = median(rounds);
   }
 
   // --- journaled fleet execution: the durability tax over the raw stream --
@@ -638,6 +742,9 @@ int run(const std::string& out_path, const std::string& argv0) {
                "\"journal_fsync_ms\": %.2f},\n",
                journal_entries, journal_ms, journal_fsync_ms);
   std::fprintf(out,
+               "  \"fault_fleet\": {\"entries\": %zu, \"streamed_ms\": %.2f},\n",
+               fault_entries, fault_streamed_ms);
+  std::fprintf(out,
                "  \"daemon_roundtrip\": {\"cold_runs\": %zu, "
                "\"cold_process_ms\": %.2f, \"warm_runs\": %zu, "
                "\"warm_request_ms\": %.2f, \"speedup\": %.2f},\n",
@@ -678,6 +785,8 @@ int run(const std::string& out_path, const std::string& argv0) {
       "journal_fleet                %zu entries: journaled %.1f ms, "
       "fsync-per-entry %.1f ms\n",
       journal_entries, journal_ms, journal_fsync_ms);
+  std::printf("fault_fleet                  %zu entries: streamed %.1f ms\n",
+              fault_entries, fault_streamed_ms);
   std::printf(
       "daemon_roundtrip             cold %8.1f ms/solve (exec, %zu runs)   "
       "warm %8.2f ms/solve (resident, %zu runs)   %6.1fx\n",
