@@ -76,7 +76,8 @@ inline constexpr std::size_t kMaxAddLines = std::size_t{1} << 20;
 /// The engines a session's fleet keeps across its commands (the held
 /// engines of svc::AnalysisService): a client that asks its fleet several
 /// questions probes the engines its first command built, up to this many,
-/// and no client keeps more than this plus the cache's ring (~5 KB each).
+/// and no client keeps more (~5 KB each); later builds are freed once
+/// their entry is answered.
 inline constexpr std::size_t kSessionHeldEngines = 512;
 
 /// Strict numeric flag values: the whole token must parse, so typos like

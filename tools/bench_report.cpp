@@ -484,8 +484,8 @@ int run(const std::string& out_path, const std::string& argv0) {
     fleet_entries = service.size();
     materialize(service);
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    // A warm-up run. The engine cache keeps only the last few engines a
-    // fleet built, so both timed paths build each entry's engine again.
+    // A warm-up run. A one-pass service keeps no engine, so both timed
+    // paths build each entry's engine again.
     (void)service.run(req);
     const auto t0 = Clock::now();
     std::vector<svc::MinQuantumResult> buffered;
