@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "gen/taskset_gen.hpp"
@@ -190,6 +193,40 @@ TEST(AnalysisContext, EmptySetHasNoPoints) {
   EXPECT_TRUE(ctx.deadline_points().empty());
   EXPECT_TRUE(ctx.edf_demand_at_points().empty());
   EXPECT_DOUBLE_EQ(hier::min_quantum(ctx, hier::Scheduler::EDF, 1.0), 0.0);
+}
+
+// Each side is built once, by whichever reader comes first; the others
+// wait for it or, once its ready flag is set, read without a lock. Readers
+// that all start at once must see the build of a serial context.
+TEST(AnalysisContext, ConcurrentFirstReadsSeeOneBuild) {
+  const TaskSet ts = sort_deadline_monotonic(random_set(77, 8, 0.7));
+  const AnalysisContext serial(ts);
+  for (int round = 0; round < 20; ++round) {
+    const AnalysisContext shared(ts);
+    constexpr int kReaders = 6;
+    std::latch start(kReaders);
+    std::vector<int> same(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        start.arrive_and_wait();
+        bool ok = shared.deadline_points() == serial.deadline_points() &&
+                  shared.edf_demand_at_points() ==
+                      serial.edf_demand_at_points() &&
+                  shared.dl_exact() == serial.dl_exact();
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+          ok = ok &&
+               shared.scheduling_points(i) == serial.scheduling_points(i) &&
+               shared.fp_point_workloads(i) == serial.fp_point_workloads(i);
+        }
+        same[r] = ok ? 1 : 0;
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    for (int r = 0; r < kReaders; ++r) {
+      EXPECT_EQ(same[r], 1) << "round " << round << " reader " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -95,9 +95,9 @@ double gap(Rng& rng, std::size_t k) {
                                15, 20, 24, 30, 40, 50, 60, 100, 120};
   constexpr double kLong[] = {200, 500, 1000, 2000, 5000, 10000};
   constexpr double kCoprime[] = {7, 11, 13, 49, 77, 91, 121, 143, 169, 343};
-  if (k % 1009 == 0) return 1.0 / rng.log_uniform(1e-4, 1.0);
-  if (k % 211 == 0) return pick(kCoprime);
-  if (k % 23 == 0) return pick(kLong);
+  if (k % 2003 == 0) return 1.0 / rng.log_uniform(1e-4, 1.0);
+  if (k % 401 == 0) return pick(kCoprime);
+  if (k % 47 == 0) return pick(kLong);
   return pick(kShort);
 }
 
