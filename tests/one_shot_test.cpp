@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "rt/analysis_context.hpp"
 #include "rt/deadline_bound.hpp"
@@ -56,9 +55,9 @@ rt::Task task(double c, double t, double d) {
 
 constexpr double kMenu[] = {2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40, 60};
 
-/// D > T has no kind here: rt::validate rejects such a task, so no set
-/// that reaches the certificate has one (DeadlinesBeyondPeriodsNeverReachIt
-/// below). Tight deadlines, D = C, give the largest intercept c.
+/// D > T has no kind here: rt::validate rejects such a task (pinned in
+/// task_test.cpp), so no set that reaches the certificate has one. Tight
+/// deadlines, D = C, give the largest intercept c.
 enum class Deadlines { Implicit, Constrained, Tight };
 
 /// An FS channel of 1-5 tasks from the study's kind of period menu.
@@ -260,13 +259,6 @@ TEST(OneShotEdf, DeadlinesAtTheCutOff) {
   EXPECT_TRUE(cert.holds);
   EXPECT_EQ(cert.deadlines, 2u);  // 4 and 6, of 31 up to H = 60
   check(three, roomy, tally, "roomy");
-}
-
-// D > T cannot be built, so the certificate's D <= T condition only
-// restates the task model.
-TEST(OneShotEdf, DeadlinesBeyondPeriodsNeverReachIt) {
-  EXPECT_THROW((void)rt::make_task("late", 1.0, 4.0, 5.0, rt::Mode::FS),
-               ModelError);
 }
 
 // The point budget: sum(H/T_i + 1) just under, at and over
