@@ -20,8 +20,8 @@
 /// The analysis is static and per-expression: it follows the *syntactic*
 /// capability expression (`mu_`, `s.mu`, `state.mu`), so keep guarded data
 /// and its mutex in the same struct and access both through the same
-/// object expression -- exactly the sharded-cache shape MemoCache and the
-/// engine cache already have.
+/// object expression -- exactly the striped shape the engine cache's
+/// EngineShard already has.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 

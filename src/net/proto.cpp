@@ -12,7 +12,6 @@
 #include "common/text.hpp"
 #include "gen/taskset_gen.hpp"
 #include "io/task_io.hpp"
-#include "svc/memo_cache.hpp"
 #include "svc/rows.hpp"
 #include "svc/study_report.hpp"
 
@@ -690,14 +689,7 @@ int Session::cmd_analysis(const std::string& name,
 }
 
 int Session::cmd_status(const std::vector<std::string>& args) {
-  bool with_memo = false;
-  for (const std::string& a : args) {
-    if (a == "--memo") {
-      with_memo = true;
-    } else {
-      throw ModelError("usage: status [--memo]");
-    }
-  }
+  if (!args.empty()) throw ModelError("usage: status");
   svc::JsonRow row;
   row.field("kind", "status")
       .field("fleet", service_->size())
@@ -709,21 +701,6 @@ int Session::cmd_status(const std::vector<std::string>& args) {
   }
   row.field("threads", par::thread_count())
       .field("max_line", max_line_);
-  if (with_memo) {
-    // Process-wide memo effectiveness (spec in tools/README.md): sessions
-    // own private fleets but share the content-addressed answer cache, so
-    // these counters tell an operator how much daemon traffic
-    // deduplicates. Opt-in: the counters are cumulative across every
-    // session of the process, so a plain `status` stays byte-stable for
-    // the deterministic-transcript contracts (and pre-cache clients).
-    const svc::MemoStats memo = svc::global_memo().stats();
-    row.field("memo_enabled", memo.enabled)
-        .field("memo_hits", memo.hits)
-        .field("memo_misses", memo.misses)
-        .field("memo_evictions", memo.evictions)
-        .field("memo_entries", memo.entries)
-        .field("memo_bytes", memo.bytes);
-  }
   svc::JsonlWriter rows(out_);
   rows.write(row);
   ok_line(0, "fleet=" + std::to_string(service_->size()));

@@ -43,7 +43,7 @@ namespace flexrt::net::proto {
 ///       verify --period P --quanta a,b,c [--exact-supply] [common flags]
 ///       fault-sweep [--rates r1,r2,..] [--min-sep S] [--no-baselines]
 ///                   [--exact-supply] [common flags]
-///       drop | status [--memo] | quit
+///       drop | status | quit
 ///
 ///   server -> client: zero or more JSONL data rows (lines starting with
 ///       '{', byte-identical to the offline subcommand's --jsonl --no-wall

@@ -77,11 +77,11 @@ AnalysisContext::AnalysisContext(TaskSet ts, const DlBoundOptions& dl_opts,
 
 void AnalysisContext::ensure_edf() const {
   if (edf_ready_.load(std::memory_order_acquire)) return;
-  std::call_once(edf_once_, [this] {
-    dl_ = bounded_deadline_set(ts_, dl_opts_);
-    edf_demand_ = edf_demand_curve(ts_, dl_.demand_times());
-    edf_ready_.store(true, std::memory_order_release);
-  });
+  sys::MutexLock lock(build_mu_);
+  if (edf_ready_.load(std::memory_order_relaxed)) return;
+  dl_ = bounded_deadline_set(ts_, dl_opts_);
+  edf_demand_ = edf_demand_curve(ts_, dl_.demand_times());
+  edf_ready_.store(true, std::memory_order_release);
 }
 
 namespace {
@@ -163,28 +163,28 @@ class FpWorkloadSums {
 
 void AnalysisContext::ensure_fp() const {
   if (fp_ready_.load(std::memory_order_acquire)) return;
-  std::call_once(fp_once_, [this] {
-    sched_points_.resize(ts_.size());
-    fp_workloads_.resize(ts_.size());
-    FpWorkloadSums sums(ts_.size());
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
-      sched_points_[i] = bounded_scheduling_points(ts_, i, fp_opts_);
-      fp_exact_ = fp_exact_ && sched_points_[i].exact;
-      // Workloads live on the workload side of each bucket (its end); when
-      // exact the ends are the points themselves. Condensed tasks use the
-      // hyperplane overbound -- their points are already conservative, and
-      // it keeps the whole cache build near-linear at stress scale.
-      const std::vector<double>& at = sched_points_[i].workload_times();
-      fp_workloads_[i].reserve(at.size());
-      for (const double t : at) {
-        fp_workloads_[i].push_back(sched_points_[i].exact
-                                       ? sums.exact(ts_[i].wcet, t)
-                                       : sums.overbound(ts_[i].wcet, t));
-      }
-      sums.add(ts_[i]);
+  sys::MutexLock lock(build_mu_);
+  if (fp_ready_.load(std::memory_order_relaxed)) return;
+  sched_points_.resize(ts_.size());
+  fp_workloads_.resize(ts_.size());
+  FpWorkloadSums sums(ts_.size());
+  for (std::size_t i = 0; i < ts_.size(); ++i) {
+    sched_points_[i] = bounded_scheduling_points(ts_, i, fp_opts_);
+    fp_exact_ = fp_exact_ && sched_points_[i].exact;
+    // Workloads live on the workload side of each bucket (its end); when
+    // exact the ends are the points themselves. Condensed tasks use the
+    // hyperplane overbound -- their points are already conservative, and
+    // it keeps the whole cache build near-linear at stress scale.
+    const std::vector<double>& at = sched_points_[i].workload_times();
+    fp_workloads_[i].reserve(at.size());
+    for (const double t : at) {
+      fp_workloads_[i].push_back(sched_points_[i].exact
+                                     ? sums.exact(ts_[i].wcet, t)
+                                     : sums.overbound(ts_[i].wcet, t));
     }
-    fp_ready_.store(true, std::memory_order_release);
-  });
+    sums.add(ts_[i]);
+  }
+  fp_ready_.store(true, std::memory_order_release);
 }
 
 const std::vector<double>& AnalysisContext::deadline_points() const {

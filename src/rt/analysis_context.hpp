@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
+#include "common/annotations.hpp"
 #include "common/math_util.hpp"
 #include "rt/deadline_bound.hpp"
 #include "rt/sched_points.hpp"
@@ -156,14 +156,16 @@ class AnalysisContext {
   FpPointOptions fp_opts_;
   double utilization_ = 0.0;
 
-  /// Set, with release order, once the side's state below is built.
+  /// Set, with release order, once the side's state below is built. The
+  /// first reader to miss a flag builds that side under build_mu_, which
+  /// guards both sides: unlike std::call_once, an uncontended lock and
+  /// unlock make no system call.
+  mutable sys::Mutex build_mu_;
   mutable std::atomic<bool> edf_ready_{false};
-  mutable std::once_flag edf_once_;
   mutable BoundedDeadlineSet dl_;
   mutable std::vector<double> edf_demand_;
 
   mutable std::atomic<bool> fp_ready_{false};
-  mutable std::once_flag fp_once_;
   mutable std::vector<BoundedSchedPoints> sched_points_;
   mutable std::vector<std::vector<double>> fp_workloads_;
   mutable bool fp_exact_ = true;

@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "fault/recovery.hpp"
-#include "svc/memo_cache.hpp"
 
 namespace flexrt::svc {
 namespace {
@@ -125,79 +124,6 @@ double array_move(const std::array<double, 3>& a, const std::array<double, 3>& b
   return m;
 }
 
-// --- memo keys ------------------------------------------------------------
-//
-// The request half of the memo key: every parameter hashes its raw bits,
-// so a key matches only a bit-identical request. Every request type leads
-// with a distinct tag, so identical parameter lists of different kinds
-// cannot alias. The deadline is absent by construction: deadline-active
-// requests bypass the memo entirely (degraded answers are
-// wall-clock-dependent and must never be replayed as definitive).
-
-void hash_policy(rt::HashStream& h, const AccuracyPolicy& pol,
-                 hier::Scheduler alg) {
-  h.u64(static_cast<std::uint64_t>(alg))
-      .boolean(pol.is_adaptive)
-      .u64(resolve_budget(pol.initial_points, alg))
-      .f64(pol.tol)
-      .u64(pol.max_points);
-}
-
-void hash_search(rt::HashStream& h, const core::SearchOptions& s) {
-  h.f64(s.p_min).f64(s.p_max).f64(s.grid_step).f64(s.tolerance).boolean(
-      s.use_exact_supply);
-}
-
-void hash_overheads(rt::HashStream& h, const core::Overheads& o) {
-  h.f64(o.ft).f64(o.fs).f64(o.nf);
-}
-
-void hash_schedule(rt::HashStream& h, const core::ModeSchedule& s) {
-  h.f64(s.period);
-  for (const core::Slot* slot : {&s.ft, &s.fs, &s.nf}) {
-    h.f64(slot->usable).f64(slot->overhead);
-  }
-}
-
-void hash_request(rt::HashStream& h, const SolveRequest& r) {
-  h.u64(1);
-  hash_policy(h, r.accuracy, r.alg);
-  hash_overheads(h, r.overheads);
-  h.u64(static_cast<std::uint64_t>(r.goal));
-  hash_search(h, r.search);
-}
-
-void hash_request(rt::HashStream& h, const MinQuantumRequest& r) {
-  h.u64(2);
-  hash_policy(h, r.accuracy, r.alg);
-  h.f64(r.period).boolean(r.use_exact_supply);
-}
-
-void hash_request(rt::HashStream& h, const RegionSweepRequest& r) {
-  h.u64(3);
-  hash_policy(h, r.accuracy, r.alg);
-  hash_search(h, r.search);
-}
-
-void hash_request(rt::HashStream& h, const VerifyRequest& r) {
-  h.u64(5);
-  hash_policy(h, r.accuracy, r.alg);
-  hash_schedule(h, r.schedule);
-  h.boolean(r.use_exact_supply);
-}
-
-void hash_request(rt::HashStream& h, const FaultSweepRequest& r) {
-  h.u64(6);
-  hash_policy(h, r.accuracy, r.alg);
-  h.u64(r.rates.size());
-  for (const double rate : r.rates) h.f64(rate);
-  h.f64(r.min_separation);
-  hash_overheads(h, r.overheads);
-  h.u64(static_cast<std::uint64_t>(r.goal));
-  hash_search(h, r.search);
-  h.boolean(r.use_exact_supply).boolean(r.with_baselines);
-}
-
 }  // namespace
 
 std::size_t AnalysisService::add_system(core::ModeTaskSystem sys,
@@ -206,7 +132,6 @@ std::size_t AnalysisService::add_system(core::ModeTaskSystem sys,
   e.name = name.empty() ? "system" + std::to_string(entries_.size())
                         : std::move(name);
   e.system = std::move(sys);
-  e.key = system_key(*e.system);
   entries_.push_back(std::move(e));
   return entries_.size() - 1;
 }
@@ -240,11 +165,7 @@ const AnalysisService::Entry& AnalysisService::entry(std::size_t i) const {
     try {
       Rng rng = core::trial_rng(e.recipe->base_seed, e.trial);
       e.system = e.recipe->make(e.trial, rng);
-      if (!e.system) {
-        e.error = "packing failed";
-      } else {
-        e.key = system_key(*e.system);
-      }
+      if (!e.system) e.error = "packing failed";
     } catch (...) {
       e.failed = std::current_exception();
     }
@@ -338,52 +259,6 @@ Result AnalysisService::run_entry(std::size_t i, Body&& body) const {
   return out;
 }
 
-template <typename Result, typename Request, typename Body>
-Result AnalysisService::memoized(std::size_t i, const Request& req,
-                                 Body&& body) const {
-  const Entry& e = entry(i);
-  MemoCache& memo = global_memo();
-  // The memo stays out of the way whenever replaying could change
-  // semantics: answer-less entries (error rows carry entry context),
-  // injection hooks (hardening tests count ladder rounds), and
-  // deadline-active requests (wall-clock-dependent, possibly degraded).
-  const bool use_memo = e.system.has_value() && memo.enabled() &&
-                        !probe_hook_ && !req.accuracy.deadline.active();
-  rt::Hash128 key{};
-  if (use_memo) {
-    rt::HashStream h;
-    h.u64(e.key.hi).u64(e.key.lo);
-    hash_request(h, req);
-    key = h.digest();
-    const par::StopWatch clock;
-    if (std::optional<MemoPayload> hit = memo.lookup(key)) {
-      if (Result* payload = std::get_if<Result>(&*hit)) {
-        // The stored answer verbatim: the key matched bit-identical
-        // inputs, so this is exactly what recomputation would return.
-        Result out = std::move(*payload);
-        out.system = i;
-        out.name = e.name;
-        out.trial = e.trial;
-        out.prov.cache_hit = true;
-        out.prov.wall_ms = clock.elapsed_ms();
-        return out;
-      }
-      // A different result type under this key would be a tag collision;
-      // treat it as a miss and recompute (never replay a wrong shape).
-    }
-  }
-  Result out = run_entry<Result>(i, std::forward<Body>(body));
-  if (use_memo && out.ok() && !out.prov.degraded) {
-    Result stored = out;
-    stored.system = 0;      // identity belongs to the asking entry
-    stored.name.clear();
-    stored.trial = kNoTrial;
-    stored.prov.wall_ms = 0.0;  // transport, not answer
-    memo.insert(key, std::move(stored));
-  }
-  return out;
-}
-
 template <typename Request>
 std::optional<core::Design> AnalysisService::design_ladder(
     std::size_t i, const Request& req, std::string& infeasible,
@@ -414,7 +289,7 @@ std::optional<core::Design> AnalysisService::design_ladder(
 
 SolveResult AnalysisService::solve_one(std::size_t i,
                                        const SolveRequest& req) const {
-  return memoized<SolveResult>(i, req, [&](SolveResult& out) {
+  return run_entry<SolveResult>(i, [&](SolveResult& out) {
     std::optional<core::Design> design =
         design_ladder(i, req, out.infeasible, out.prov);
     out.feasible = design.has_value();
@@ -424,7 +299,7 @@ SolveResult AnalysisService::solve_one(std::size_t i,
 
 MinQuantumResult AnalysisService::min_quantum_one(
     std::size_t i, const MinQuantumRequest& req) const {
-  return memoized<MinQuantumResult>(i, req, [&](MinQuantumResult& out) {
+  return run_entry<MinQuantumResult>(i, [&](MinQuantumResult& out) {
     const auto engine_at = [&](std::size_t budget) {
       return engine_ptr(i, req.alg, budget);
     };
@@ -446,7 +321,7 @@ MinQuantumResult AnalysisService::min_quantum_one(
 
 RegionSweepResult AnalysisService::region_sweep_one(
     std::size_t i, const RegionSweepRequest& req) const {
-  return memoized<RegionSweepResult>(i, req, [&](RegionSweepResult& out) {
+  return run_entry<RegionSweepResult>(i, [&](RegionSweepResult& out) {
     const auto engine_at = [&](std::size_t budget) {
       return engine_ptr(i, req.alg, budget);
     };
@@ -470,7 +345,7 @@ RegionSweepResult AnalysisService::region_sweep_one(
 
 VerifyResult AnalysisService::verify_one(std::size_t i,
                                          const VerifyRequest& req) const {
-  return memoized<VerifyResult>(i, req, [&](VerifyResult& out) {
+  return run_entry<VerifyResult>(i, [&](VerifyResult& out) {
     // A condensed "schedulable" is already safe and definitive, so adaptive
     // accuracy only escalates a condensed "no"; two verdicts never compare.
     out.schedulable = run_ladder<bool>(
@@ -487,7 +362,7 @@ VerifyResult AnalysisService::verify_one(std::size_t i,
 
 FaultSweepResult AnalysisService::fault_sweep_one(
     std::size_t i, const FaultSweepRequest& req) const {
-  return memoized<FaultSweepResult>(i, req, [&](FaultSweepResult& out) {
+  return run_entry<FaultSweepResult>(i, [&](FaultSweepResult& out) {
     // Phase 1: the nominal design, exactly solve_one's ladder (the request's
     // accuracy/deadline policy governs this phase; the per-rate checks below
     // run on fixed bounded contexts and need no ladder).

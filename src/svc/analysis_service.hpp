@@ -25,7 +25,6 @@
 #include "fault/fault_model.hpp"
 #include "hier/sched_test.hpp"
 #include "rt/deadline_bound.hpp"
-#include "rt/hash.hpp"
 
 namespace flexrt::svc {
 
@@ -58,10 +57,12 @@ namespace flexrt::svc {
 ///
 /// BatchEngine is the per-system probe engine underneath, and the front
 /// for one system; the service is the front for a fleet. It adds the
-/// fleet, the accuracy ladder, the process-wide answer memo
-/// (svc::MemoCache) and an engine cache keyed by (entry, scheduler,
-/// budget). A question no request covers (sensitivity margins,
-/// max_admissible_overhead, ...) goes to the cached engine, engine_ptr().
+/// fleet, the accuracy ladder and an engine cache keyed by (entry,
+/// scheduler, budget). Every request computes its answer: nothing is
+/// remembered across requests but the engines below, so a service's
+/// memory is its fleet and its held engines. A question no request covers
+/// (sensitivity margins, max_admissible_overhead, ...) goes to the cached
+/// engine, engine_ptr().
 ///
 /// The engine cache serves a service that asks its fleet more than one
 /// question. One built with held engines -- a daemon session, whose
@@ -173,15 +174,8 @@ struct Provenance {
   /// bounds its distance to the exact answer. Never set by fixed policies
   /// or by ladders that finished on their own.
   bool degraded = false;
-  /// True when this answer came from the process-wide content-addressed
-  /// memo (svc::MemoCache) instead of running the accuracy ladder: a
-  /// bit-identical system was already asked this bit-identical request
-  /// somewhere in the process. Rendered only when true, and only next to
-  /// wall_ms: like wall_ms it describes this run's transport, not the
-  /// answer, and every wall-free byte-identity contract (streamed ==
-  /// buffered, journal resume, wire == offline, warm repeat == cold run)
-  /// requires rows to read the same whether the answer was computed or
-  /// replayed.
+  /// Always false: nothing sets it and no row renders it. It stays only
+  /// because perfbench/src/trace.cpp reads it; ROADMAP 5B deletes it.
   bool cache_hit = false;
   /// Wall time of this entry's request, milliseconds.
   double wall_ms = 0.0;
@@ -426,8 +420,8 @@ class AnalysisService {
     return out;
   }
 
-  // Single-entry execution: one fleet entry, memo-aware, on the calling
-  // thread (what run(), journaled runs and per-entry reports drive).
+  // Single-entry execution: one fleet entry, on the calling thread (what
+  // run(), journaled runs and per-entry reports drive).
   SolveResult solve_one(std::size_t i, const SolveRequest& req) const;
   MinQuantumResult min_quantum_one(std::size_t i,
                                    const MinQuantumRequest& req) const;
@@ -507,7 +501,6 @@ class AnalysisService {
     std::unique_ptr<std::once_flag> generated;
     mutable std::optional<core::ModeTaskSystem> system;
     mutable std::string error;  ///< why `system` is absent
-    mutable rt::Hash128 key{};  ///< system_key(*system); empty when absent
     mutable std::exception_ptr failed;  ///< what `make` threw, if it did
   };
 
@@ -534,15 +527,11 @@ class AnalysisService {
                           kEngineShards];
   }
 
+  /// Runs `body` on entry i's result, which carries the entry's identity;
+  /// an answer-less entry or a throw becomes the result's error. Defined
+  /// in the .cpp (all instantiations live there).
   template <typename Result, typename Body>
   Result run_entry(std::size_t i, Body&& body) const;
-
-  /// Memo-aware wrapper of run_entry: consult the process-wide answer
-  /// cache under the exact (system, request) key, fall back to `body`
-  /// on a miss, and publish cacheable answers. Defined in the .cpp (all
-  /// instantiations live there).
-  template <typename Result, typename Request, typename Body>
-  Result memoized(std::size_t i, const Request& req, Body&& body) const;
 
   /// core::solve_design on the accuracy ladder, rungs compared by period:
   /// solve_one's design and fault_sweep_one's nominal one. nullopt means

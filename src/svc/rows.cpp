@@ -50,11 +50,11 @@ JsonRow sweep_summary_row(const RegionSweepResult& r, hier::Scheduler alg,
   row.field("kind", "sweep")
       .field("name", r.name)
       .field("alg", hier::to_string(alg));
-  if (r.ok()) {
-    row.field("samples", r.samples.size());
-  } else {
-    row.field("error", r.error);
+  if (!r.ok()) {
+    row.field("error", r.error);  // no answer, so no provenance
+    return row;
   }
+  row.field("samples", r.samples.size());
   provenance_fields(row, r.prov, with_wall);
   return row;
 }
@@ -125,14 +125,14 @@ JsonRow fault_sweep_summary_row(const FaultSweepResult& r,
   if (r.trial != kNoTrial) row.field("trial", r.trial);
   row.field("alg", hier::to_string(alg));
   if (!r.ok()) {
-    row.field("error", r.error);
+    row.field("error", r.error);  // no answer, so no provenance
+    return row;
+  }
+  row.field("feasible", r.feasible);
+  if (r.feasible) {
+    row.field("period", r.schedule.period).field("points", r.points.size());
   } else {
-    row.field("feasible", r.feasible);
-    if (r.feasible) {
-      row.field("period", r.schedule.period).field("points", r.points.size());
-    } else {
-      row.field("infeasible", r.infeasible);
-    }
+    row.field("infeasible", r.infeasible);
   }
   provenance_fields(row, r.prov, /*with_wall=*/false);
   return row;

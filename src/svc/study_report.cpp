@@ -20,14 +20,7 @@ void provenance_fields(JsonRow& row, const Provenance& p, bool with_wall) {
     row.null_field("gap");
   }
   row.field("degraded", p.degraded);
-  // Transport provenance: like wall_ms, cache_hit describes this run, not
-  // the answer, so it renders only in wall-ful rows -- wall-free rows
-  // (stream/journal/wire/warm-repeat byte-identity contracts) must read
-  // the same whether the answer was computed or replayed from the memo.
-  if (with_wall) {
-    if (p.cache_hit) row.field("cache_hit", true);
-    row.field("wall_ms", p.wall_ms);
-  }
+  if (with_wall) row.field("wall_ms", p.wall_ms);
 }
 
 std::string study_trial_row(const SolveResult& r, hier::Scheduler alg,

@@ -21,7 +21,6 @@
 #include "net/proto.hpp"
 #include "svc/analysis_service.hpp"
 #include "svc/jsonl.hpp"
-#include "svc/memo_cache.hpp"
 #include "svc/rows.hpp"
 #include "svc/study_report.hpp"
 
@@ -95,6 +94,16 @@ std::vector<WireStatus> statuses(const std::string& bytes) {
     if (const auto st = parse_status_line(line)) out.push_back(*st);
   }
   return out;
+}
+
+/// True when `row`'s last field is its error: no provenance follows it.
+bool ends_at_error(const std::string& row) {
+  const std::optional<std::string> error =
+      svc::json_string_field(row, "error");
+  if (!error) return false;
+  std::string tail = svc::JsonRow().field("error", *error).str();
+  tail.front() = ',';  // {"error":...} -> ,"error":...}
+  return row.ends_with(tail);
 }
 
 void add_paper_system(svc::AnalysisService& service,
@@ -344,22 +353,30 @@ TEST(NetProto, FailedSweepEntryIsAnErrorRowWithRcOne) {
   const svc::RegionSweepResult r = service.region_sweep_one(
       0, {Scheduler::EDF, search, svc::AccuracyPolicy::fixed(0)});
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(data_rows(got.bytes),
-            svc::sweep_summary_row(r, Scheduler::EDF, /*with_wall=*/false)
-                    .str() +
-                "\n");
+  const std::string row =
+      svc::sweep_summary_row(r, Scheduler::EDF, /*with_wall=*/false).str();
+  EXPECT_EQ(data_rows(got.bytes), row + "\n");
+  EXPECT_TRUE(ends_at_error(row)) << row;
   EXPECT_NE(got.bytes.find("}\nok rc=1\n"), std::string::npos) << got.bytes;
 }
 
-// solve, minq and verify treat a failed entry as sweep does: its error row,
-// the rest of the fleet, rc 1. Trial 28 of seed 5 does not pack.
+// solve, minq, verify and fault-sweep treat a failed entry as sweep does:
+// its error row, the rest of the fleet, rc 1. Trial 28 of seed 5 does not
+// pack. fault-sweep's entry row is its fault_sweep summary, after the
+// entry's fault_point rows.
 TEST(NetProto, FailedSolveMinqVerifyEntriesAreErrorRowsAndTheFleetFinishes) {
-  for (const char* cmd : {"solve", "minq --period 1.5",
-                          "verify --period 1.5 --quanta 0.3,0.3,0.6"}) {
+  for (const char* cmd :
+       {"solve", "minq --period 1.5", "verify --period 1.5 --quanta 0.3,0.3,0.6",
+        "fault-sweep --rates 0,0.01"}) {
     const SessionOutput got = run_script(
         std::string("gen-fleet --trials 30 --seed 5\n") + cmd + "\nquit\n");
     EXPECT_EQ(got.rc, 1) << cmd;
-    const std::vector<std::string> rows = lines_of(data_rows(got.bytes));
+    std::vector<std::string> rows;
+    for (std::string& row : lines_of(data_rows(got.bytes))) {
+      if (svc::json_string_field(row, "kind") != "fault_point") {
+        rows.push_back(std::move(row));
+      }
+    }
     ASSERT_EQ(rows.size(), 30u) << cmd << ": " << got.bytes;
     for (std::size_t t = 0; t < rows.size(); ++t) {
       EXPECT_EQ(svc::json_string_field(rows[t], "name").value_or(""),
@@ -418,48 +435,27 @@ TEST(NetProto, StatusAndDropManageTheFleet) {
             std::string::npos);
 }
 
-TEST(NetProto, StatusMemoRendersTheCacheCounters) {
-  // Plain status stays byte-stable (no memo fields: the counters are
-  // process-wide and would differ between otherwise identical sessions);
-  // status --memo opts into the six memo_* fields.
-  const SessionOutput plain = run_script("status\nquit\n");
-  EXPECT_EQ(plain.rc, 0);
-  EXPECT_EQ(data_rows(plain.bytes).find("memo_"), std::string::npos);
-
-  const SessionOutput memo = run_script("status --memo\nquit\n");
-  EXPECT_EQ(memo.rc, 0);
-  const std::string rows = data_rows(memo.bytes);
-  for (const char* field :
-       {"\"memo_enabled\":", "\"memo_hits\":", "\"memo_misses\":",
-        "\"memo_evictions\":", "\"memo_entries\":", "\"memo_bytes\":"}) {
-    EXPECT_NE(rows.find(field), std::string::npos) << field;
-  }
-}
-
-TEST(NetProto, StatusMemoCountsASolveAndItsRepeat) {
-  svc::global_memo().set_enabled(true);
-  svc::global_memo().clear();
-  // Two identical solves in one session: the second is a memo hit, and
-  // status --memo shows at least one hit and one insertion's worth of
-  // bytes. (Counters are >=, not ==: the memo is process-wide.)
+// There is no answer memo to report on: plain status carries no memo
+// field, `status --memo` is an error line, and the session goes on.
+TEST(NetProto, StatusMemoIsAnErrorAndTheSessionGoesOn) {
   const SessionOutput got = run_script(add_block("s") +
-                                       "solve\nsolve\nstatus --memo\nquit\n");
-  EXPECT_EQ(got.rc, 0);
+                                       "status --memo\nstatus\nquit\n");
+  const std::vector<WireStatus> st = statuses(got.bytes);
+  ASSERT_EQ(st.size(), 4u) << got.bytes;  // add, the two statuses, quit
+  EXPECT_FALSE(st[0].failed);
+  EXPECT_TRUE(st[1].failed);
+  EXPECT_NE(st[1].message.find("status"), std::string::npos) << st[1].message;
+  EXPECT_FALSE(st[2].failed);
+  EXPECT_FALSE(st[3].failed);
   const std::string rows = data_rows(got.bytes);
-  EXPECT_NE(rows.find("\"memo_enabled\":true"), std::string::npos);
-  EXPECT_EQ(rows.find("\"memo_hits\":0,"), std::string::npos)
-      << "the repeated solve must have hit";
-  EXPECT_EQ(rows.find("\"memo_bytes\":0}"), std::string::npos);
-  svc::global_memo().clear();
+  EXPECT_NE(rows.find("\"fleet\":1"), std::string::npos) << rows;
+  EXPECT_EQ(rows.find("memo"), std::string::npos) << rows;
 }
 
-// One daemon, two sessions: session A verifies the solved Table 2(b)
-// design, session B a schedule whose q_FS is less than 1e-9 short of it.
-// B's question is not A's, so B must get the cold verdict (unschedulable),
-// not A's answer from the process-wide memo.
+// Two sessions: session A verifies the solved Table 2(b) design, session B
+// a schedule whose q_FS is less than 1e-9 short of it. B's question is not
+// A's, so B gets its own verdict (unschedulable), not A's.
 TEST(NetProto, NearMissVerifyInASecondSessionGetsTheColdVerdict) {
-  svc::global_memo().set_enabled(true);
-  svc::global_memo().clear();
   const double o = 0.05 / 3;
   const core::Design d = core::solve_design(
       analysis::BatchEngine(
@@ -484,7 +480,6 @@ TEST(NetProto, NearMissVerifyInASecondSessionGetsTheColdVerdict) {
   EXPECT_NE(data_rows(b.bytes).find("\"schedulable\":false"),
             std::string::npos);
   EXPECT_NE(b.bytes.find("ok rc=1\n"), std::string::npos);
-  svc::global_memo().clear();
 }
 
 TEST(NetProto, StatusRejectsUnknownFlags) {

@@ -20,25 +20,11 @@
 #include "gen/taskset_gen.hpp"
 #include "net/proto.hpp"
 #include "svc/jsonl.hpp"
-#include "svc/memo_cache.hpp"
 
 namespace flexrt::svc {
 namespace {
 
 using hier::Scheduler;
-
-/// Turns the process-wide answer memo off for one test, so that every
-/// request reaches the engine cache.
-class MemoOff {
- public:
-  MemoOff() : was_(global_memo().enabled()) { global_memo().set_enabled(false); }
-  ~MemoOff() { global_memo().set_enabled(was_); }
-  MemoOff(const MemoOff&) = delete;
-  MemoOff& operator=(const MemoOff&) = delete;
-
- private:
-  bool was_;
-};
 
 class ServiceOnPaperExample : public ::testing::Test {
  protected:
@@ -470,7 +456,6 @@ TEST(ServiceFleet, GeneratorExceptionFailsTheRun) {
 // at the design -- asks a session's held engine every question: one build,
 // none dropped.
 TEST_F(ServiceOnPaperExample, DesignerLoopBuildsOneEngine) {
-  const MemoOff memo_off;
   const SolveResult solved = session_.solve_one(
       0, {Scheduler::EDF, {0.05, 0.05, 0.05}, {}, {}, {}});
   ASSERT_TRUE(solved.ok() && solved.feasible) << solved.error;
@@ -492,7 +477,6 @@ TEST_F(ServiceOnPaperExample, DesignerLoopBuildsOneEngine) {
 // engine_cache_bounded_at_1_and_4_threads runs this case at FLEXRT_THREADS
 // 1 and 4.
 TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
-  const MemoOff memo_off;
   core::StudyOptions study;
   study.trials = 2000;
   study.base_seed = 0xCAC4E;
@@ -518,7 +502,6 @@ TEST(ServiceFleet, EngineCacheStaysBoundedOverALongFleet) {
 // requests over one fleet (two overhead levels here) builds each entry's
 // engine once, where a one-pass service builds it for every request.
 TEST(ServiceFleet, HeldEnginesServeAMenuOverOneFleet) {
-  const MemoOff memo_off;
   core::StudyOptions study;
   study.trials = 96;
   study.base_seed = 0x4E1D;
@@ -555,7 +538,6 @@ TEST(ServiceFleet, HeldEnginesServeAMenuOverOneFleet) {
 
 // The held engines are bounded too: builds past them are not kept.
 TEST(ServiceFleet, HeldEnginesAreBounded) {
-  const MemoOff memo_off;
   core::StudyOptions study;
   study.trials = 200;
   study.base_seed = 0xB0DE;

@@ -40,8 +40,6 @@
 #include "svc/analysis_service.hpp"
 #include "svc/journal.hpp"
 #include "svc/jsonl.hpp"
-#include "svc/memo_cache.hpp"
-#include "svc/rows.hpp"
 
 #include <unistd.h>
 
@@ -127,11 +125,6 @@ std::string daemon_socket_path(const std::string& out_path) {
 }
 
 int run(const std::string& out_path, const std::string& argv0) {
-  // Every row below except memo_hit measures compute, not lookups; the
-  // process-wide answer memo would turn their repeat runs into cache hits
-  // and time the wrong thing. The memo_hit block re-enables it.
-  svc::global_memo().set_enabled(false);
-
   const core::ModeTaskSystem& sys = core::paper_example();
   const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   const core::ModeSchedule schedule =
@@ -666,65 +659,6 @@ int run(const std::string& out_path, const std::string& argv0) {
     fs::remove_file(task_path);
   }
 
-  // --- content-addressed answer memo: cold fleet vs a warm repeat --------
-  // Cold = first full 256-entry run (analyses execute and their answers are
-  // stored under the exact (system, request) key). Warm = the identical
-  // request repeated: every entry's inputs are bit-identical, so it resolves
-  // by memo lookup instead of an adaptive ladder. Both are sub-millisecond
-  // fleet loops, so each is the median of kFleetRounds rounds, every round
-  // from a cleared memo. The wall-free
-  // JSONL renderings of both runs must be byte-identical in every round
-  // (cache_hit only ever renders next to wall_ms), which is what
-  // bytes_identical certifies.
-  std::size_t memo_entries = 0;
-  double memo_cold_ms = 0.0, memo_warm_ms = 0.0;
-  std::size_t memo_hits = 0;
-  bool memo_bytes_identical = true;
-  {
-    svc::global_memo().set_enabled(true);
-    core::StudyOptions study;
-    study.trials = 256;
-    // An adaptive ladder is the realistic cold cost (several budget
-    // rungs per entry); the warm lookup is the same either way.
-    const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false,
-                                     svc::AccuracyPolicy::adaptive(1e-6)};
-    const auto render = [&](const std::vector<svc::MinQuantumResult>& rs) {
-      std::string text;
-      for (const svc::MinQuantumResult& r : rs) {
-        text += svc::min_quantum_row(r, req.alg, req.period, false).str();
-        text += '\n';
-      }
-      return text;
-    };
-    std::vector<double> cold_rounds, warm_rounds;
-    for (int round = 0; round < kFleetRounds; ++round) {
-      // A fresh service per round: cold includes the engine builds.
-      svc::AnalysisService service;
-      service.add_fleet(study, [](std::size_t, Rng& fleet_rng) {
-        return gen::study_system(fleet_rng);
-      });
-      memo_entries = service.size();
-      materialize(service);
-      svc::global_memo().clear();
-      const auto t0 = Clock::now();
-      const auto cold = service.run(req);
-      const auto t1 = Clock::now();
-      const auto warm = service.run(req);
-      const auto t2 = Clock::now();
-      cold_rounds.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      warm_rounds.push_back(
-          std::chrono::duration<double, std::milli>(t2 - t1).count());
-      memo_hits = static_cast<std::size_t>(svc::global_memo().stats().hits);
-      memo_bytes_identical =
-          memo_bytes_identical && render(cold) == render(warm);
-    }
-    memo_cold_ms = median(cold_rounds);
-    memo_warm_ms = median(warm_rounds);
-    svc::global_memo().set_enabled(false);
-    svc::global_memo().clear();
-  }
-
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -750,13 +684,6 @@ int run(const std::string& out_path, const std::string& argv0) {
                "\"warm_request_ms\": %.2f, \"speedup\": %.2f},\n",
                cold_runs, cold_ms, warm_runs, warm_ms,
                warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
-  std::fprintf(out,
-               "  \"memo_hit\": {\"entries\": %zu, \"cold_ms\": %.2f, "
-               "\"warm_ms\": %.2f, \"speedup\": %.2f, \"hits\": %zu, "
-               "\"bytes_identical\": %s},\n",
-               memo_entries, memo_cold_ms, memo_warm_ms,
-               memo_warm_ms > 0.0 ? memo_cold_ms / memo_warm_ms : 0.0,
-               memo_hits, memo_bytes_identical ? "true" : "false");
   std::fprintf(out, "  \"threads\": %zu,\n  \"kernels\": [\n",
                par::thread_count());
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -792,12 +719,6 @@ int run(const std::string& out_path, const std::string& argv0) {
       "warm %8.2f ms/solve (resident, %zu runs)   %6.1fx\n",
       cold_ms, cold_runs, warm_ms, warm_runs,
       warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
-  std::printf(
-      "memo_hit                     %zu entries: cold %8.1f ms   warm "
-      "%8.2f ms   %6.1fx   (%zu hits, wall-free rows %s)\n",
-      memo_entries, memo_cold_ms, memo_warm_ms,
-      memo_warm_ms > 0.0 ? memo_cold_ms / memo_warm_ms : 0.0, memo_hits,
-      memo_bytes_identical ? "byte-identical" : "DIFFER");
   std::printf("report written to %s\n", out_path.c_str());
   return 0;
 }

@@ -41,7 +41,8 @@
 // byte-reproducible and byte-comparable to `remote` output, which is
 // always wall-free). solve's report flags print into the human report and
 // are rejected with --jsonl. A malformed or misplaced flag prints
-// "error: <message naming the flag>" and exits 2.
+// "error: <message naming the flag>" and exits 2. --no-memo is accepted at
+// any position and changes nothing: there is no answer memo.
 //
 // remote: run a subcommand on a flexrtd daemon (tools/flexrtd.cpp) instead
 // of in-process -- task files are uploaded with the wire `add` command,
@@ -81,6 +82,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -97,7 +99,6 @@
 #include "svc/analysis_service.hpp"
 #include "svc/journal.hpp"
 #include "svc/jsonl.hpp"
-#include "svc/memo_cache.hpp"
 #include "svc/study_report.hpp"
 
 using namespace flexrt;
@@ -139,12 +140,8 @@ void usage_text(std::ostream& os) {
          "        --jsonl  --csv  --stream (flush each JSONL row)\n"
          "        --no-wall      omit wall_ms from JSONL rows (deterministic,\n"
          "        byte-comparable reports)\n"
-         "        --no-memo      disable the process-wide answer memo (every\n"
-         "        entry recomputes; repeats stop being lookups)\n"
-         "        --memo-bytes N cap the answer memo at N bytes (default\n"
-         "        "
-      << (svc::MemoCache::kDefaultCapacityBytes >> 20)
-      << " MiB; least-recently-used entries evict)\n"
+         "        --no-memo      accepted anywhere and ignored: every entry\n"
+         "        already computes its answer\n"
          "journal (study, sweep, fault-sweep; implies --jsonl):\n"
          "        --output FILE  crash-safe journaled run: rows append to\n"
          "                       FILE.partial, FILE appears by atomic rename\n"
@@ -651,24 +648,12 @@ int cmd_remote(const std::vector<std::string>& rest) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   try {
-    // Process-level memo knobs, accepted at any argv position: they
-    // configure the process-wide content-addressed answer cache
-    // (svc::MemoCache), not one request, so they are stripped before
-    // subcommand dispatch instead of living in CommonOpts.
+    // --no-memo is accepted at any argv position and dropped: there is no
+    // answer memo to turn off, and the benchmark's reference runs still
+    // pass it. ROADMAP 5B deletes it.
     std::vector<std::string> all;
     for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--no-memo") {
-        svc::global_memo().set_enabled(false);
-        continue;
-      }
-      if (a == "--memo-bytes") {
-        if (i + 1 >= argc) return usage();
-        svc::global_memo().set_capacity_bytes(
-            proto::parse_size("--memo-bytes", argv[++i]));
-        continue;
-      }
-      all.push_back(a);
+      if (std::string_view(argv[i]) != "--no-memo") all.emplace_back(argv[i]);
     }
     if (all.empty()) return usage();
     const std::string cmd = all[0];

@@ -13,7 +13,6 @@
 //
 // Usage:
 //   flexrtd --socket PATH | --port N [--threads N] [--no-memo]
-//           [--memo-bytes N]
 //
 //   --socket PATH   listen on a unix-domain socket at PATH
 //   --port N        listen on TCP 127.0.0.1:N, and on [::1]:N where the
@@ -23,12 +22,10 @@
 //   --threads N     workers per fleet command, the session's thread
 //                   included (sets FLEXRT_THREADS before the first command;
 //                   all sessions together run at most N - 1 helpers)
-//   --no-memo       disable the process-wide answer memo (svc::MemoCache);
-//                   every request recomputes
-//   --memo-bytes N  cap the answer memo at N bytes (default
-//                   svc::MemoCache::kDefaultCapacityBytes); sessions share
-//                   the cache, so a fleet solved by one client is a lookup
-//                   for every later client
+//   --no-memo       accepted and ignored: there is no answer memo, so
+//                   every request computes its answer and a session holds
+//                   only its fleet and its held engines (ROADMAP 5B
+//                   deletes the flag)
 //
 // On start the daemon prints exactly one line to stdout --
 //   flexrtd: listening on unix:PATH   or   flexrtd: listening on tcp:PORT
@@ -52,22 +49,17 @@
 #include "common/signals.hpp"
 #include "net/proto.hpp"
 #include "net/server.hpp"
-#include "svc/memo_cache.hpp"
 
 using namespace flexrt;
 
 namespace {
 
 void usage_text(std::ostream& os) {
-  os << "usage: flexrtd --socket PATH | --port N [--threads N]\n"
-        "               [--no-memo] [--memo-bytes N]\n"
+  os << "usage: flexrtd --socket PATH | --port N [--threads N] [--no-memo]\n"
         "  --socket PATH  listen on a unix-domain socket\n"
         "  --port N       listen on TCP 127.0.0.1:N (0 = ephemeral)\n"
         "  --threads N    workers per fleet command (FLEXRT_THREADS)\n"
-        "  --no-memo      disable the process-wide answer memo\n"
-        "  --memo-bytes N cap the answer memo at N bytes (default "
-     << (svc::MemoCache::kDefaultCapacityBytes >> 20)
-     << " MiB)\n"
+        "  --no-memo      accepted and ignored (there is no answer memo)\n"
         "serves the flexrt_design wire protocol (see tools/README.md);\n"
         "SIGINT/SIGTERM drain in-flight commands and exit 0\n";
 }
@@ -121,22 +113,8 @@ int main(int argc, char** argv) {
         usage_text(std::cerr);
         return 2;
       }
-    } else if (a == "--no-memo") {
-      svc::global_memo().set_enabled(false);
-    } else if (a == "--memo-bytes") {
-      const char* v = next();
-      if (!v || !*v) {
-        usage_text(std::cerr);
-        return 2;
-      }
-      try {
-        svc::global_memo().set_capacity_bytes(
-            net::proto::parse_size("--memo-bytes", v));
-      } catch (const Error&) {
-        usage_text(std::cerr);
-        return 2;
-      }
-    } else {
+    } else if (a != "--no-memo") {
+      std::cerr << "flexrtd: unknown flag '" << a << "'\n";
       usage_text(std::cerr);
       return 2;
     }

@@ -20,12 +20,11 @@ generic bug patterns; this script enforces the invariants that are about
                   hand-rolled row emission -- it bypasses the escaping and
                   the key-ordering discipline the byte-identity tests pin.
 
-  wall-pairing    The "wall_ms" and "cache_hit" JSONL keys are rendered in
-                  exactly one place (src/svc/study_report.cpp provenance
-                  block) and always together: cache_hit only ever rides in
-                  rows that carry wall_ms, so wall-free rows -- the
-                  byte-identity currency for wire/journal/merge/stream
-                  paths -- can never change bytes on a memo hit.
+  wall-pairing    The "wall_ms" JSONL key is rendered in exactly one place
+                  (src/svc/study_report.cpp provenance block), behind its
+                  with_wall switch, so wall-free rows -- the byte-identity
+                  currency for wire/journal/merge/stream paths -- never
+                  carry a timing.
 
   signal-handler  A signal handler body may contain nothing but lock-free
                   atomic .store() statements (POSIX XSH 2.4.3
@@ -54,7 +53,7 @@ generic bug patterns; this script enforces the invariants that are about
                   hier, core, gen, io, part, fault, baseline, sim or
                   platform may include svc/ or net/, and src/svc may not
                   include net/. A BatchEngine query never reads the
-                  service's process-wide memo.
+                  service's fleet or engine cache.
 
 Suppress a finding with a justification comment on the same line or the
 line above:  // lint: allow(<rule>) <why>
@@ -89,7 +88,6 @@ RAW_MUTEX_TOKENS = re.compile(
 JSONL_HAND_ROLLED = re.compile(r'(?:<<|\+=)\s*"(?:[^"\\]|\\.)*\\":')
 
 WALL_KEY = re.compile(r'"wall_ms"')
-HIT_KEY = re.compile(r'"cache_hit"')
 
 ALLOW = re.compile(r"//\s*lint:\s*allow\((?P<rule>[a-z-]+)\)")
 
@@ -211,28 +209,15 @@ def check_jsonl_helpers(path, raw, code, findings):
 
 
 def check_wall_pairing(path, raw, code, findings):
-    key = rel_key(path)
-    wall_lines = [i for i, l in enumerate(raw) if WALL_KEY.search(l)]
-    hit_lines = [i for i, l in enumerate(raw) if HIT_KEY.search(l)]
-    if key not in WALL_PAIR_SANCTIONED:
-        for idx in wall_lines + hit_lines:
-            if allowed(raw, idx, "wall-pairing"):
-                continue
-            findings.add(
-                path, idx + 1, "wall-pairing",
-                'the "wall_ms"/"cache_hit" keys may only be rendered by the '
-                "provenance block in src/svc/study_report.cpp -- route new "
-                "rows through it")
+    if rel_key(path) in WALL_PAIR_SANCTIONED:
         return
-    for idx in hit_lines:
-        if allowed(raw, idx, "wall-pairing"):
+    for idx, line in enumerate(raw):
+        if not WALL_KEY.search(line) or allowed(raw, idx, "wall-pairing"):
             continue
-        if not any(abs(idx - w) <= 2 for w in wall_lines):
-            findings.add(
-                path, idx + 1, "wall-pairing",
-                '"cache_hit" rendered away from "wall_ms" -- a hit may only '
-                "be recorded in rows that also carry wall_ms, or wall-free "
-                "rows lose byte identity on memo hits")
+        findings.add(
+            path, idx + 1, "wall-pairing",
+            'the "wall_ms" key may only be rendered by the provenance block '
+            "in src/svc/study_report.cpp -- route new rows through it")
 
 
 def check_signal_handler(path, raw, code, findings):
